@@ -9,27 +9,21 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from .complexity import (log_norm_complexity_analytic,
-                         log_norm_complexity_mixture, norm_complexity_grid)
+from .complexity import log_norm_complexity_analytic, norm_complexity_grid
 from .config import ConfigError, ExperimentConfig, load_config
-from .divergence import DiscreteDensity, QuadratureError, d_t_squared
-from .models import model_log_prior, simulate_data
-from .penalized import penalized_divergence_upper
+from .divergence import DiscreteDensity, QuadratureError, _safe_exp, d_t_squared
 from .plots import render_plots
-from .posterior import (empirical_divergence_quantiles,
-                        exact_enumeration_oracle, model_posterior,
-                        random_oracle_config)
+from .posterior import exact_enumeration_oracle, random_oracle_config
 from .rate_bounds import VARIANTS
 from .rng import stream
-from .study import (TAG_DATA, TAG_DRAW, format_study_csv, run_rate_study,
-                    variant_bounds_for_n)
+from .study import (cell_divergences, log_mixture_norm_complexity,
+                    run_rate_study, variant_bounds_for_n, write_study_csv)
 
 __all__ = ["main"]
 
@@ -62,13 +56,6 @@ def _emit(lines, out_path: Optional[str]):
 
 def _g17(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _load_study_config(args) -> ExperimentConfig:
@@ -105,9 +92,8 @@ def _cmd_bound(args) -> int:
     lines = ["variant,u,t,n,m,delta,approx_term,box_term,model_term,"
              "penalized_div,complexity_term,epsilon_n,log_richness"]
     for n in config.n_grid:
-        pen = penalized_divergence_upper(config.truth, config.prior_for(n),
-                                         config.t, n)
         for vb in variant_bounds_for_n(config, n):
+            pen = vb.penalized
             lines.append(",".join([
                 vb.variant, _g17(config.u), _g17(config.t), str(n),
                 str(pen.m), _g17(pen.delta), _g17(pen.approx_term),
@@ -123,27 +109,17 @@ def _cmd_complexity(args) -> int:
     lines = ["m,u,n,grid_sum,analytic_bound,mixture_total"]
     for n in config.n_grid:
         spec = config.prior_for(n)
-        log_masses = model_log_prior(spec)
-        grid_norms = []
-        log_norms = []
-        analytic = []
+        mixture = _safe_exp(log_mixture_norm_complexity(spec, config.u, n))
         for m in range(1, spec.m_max + 1):
-            log_a = log_norm_complexity_analytic(spec.within, m, config.u, n)
-            analytic.append(_safe_exp(log_a))
+            analytic = _safe_exp(
+                log_norm_complexity_analytic(spec.within, m, config.u, n))
             try:
-                summary = norm_complexity_grid(spec.within, m, config.u, n)
-                grid_norms.append(summary.lu_norm)
-                log_norms.append(summary.log_lu_norm
-                                 if spec.within.kind == "uniform" else log_a)
+                grid = norm_complexity_grid(spec.within, m, config.u, n).lu_norm
             except QuadratureError:
-                grid_norms.append(float("nan"))
-                log_norms.append(log_a)
-        mixture = _safe_exp(log_norm_complexity_mixture(
-            log_masses, log_norms, config.u))
-        for m in range(1, spec.m_max + 1):
+                grid = float("nan")
             lines.append(",".join([
-                str(m), _g17(config.u), str(n), _g17(grid_norms[m - 1]),
-                _g17(analytic[m - 1]), _g17(mixture)]))
+                str(m), _g17(config.u), str(n), _g17(grid), _g17(analytic),
+                _g17(mixture)]))
     _emit(lines, args.out)
     return 0
 
@@ -152,14 +128,8 @@ def _cmd_simulate(args) -> int:
     config = _load_study_config(args)
     lines = ["# ratelab simulate schema v1", "n,replicate,draw,d2"]
     for n in config.n_grid:
-        spec = config.prior_for(n)
         for r in range(config.replicates):
-            data = simulate_data(config.truth, n,
-                                 seed=(config.seed, TAG_DATA, n, r))
-            state = model_posterior(data, spec)
-            rng = stream(config.seed, TAG_DRAW, n, r)
-            summary = empirical_divergence_quantiles(
-                config.truth, state, config.u, config.draws, rng)
+            summary = cell_divergences(config, n, r)
             for d, value in enumerate(summary.values):
                 lines.append(f"{n},{r},{d},{_g17(value)}")
     _emit(lines, args.out)
@@ -207,8 +177,7 @@ def _cmd_verify_prop2(args) -> int:
 def _cmd_rate_study(args) -> int:
     config = _load_study_config(args)
     result = run_rate_study(config)
-    with open(config.csv_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(format_study_csv(result))
+    write_study_csv(result, config.csv_path)
     print(f"rows: {len(result.rows)}")
     print(f"csv: {config.csv_path}")
     fit = result.summary.fit

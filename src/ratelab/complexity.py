@@ -4,8 +4,7 @@ Two complexity notions feed the rate bounds: plain covering numbers of
 the level space by L1 balls of radius n^(-1/u), and a prior-weighted
 complexity obtained by summing prior-cell masses raised to the power u
 over an equispaced grid of cells.  The grid spacing on the level scale
-is h = 4 * n^(-1/u); the constants that relate grid spacing to the
-L1-ball radius on each scale are recorded in the summary.
+is h = 4 * n^(-1/u).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .divergence import QuadratureError
+from .divergence import QuadratureError, _safe_exp
 from .models import WithinModelPrior
 
 __all__ = [
@@ -32,11 +31,6 @@ __all__ = [
     "parametric_norm_complexity_bound",
 ]
 
-# L1 vs level-scale constants: on the mean scale the L1 distance is at
-# most twice the sup level gap; on the log-odds scale it is at most half
-# the sup gap (the logistic map is 1/4-Lipschitz).
-SCALE_CONSTANTS = {"mean": 2.0, "log_odds": 0.5}
-
 _TAIL_TOL = 1e-15
 
 
@@ -44,26 +38,18 @@ _TAIL_TOL = 1e-15
 class CoverSummary:
     """Cell-sum complexity of one m-level working model.
 
-    ``lu_norm_sum`` is the sum of cell-mass^u over the product cells
-    (>= 1 by concavity) and ``lu_norm`` its (1/u)-th power; log values
-    are carried alongside because the linear ones overflow for large m.
+    ``per_coordinate_sum`` is the sum S of cell-mass^u over one
+    coordinate's cells of width ``grid_spacing`` and ``lu_norm`` the
+    complexity S^(m/u); log values are carried alongside because the
+    linear ones overflow (to inf) for large m.
     """
 
-    radius: float
-    ball_count: float
-    lu_norm_sum: float
-    lu_norm: float
-    log_lu_norm_sum: float
-    log_lu_norm: float
     per_coordinate_sum: float
     grid_spacing: float
+    lu_norm: float
+    log_lu_norm: float
     analytic_bound: float
     log_analytic_bound: float
-    scale: str
-    scale_constant: float
-    m: int
-    u: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -113,11 +99,11 @@ def log_covering_number_uniform(m: int, n: int, u: float) -> float:
     return int(m) * math.log(_grid_side(n, u))
 
 
-def _uniform_cell_sum(h: float, u: float):
+def _uniform_cell_sum(h: float, u: float) -> float:
     """Exact cell-mass^u sum of the uniform density on [0, 1] over cells
     of width h, in closed form."""
     if h >= 1.0:
-        return 1.0, 1
+        return 1.0
     q0 = int(math.floor(1.0 / h))
     q = q0
     for cand in (q0 + 1, q0):
@@ -127,8 +113,7 @@ def _uniform_cell_sum(h: float, u: float):
     r = 1.0 - q * h
     if r < 1e-13 * h:
         r = 0.0
-    total = q * h ** u + (r ** u if r > 0 else 0.0)
-    return total, q + (1 if r > 0 else 0)
+    return q * h ** u + (r ** u if r > 0 else 0.0)
 
 
 def _symmetric_cell_sum(within: WithinModelPrior, h: float, u: float,
@@ -156,6 +141,19 @@ def _symmetric_cell_sum(within: WithinModelPrior, h: float, u: float,
     return 2.0 * total
 
 
+def _validated_spacing(m: int, u: float, n: int):
+    """(m, u, n) checked and snapped to u = 1/k, with the level-scale
+    grid spacing h = 4 * n^(-1/u)."""
+    m = int(m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    u = 1.0 / _unit_fraction(u)
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return m, u, n, 4.0 * n ** (-1.0 / u)
+
+
 def norm_complexity_grid(within: WithinModelPrior, m: int, u: float, n: int,
                          max_cells: int = 2 ** 28) -> CoverSummary:
     """Prior-weighted complexity of one m-level model from exact grid
@@ -163,71 +161,33 @@ def norm_complexity_grid(within: WithinModelPrior, m: int, u: float, n: int,
 
     The per-coordinate sum S adds cell-mass^u over cells of width
     h = 4 * n^(-1/u); products over coordinates give S^m and the
-    complexity S^(m/u).  The analytic bound replaces S by
-    (2*h*f(0)^u + integral of f^u) * h^(u-1), valid for any symmetric
-    density f decreasing away from the origin.
+    complexity S^(m/u).  The analytic bound is
+    ``log_norm_complexity_analytic``.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    k = _unit_fraction(u)
-    u = 1.0 / k
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    h = 4.0 * n ** (-1.0 / u)
+    m, u, n, h = _validated_spacing(m, u, n)
     if within.kind == "uniform":
-        per_coord, cells = _uniform_cell_sum(h, u)
-        ball_count = float(cells) ** m
-        f0 = 1.0
-        u_integral = 1.0
-        scale = "mean"
+        per_coord = _uniform_cell_sum(h, u)
     else:
         per_coord = _symmetric_cell_sum(within, h, u, max_cells)
-        ball_count = math.inf
-        f0 = float(within.pdf(0.0))
-        u_integral = within.u_norm_integral(u)
-        scale = "log_odds"
-    log_s = math.log(per_coord)
-    analytic_per_coord = (2.0 * h * f0 ** u + u_integral) * h ** (u - 1.0)
-    log_a = math.log(analytic_per_coord)
-
-    def _safe_exp(x):
-        try:
-            return math.exp(x)
-        except OverflowError:
-            return math.inf
-
+    log_norm = m * math.log(per_coord) / u
+    log_analytic = log_norm_complexity_analytic(within, m, u, n)
     return CoverSummary(
-        radius=n ** (-1.0 / u),
-        ball_count=ball_count,
-        lu_norm_sum=_safe_exp(m * log_s),
-        lu_norm=_safe_exp(m * log_s / u),
-        log_lu_norm_sum=m * log_s,
-        log_lu_norm=m * log_s / u,
         per_coordinate_sum=per_coord,
         grid_spacing=h,
-        analytic_bound=_safe_exp(m * log_a / u),
-        log_analytic_bound=m * log_a / u,
-        scale=scale,
-        scale_constant=SCALE_CONSTANTS[scale],
-        m=m, u=u, n=n)
+        lu_norm=_safe_exp(log_norm),
+        log_lu_norm=log_norm,
+        analytic_bound=_safe_exp(log_analytic),
+        log_analytic_bound=log_analytic)
 
 
 def log_norm_complexity_analytic(within: WithinModelPrior, m: int, u: float,
                                  n: int) -> float:
-    """Log of the closed-form analytic complexity bound alone, without
-    the grid cell sums.  O(1) regardless of n, so usable where the exact
-    grid would need more cells than the budget allows."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    k = _unit_fraction(u)
-    u = 1.0 / k
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    h = 4.0 * n ** (-1.0 / u)
+    """Log of the closed-form analytic complexity bound, which replaces
+    the per-coordinate sum S by (2*h*f(0)^u + integral of f^u) * h^(u-1),
+    valid for any symmetric density f decreasing away from the origin.
+    O(1) regardless of n, so usable where the exact grid would need more
+    cells than the budget allows."""
+    m, u, n, h = _validated_spacing(m, u, n)
     if within.kind == "uniform":
         f0, u_integral = 1.0, 1.0
     else:
@@ -279,8 +239,5 @@ def parametric_norm_complexity_bound(d: int, u: float, n: int, c: float,
         raise ValueError("t must be positive")
     log_bound = math.log(prior_u_norm) + (d / u ** 2) * math.log(c * d * n)
     term = (log_bound + 2.0 * (1.0 / u + 1.0 / t) * math.log(n)) / n
-    try:
-        bound = math.exp(log_bound)
-    except OverflowError:
-        bound = math.inf
-    return ParametricComplexity(bound=bound, log_bound=log_bound, complexity_term=term)
+    return ParametricComplexity(bound=_safe_exp(log_bound), log_bound=log_bound,
+                                complexity_term=term)

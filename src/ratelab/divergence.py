@@ -48,6 +48,14 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to stabilize below its tolerance."""
 
 
+def _safe_exp(x: float) -> float:
+    """exp(x), saturating to +infinity instead of raising OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # density representations
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ class PenalizedDivergenceResult:
     t: float
     n: int
     candidate: BoxCandidate
-    is_upper_bound: bool = True
 
 
 def sup_divergence_over_box(truth: TrueModel, m: int, delta: float,
@@ -74,7 +73,8 @@ def sup_divergence_over_box(truth: TrueModel, m: int, delta: float,
     t = 1 uses the closed form (err + delta)^2 / ((margin - delta) *
     (1 - margin + delta)); other positive orders fall back to a
     per-coordinate numerical supremum (the box objective separates over
-    bins, so extremes are scanned coordinatewise).
+    bins, and each bin's integral is convex in its level for t > 0, so
+    the supremum sits at one of the two box endpoints).
     """
     delta = float(delta)
     if not 0.0 < delta < truth.margin:
@@ -96,11 +96,9 @@ def _numeric_box_sup(truth: TrueModel, approx: BestApproximation,
     total = 0.0
     for j in range(m):
         lo, hi = edges[j], edges[j + 1]
-        best = -math.inf
-        for theta in np.linspace(approx.levels[j] - delta, approx.levels[j] + delta, 5):
-            val = _bin_integral(truth, lo, hi, float(theta), t)
-            best = max(best, val)
-        total += best
+        total += max(_bin_integral(truth, lo, hi, float(theta), t)
+                     for theta in (approx.levels[j] - delta,
+                                   approx.levels[j] + delta))
     return total / t
 
 

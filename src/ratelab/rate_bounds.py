@@ -17,6 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from .divergence import _safe_exp
+
 __all__ = [
     "VARIANTS",
     "RateBoundBreakdown",
@@ -114,11 +116,7 @@ def posterior_mass_bound_rhs(cover: Sequence, anchor, u: float, t: float,
         exponents.append(-u * (n * inf_d - log_mass - n * sup_d + log_anchor_mass))
     if not exponents:
         return 0.0
-    total = float(logsumexp(np.asarray(exponents)))
-    try:
-        return math.exp(total)
-    except OverflowError:
-        return math.inf
+    return _safe_exp(float(logsumexp(np.asarray(exponents))))
 
 
 def _complexity_from_log_richness(log_richness: float, u: float, t: float,

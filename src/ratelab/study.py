@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -22,10 +22,11 @@ from .complexity import (log_covering_number_uniform,
                          log_norm_complexity_analytic,
                          log_norm_complexity_mixture, norm_complexity_grid)
 from .config import ExperimentConfig
-from .models import model_log_prior, simulate_data
-from .penalized import penalized_divergence_upper
-from .posterior import empirical_divergence_quantiles, model_posterior
-from .rate_bounds import rate_bound
+from .models import PriorSpec, model_log_prior, simulate_data
+from .penalized import PenalizedDivergenceResult, penalized_divergence_upper
+from .posterior import (DivergenceSummary, empirical_divergence_quantiles,
+                        model_posterior)
+from .rate_bounds import RateBoundBreakdown, rate_bound
 from .rng import stream
 
 __all__ = [
@@ -38,7 +39,9 @@ __all__ = [
     "StudyResult",
     "CSV_SCHEMA_HEADER",
     "CSV_COLUMNS",
+    "log_mixture_norm_complexity",
     "variant_bounds_for_n",
+    "cell_divergences",
     "fit_slope",
     "run_rate_study",
     "format_study_csv",
@@ -57,14 +60,17 @@ CSV_COLUMNS = ("n", "replicate", "variant", "d2_min", "d2_median", "d2_q95",
 
 @dataclass(frozen=True)
 class VariantBounds:
-    """Theoretical bound pieces for one (variant, n)."""
+    """One variant's epsilon_n breakdown at one n, with the penalized
+    bound whose value it adds.  The breakdown's fields (variant, n,
+    penalized_div, complexity_term, epsilon_n, ...) read through."""
 
-    variant: str
-    n: int
-    penalized_div: float
-    complexity_term: float
-    epsilon_n: float
-    log_richness: float
+    breakdown: RateBoundBreakdown
+    penalized: PenalizedDivergenceResult
+
+    def __getattr__(self, name):
+        if name.startswith("__") or name == "breakdown":
+            raise AttributeError(name)
+        return getattr(self.breakdown, name)
 
 
 @dataclass(frozen=True)
@@ -123,50 +129,55 @@ class StudyResult:
     config: ExperimentConfig
 
 
+def log_mixture_norm_complexity(spec: PriorSpec, u: float, n: int) -> float:
+    """ln of the mixture norm complexity of the prior at one n.
+
+    Per-model norm complexities are exact grid sums for the uniform
+    within prior and the analytic envelope for unbounded log-odds priors
+    (a valid upper bound that stays cheap at large n).
+    """
+    sizes = range(1, spec.m_max + 1)
+    if spec.within.kind == "uniform":
+        log_norms = [norm_complexity_grid(spec.within, m, u, n).log_lu_norm
+                     for m in sizes]
+    else:
+        log_norms = [log_norm_complexity_analytic(spec.within, m, u, n)
+                     for m in sizes]
+    return log_norm_complexity_mixture(model_log_prior(spec), log_norms, u)
+
+
 def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
     """epsilon_n breakdowns for every configured variant at one n.
 
-    Covering counts use the per-model uniform grid; norm complexities
-    use exact grid sums for the uniform within prior and the analytic
-    envelope for unbounded log-odds priors (a valid upper bound that
-    stays cheap at large n).
+    The penalized bound is computed once and shared by all variants;
+    covering counts use the per-model uniform grid.
     """
     spec = config.prior_for(n)
     truth, u, t = config.truth, config.u, config.t
-    pen = penalized_divergence_upper(truth, spec, t, n).value
+    pen = penalized_divergence_upper(truth, spec, t, n)
     log_masses = model_log_prior(spec)
-    sizes = range(1, spec.m_max + 1)
 
     log_covers = None
     if "prop3" in config.variants or "prop7" in config.variants:
-        log_covers = np.array([log_covering_number_uniform(m, n, u) for m in sizes])
+        log_covers = np.array([log_covering_number_uniform(m, n, u)
+                               for m in range(1, spec.m_max + 1)])
     log_norm = None
     if "remark8" in config.variants or "remark10" in config.variants:
-        if spec.within.kind == "uniform":
-            log_norms = [norm_complexity_grid(spec.within, m, u, n).log_lu_norm
-                         for m in sizes]
-        else:
-            log_norms = [log_norm_complexity_analytic(spec.within, m, u, n)
-                         for m in sizes]
-        log_norm = log_norm_complexity_mixture(log_masses, log_norms, u)
+        log_norm = log_mixture_norm_complexity(spec, u, n)
 
     out = []
     for variant in config.variants:
         if variant == "prop3":
-            breakdown = rate_bound(variant, u, t, n, pen,
+            breakdown = rate_bound(variant, u, t, n, pen.value,
                                    log_cover_count=float(logsumexp(log_covers)))
         elif variant == "prop7":
-            breakdown = rate_bound(variant, u, t, n, pen,
+            breakdown = rate_bound(variant, u, t, n, pen.value,
                                    model_log_masses=log_masses,
                                    model_log_covers=log_covers)
         else:
-            breakdown = rate_bound(variant, u, t, n, pen,
+            breakdown = rate_bound(variant, u, t, n, pen.value,
                                    log_norm_complexity=log_norm)
-        out.append(VariantBounds(
-            variant=variant, n=n, penalized_div=breakdown.penalized_div,
-            complexity_term=breakdown.complexity_term,
-            epsilon_n=breakdown.epsilon_n,
-            log_richness=breakdown.log_richness))
+        out.append(VariantBounds(breakdown, pen))
     return tuple(out)
 
 
@@ -195,14 +206,21 @@ def fit_slope(points: Sequence) -> SlopeFit:
     return SlopeFit(slope=slope, intercept=intercept, r_squared=r2)
 
 
-def _run_cell(config: ExperimentConfig, n: int, replicate: int,
-              bounds: tuple):
+def cell_divergences(config: ExperimentConfig, n: int,
+                     replicate: int) -> DivergenceSummary:
+    """Posterior divergence draws of one (n, replicate) cell: simulate
+    the data, build the exact posterior, draw from it."""
     data = simulate_data(config.truth, n,
                          seed=(config.seed, TAG_DATA, n, replicate))
     state = model_posterior(data, config.prior_for(n))
     rng = stream(config.seed, TAG_DRAW, n, replicate)
-    summary = empirical_divergence_quantiles(
+    return empirical_divergence_quantiles(
         config.truth, state, config.u, config.draws, rng)
+
+
+def _run_cell(config: ExperimentConfig, n: int, replicate: int,
+              bounds: tuple):
+    summary = cell_divergences(config, n, replicate)
     rows = []
     for vb in bounds:
         exceed = float(np.mean(summary.values > vb.epsilon_n))

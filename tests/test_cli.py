@@ -1,12 +1,14 @@
 """Exit codes, output schemas, and determinism of the CLI."""
 
+import math
 import shutil
 import subprocess
 
 import pytest
 
 import ratelab.cli as cli
-from ratelab import QuadratureError
+import ratelab.study as study
+from ratelab import QuadratureError, load_config, variant_bounds_for_n
 
 CONFIG = """
 [truth]
@@ -23,10 +25,34 @@ seed = 9
 """
 
 
+# uniform within prior up to n = 4000, where per-model grid cell counts
+# to the power m once overflowed a float
+UNIFORM_TRIANGLE = """
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = uniform
+
+[run]
+n_grid = 500, 4000
+variants = prop3, prop7, remark8, remark10
+"""
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text(CONFIG, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def triangle_path(tmp_path):
+    path = tmp_path / "triangle.cfg"
+    path.write_text(UNIFORM_TRIANGLE, encoding="utf-8")
     return str(path)
 
 
@@ -91,6 +117,40 @@ class TestBound:
         assert all(line.startswith("remark8,")
                    for line in out.splitlines()[1:])
 
+    def test_norm_variants_finite_at_large_n(self, triangle_path, capsys):
+        code, out, err = _run(["bound", "--config", triangle_path,
+                               "--variant", "remark8"], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[3] for row in rows] == ["500", "4000"]
+        assert all(math.isfinite(float(row[11])) for row in rows)
+
+    def test_penalized_bound_computed_once_per_n(self, triangle_path,
+                                                 monkeypatch, capsys):
+        calls = []
+        original = study.penalized_divergence_upper
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(study, "penalized_divergence_upper", counted)
+        code, out, _ = _run(["bound", "--config", triangle_path], capsys)
+        assert code == 0
+        assert len(calls) == 2
+        monkeypatch.undo()
+        config = load_config(triangle_path)
+        expected = []
+        for n in config.n_grid:
+            for vb in variant_bounds_for_n(config, n):
+                pen = vb.penalized
+                expected.append([str(pen.m)] + [repr(float(v)) for v in (
+                    pen.delta, pen.approx_term, pen.box_term,
+                    pen.model_term, pen.value)])
+        got = [[row[4]] + [repr(float(v)) for v in row[5:10]]
+               for row in (line.split(",") for line in out.splitlines()[1:])]
+        assert got == expected
+
     def test_unknown_variant_exits_one(self, config_path, capsys):
         code, _, err = _run(["bound", "--config", config_path,
                              "--variant", "prop9"], capsys)
@@ -115,6 +175,14 @@ class TestComplexity:
         for line in lines[1:]:
             _, _, _, grid_sum, analytic, _ = line.split(",")
             assert float(grid_sum) <= float(analytic) * (1 + 1e-12)
+
+    def test_uniform_prior_finite_at_large_n(self, triangle_path, capsys):
+        code, out, err = _run(["complexity", "--config", triangle_path],
+                              capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert {row[2] for row in rows} == {"500", "4000"}
+        assert all(math.isfinite(float(row[5])) for row in rows)
 
     def test_deterministic(self, config_path, capsys):
         first = _run(["complexity", "--config", config_path], capsys)[1]
