@@ -9,6 +9,7 @@ is h = 4 * n^(-1/u).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -116,11 +117,16 @@ def _uniform_cell_sum(h: float, u: float) -> float:
     return q * h ** u + (r ** u if r > 0 else 0.0)
 
 
+@functools.lru_cache(maxsize=64)
 def _symmetric_cell_sum(within: WithinModelPrior, h: float, u: float,
                         max_cells: int) -> float:
     """Cell-mass^u sum of a symmetric log-odds density over the grid
     {[j*h, (j+1)*h): j integer}, truncated once a whole block of cells
-    contributes less than a 1e-15 fraction of the running sum."""
+    contributes less than a 1e-15 fraction of the running sum; nan when
+    the cell budget runs out first.
+
+    Memoized, failures included, because it depends on (n, u) through h
+    but not on the model size m that callers loop over."""
     total = 0.0
     j0 = 0
     block = 4096
@@ -136,8 +142,7 @@ def _symmetric_cell_sum(within: WithinModelPrior, h: float, u: float,
         j0 += block
         block = min(block * 2, 1 << 20)
         if j0 >= max_cells // 2:
-            raise QuadratureError(
-                f"cell budget {max_cells} exhausted before the tail converged")
+            return math.nan
     return 2.0 * total
 
 
@@ -169,6 +174,9 @@ def norm_complexity_grid(within: WithinModelPrior, m: int, u: float, n: int,
         per_coord = _uniform_cell_sum(h, u)
     else:
         per_coord = _symmetric_cell_sum(within, h, u, max_cells)
+        if math.isnan(per_coord):
+            raise QuadratureError(
+                f"cell budget {max_cells} exhausted before the tail converged")
     log_norm = m * math.log(per_coord) / u
     log_analytic = log_norm_complexity_analytic(within, m, u, n)
     return CoverSummary(

@@ -245,7 +245,8 @@ def _build_truth(reader: _Reader) -> TrueModel:
             raise ConfigError("d_bound applies only to smooth truths", d_line)
         try:
             truth = TrueModel.smooth(truth.mean.fn, d_bound=d_bound,
-                                     margin=margin, label=kind)
+                                     margin=margin, label=kind,
+                                     breakpoints=truth.mean.breakpoints)
         except ValueError as exc:
             raise ConfigError(str(exc), d_line)
     return truth

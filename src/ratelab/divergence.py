@@ -131,15 +131,26 @@ class SmoothMean:
     """Smooth mean with a certified derivative bound and margin from {0, 1}.
 
     The margin and the derivative bound are declared attributes; both
-    are checked on a dense grid at construction time.
+    are checked on a dense grid at construction time.  ``breakpoints``
+    declares the sorted points inside (0, 1) where the mean is
+    continuous but not smooth (a kink); quadrature starts a panel at
+    each of them.
     """
 
     fn: Callable
     d_bound: float
     margin: float
     label: str = "smooth"
+    breakpoints: tuple = ()
 
     def __post_init__(self):
+        points = tuple(float(b) for b in self.breakpoints)
+        if any(not 0.0 < b < 1.0 for b in points):
+            raise ValueError(f"breakpoints must lie in (0, 1), got {points}")
+        if any(a >= b for a, b in zip(points, points[1:])):
+            raise ValueError(
+                f"breakpoints must be sorted without duplicates, got {points}")
+        object.__setattr__(self, "breakpoints", points)
         if not 0.0 < self.margin < 0.5:
             raise ValueError(f"margin must lie in (0, 0.5), got {self.margin}")
         if self.d_bound < 0:
@@ -312,7 +323,7 @@ def _integrate_adaptive(fn, edges, tol: float = _QUAD_TOL, max_refine: int = 12)
 def _mean_edges(mean: MeanFunction) -> np.ndarray:
     if isinstance(mean, PiecewiseConstantMean):
         return mean.edges()
-    return np.array([0.0, 1.0])
+    return np.array([0.0, *mean.breakpoints, 1.0])
 
 
 def _union_edges(mean1: MeanFunction, mean2: MeanFunction, min_panels: int = 8) -> np.ndarray:

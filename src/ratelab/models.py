@@ -10,6 +10,7 @@ the log-odds scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -59,8 +60,9 @@ class TrueModel:
 
     @classmethod
     def smooth(cls, fn: Callable, d_bound: float, margin: float,
-               label: str = "smooth") -> "TrueModel":
-        mean = SmoothMean(fn, float(d_bound), float(margin), label=label)
+               label: str = "smooth", breakpoints: tuple = ()) -> "TrueModel":
+        mean = SmoothMean(fn, float(d_bound), float(margin), label=label,
+                          breakpoints=breakpoints)
         return cls("smooth", float(margin), mean, float(d_bound), None, label)
 
     @classmethod
@@ -76,7 +78,8 @@ class TrueModel:
     def triangle(cls, center: float = 0.5, amplitude: float = 0.24,
                  peak: float = 0.5, margin: float = 0.25) -> "TrueModel":
         """Piecewise-linear wave from center - amplitude at x = 0 up to
-        center + amplitude at x = peak and back down at x = 1."""
+        center + amplitude at x = peak and back down at x = 1.  The kink
+        at ``peak`` is declared as a quadrature breakpoint."""
         center, amplitude, peak = float(center), float(amplitude), float(peak)
         if not 0.0 < peak < 1.0:
             raise ValueError(f"peak must lie in (0, 1), got {peak}")
@@ -90,7 +93,8 @@ class TrueModel:
         d_bound = 2.0 * abs(amplitude) / min(peak, 1.0 - peak)
         return cls.smooth(fn, d_bound, margin,
                           label=f"triangle(center={center},amplitude={amplitude},"
-                                f"peak={peak})")
+                                f"peak={peak})",
+                          breakpoints=(peak,))
 
     @classmethod
     def linear(cls, intercept: float, slope: float, margin: float = 0.25) -> "TrueModel":
@@ -260,11 +264,19 @@ class PriorSpec:
 
 
 def model_log_prior(spec: PriorSpec) -> np.ndarray:
-    """Normalized log prior masses over m = 1..m_max."""
-    m = np.arange(1, spec.m_max + 1)
-    logw = -spec.k_model * (m - 1) * math.log(spec.n) if spec.n > 1 else np.zeros(spec.m_max)
+    """Normalized log prior masses over m = 1..m_max, as a read-only
+    array shared by every spec with the same (n, k_model, m_max)."""
+    return _model_log_prior(spec.n, spec.k_model, spec.m_max)
+
+
+@functools.lru_cache(maxsize=256)
+def _model_log_prior(n: int, k_model: float, m_max: int) -> np.ndarray:
+    m = np.arange(1, m_max + 1)
+    logw = -k_model * (m - 1) * math.log(n) if n > 1 else np.zeros(m_max)
     logw = np.asarray(logw, dtype=float)
-    return logw - logsumexp(logw)
+    out = logw - logsumexp(logw)
+    out.setflags(write=False)
+    return out
 
 
 def model_prior_mass(spec: PriorSpec, m: int) -> float:

@@ -110,7 +110,8 @@ def _bin_integral(truth: TrueModel, lo: float, hi: float, theta: float, t: float
         return float(np.dot(np.diff(edges), vals))
     fn = lambda x: _binary_power_minus1(
         np.clip(truth.mean(x), 1e-12, 1.0 - 1e-12), theta, t)
-    return _integrate_adaptive(fn, [lo, hi])
+    return _integrate_adaptive(
+        fn, [lo, *(b for b in truth.mean.breakpoints if lo < b < hi), hi])
 
 
 def _within_box_log_mass(spec: PriorSpec, delta: float,

@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 import ratelab.cli as cli
+import ratelab.complexity as complexity
 import ratelab.study as study
 from ratelab import QuadratureError, load_config, variant_bounds_for_n
 
@@ -39,6 +40,23 @@ within = uniform
 [run]
 n_grid = 500, 4000
 variants = prop3, prop7, remark8, remark10
+"""
+
+
+# a log-odds prior, whose exact per-coordinate grid sum is the slow
+# part of `complexity`
+NORMAL_TRIANGLE = """
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = normal
+scale = 1.5
+
+[run]
+n_grid = 500, 1000
 """
 
 
@@ -183,6 +201,23 @@ class TestComplexity:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert {row[2] for row in rows} == {"500", "4000"}
         assert all(math.isfinite(float(row[5])) for row in rows)
+
+    def test_log_odds_cell_sum_computed_once_per_n(self, tmp_path, capsys):
+        path = tmp_path / "normal.cfg"
+        path.write_text(NORMAL_TRIANGLE, encoding="utf-8")
+        complexity._symmetric_cell_sum.cache_clear()
+        code, out, err = _run(["complexity", "--config", str(path)], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 23 + 32
+        assert complexity._symmetric_cell_sum.cache_info().misses == 2
+        # the m = 1 rows against the uncached sum, S^(1/u)
+        within = load_config(str(path)).prior_for(500).within
+        for row in (rows[0], rows[23]):
+            n = int(row[2])
+            per_coord = complexity._symmetric_cell_sum.__wrapped__(
+                within, 4.0 * n ** -2.0, 0.5, 2 ** 28)
+            assert float(row[3]) == pytest.approx(per_coord ** 2, rel=1e-12)
 
     def test_deterministic(self, config_path, capsys):
         first = _run(["complexity", "--config", config_path], capsys)[1]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ratelab.complexity as complexity
 from ratelab import (
     QuadratureError,
     WithinModelPrior,
@@ -90,6 +91,13 @@ class TestLogOddsGridSums:
     def test_cell_budget_exhaustion_raises(self):
         with pytest.raises(QuadratureError):
             norm_complexity_grid(NORMAL, 1, 0.5, 10_000, max_cells=4096)
+
+    def test_exhausted_budget_is_not_rerun_for_each_m(self):
+        complexity._symmetric_cell_sum.cache_clear()
+        for m in (1, 2, 3):
+            with pytest.raises(QuadratureError):
+                norm_complexity_grid(NORMAL, m, 0.5, 10_000, max_cells=4096)
+        assert complexity._symmetric_cell_sum.cache_info().misses == 1
 
     def test_analytic_helper_matches_grid_summary_field(self):
         for within in (UNIFORM, NORMAL, LAPLACE):

@@ -213,6 +213,11 @@ def test_d_bound_override_on_smooth_truth():
     err = _error("[truth]\nkind = sine\namplitude = 0.1\nd_bound = 0.1" + base)
     assert "exceeds declared bound" in str(err)
     assert err.line == 4
+    # the override keeps the triangle's declared kink
+    cfg = parse_config_text(
+        "[truth]\nkind = triangle\npeak = 0.45\nd_bound = 3.0" + base)
+    assert cfg.truth.d_bound == 3.0
+    assert cfg.truth.mean.breakpoints == (0.45,)
 
 
 def test_prior_section_validation():

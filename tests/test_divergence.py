@@ -19,11 +19,13 @@ from ratelab import (
     PiecewiseConstantMean,
     RegressionDensity,
     SmoothMean,
+    TrueModel,
     d_t_squared,
     d_t_squared_product,
     kl_divergence,
     l1_distance,
 )
+import ratelab.divergence as divergence
 from conftest import random_density_pair
 
 BERN_03 = DiscreteDensity.bernoulli(0.3)
@@ -217,3 +219,50 @@ class TestRegressionDensities:
     def test_piecewise_levels_validated(self):
         with pytest.raises(ValueError):
             PiecewiseConstantMean(np.array([0.5, 1.2]))
+
+
+# d_{-1/2}^2 between TrueModel.triangle(amplitude=0.22, peak=0.45) and the
+# piecewise means with levels 0.3 + 0.4 * ((5j + 2) mod m) / m, from
+# mpmath.quad at 30 digits split at every bin edge and at the kink 0.45
+TRIANGLE_HELLINGER_ORACLE = {
+    3: 0.0307941118140840774519964,
+    7: 0.03107018307794482069564992,
+    20: 0.03008327763915610849291714,
+}
+TRIANGLE = TrueModel.triangle(amplitude=0.22, peak=0.45)
+
+
+def _triangle_draw(m):
+    levels = [0.3 + 0.4 * ((5 * j + 2) % m) / m for j in range(m)]
+    return RegressionDensity.piecewise(levels)
+
+
+class TestDeclaredBreakpoints:
+    @pytest.mark.parametrize("m", sorted(TRIANGLE_HELLINGER_ORACLE))
+    def test_triangle_against_mpmath(self, m):
+        got = d_t_squared(TRIANGLE.density, _triangle_draw(m), -0.5)
+        assert abs(got - TRIANGLE_HELLINGER_ORACLE[m]) <= 1e-14
+
+    @pytest.mark.parametrize("m", (3, 7, 20))
+    def test_kink_panel_needs_no_bisection(self, m, monkeypatch):
+        passes = []
+        composite = divergence._composite_gl
+
+        def counted(fn, edges):
+            passes.append(edges.size - 1)
+            return composite(fn, edges)
+
+        monkeypatch.setattr(divergence, "_composite_gl", counted)
+        d_t_squared(TRIANGLE.density, _triangle_draw(m), -0.5)
+        assert len(passes) <= 2
+
+    def test_triangle_declares_its_peak(self):
+        assert TRIANGLE.mean.breakpoints == (0.45,)
+        edges = divergence._union_edges(TRIANGLE.mean, _triangle_draw(3).mean)
+        assert 0.45 in edges
+
+    @pytest.mark.parametrize("points", [(1.2,), (0.0,), (0.6, 0.3), (0.4, 0.4)])
+    def test_breakpoints_validated(self, points):
+        with pytest.raises(ValueError):
+            SmoothMean(lambda x: 0.5 + 0.1 * x, d_bound=0.1, margin=0.25,
+                       breakpoints=points)

@@ -92,6 +92,17 @@ class TestModelPrior:
         spec = PriorSpec(n=1, m_max=4)
         assert np.allclose(np.exp(model_log_prior(spec)), 0.25, atol=1e-14)
 
+    def test_memoized_prior_is_shared_and_read_only(self):
+        uniform = PriorSpec(n=400, k_model=2.0)
+        normal = PriorSpec(n=400, k_model=2.0,
+                           within=WithinModelPrior.log_odds("normal", 1.5))
+        first, second = model_log_prior(uniform), model_log_prior(normal)
+        assert np.array_equal(first, second)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert np.array_equal(model_log_prior(uniform), second)
+
     def test_mass_accessor_bounds(self):
         spec = PriorSpec(n=50, m_max=3)
         assert model_prior_mass(spec, 1) > model_prior_mass(spec, 2)

@@ -55,6 +55,18 @@ class TestBoxSupremum:
             total += corner
         assert got == pytest.approx(total / t, rel=1e-12)
 
+    def test_general_order_on_a_kinked_truth(self):
+        # one bin over the triangle 0.28 -> 0.72 (x = 0.45) -> 0.28: each
+        # linear piece of length L from a to b has integral of mu^3 equal
+        # to L (a + b)(a^2 + b^2) / 4, and 1 - mu is the mirror image
+        truth = TrueModel.triangle(amplitude=0.22, peak=0.45)
+        delta, t = 0.05, 2.0
+        cube = (0.28 + 0.72) * (0.28 ** 2 + 0.72 ** 2) / 4.0
+        corners = [cube / theta ** 2 + cube / (1.0 - theta) ** 2 - 1.0
+                   for theta in (0.28 - delta, 0.28 + delta)]
+        got = sup_divergence_over_box(truth, m=1, delta=delta, t=t)
+        assert got == pytest.approx(max(corners) / t, rel=1e-13)
+
     def test_monotone_in_delta(self):
         vals = [sup_divergence_over_box(LINEAR, 4, d) for d in (0.02, 0.08, 0.2)]
         assert vals[0] < vals[1] < vals[2]
