@@ -17,7 +17,7 @@ import numpy as np
 
 from .complexity import log_norm_complexity_analytic, norm_complexity_grid
 from .config import ConfigError, ExperimentConfig, load_config
-from .divergence import DiscreteDensity, QuadratureError, _safe_exp, d_t_squared
+from .divergence import DiscreteDensity, QuadratureError, d_t_squared
 from .plots import render_plots
 from .posterior import exact_enumeration_oracle, random_oracle_config
 from .rate_bounds import VARIANTS
@@ -106,20 +106,19 @@ def _cmd_bound(args) -> int:
 
 def _cmd_complexity(args) -> int:
     config = _load_study_config(args)
-    lines = ["m,u,n,grid_sum,analytic_bound,mixture_total"]
+    lines = ["m,u,n,log_grid_sum,log_analytic_bound,log_mixture_total"]
     for n in config.n_grid:
         spec = config.prior_for(n)
-        mixture = _safe_exp(log_mixture_norm_complexity(spec, config.u, n))
+        log_mixture = log_mixture_norm_complexity(spec, config.u, n)
         for m in range(1, spec.m_max + 1):
-            analytic = _safe_exp(
-                log_norm_complexity_analytic(spec.within, m, config.u, n))
+            log_analytic = log_norm_complexity_analytic(spec.within, m, config.u, n)
             try:
-                grid = norm_complexity_grid(spec.within, m, config.u, n).lu_norm
+                log_grid = norm_complexity_grid(spec.within, m, config.u, n).log_lu_norm
             except QuadratureError:
-                grid = float("nan")
+                log_grid = float("nan")
             lines.append(",".join([
-                str(m), _g17(config.u), str(n), _g17(grid), _g17(analytic),
-                _g17(mixture)]))
+                str(m), _g17(config.u), str(n), _g17(log_grid),
+                _g17(log_analytic), _g17(log_mixture)]))
     _emit(lines, args.out)
     return 0
 
@@ -223,8 +222,8 @@ def _build_parser() -> _Parser:
     _common(p)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("complexity", help="covering and norm complexities "
-                       "per model size")
+    p = sub.add_parser("complexity", help="natural logs of the norm "
+                       "complexities per model size")
     _common(p)
     p.set_defaults(func=_cmd_complexity)
 

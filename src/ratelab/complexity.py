@@ -19,6 +19,7 @@ from scipy.special import logsumexp
 
 from .divergence import QuadratureError, _safe_exp
 from .models import WithinModelPrior
+from .rate_bounds import _unit_fraction
 
 __all__ = [
     "CoverSummary",
@@ -60,14 +61,6 @@ class ParametricComplexity:
     bound: float
     log_bound: float
     complexity_term: float
-
-
-def _unit_fraction(u: float) -> int:
-    k = 1.0 / u
-    k_round = round(k)
-    if k_round < 1 or abs(k - k_round) > 1e-9:
-        raise ValueError(f"u must be the reciprocal of a positive integer, got {u}")
-    return int(k_round)
 
 
 def covering_number_uniform(m: int, n: int, u: float) -> int:

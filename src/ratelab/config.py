@@ -130,10 +130,6 @@ class _Reader:
             entry.used = True
         return entry
 
-    def raw(self, key: str, default: Optional[str] = None):
-        entry = self._take(key)
-        return (entry.value, entry.line) if entry else (default, None)
-
     def _parse(self, key: str, default, caster: Callable, kind: str):
         entry = self._take(key)
         if entry is None:
@@ -245,7 +241,7 @@ def _build_truth(reader: _Reader) -> TrueModel:
             raise ConfigError("d_bound applies only to smooth truths", d_line)
         try:
             truth = TrueModel.smooth(truth.mean.fn, d_bound=d_bound,
-                                     margin=margin, label=kind,
+                                     margin=margin,
                                      breakpoints=truth.mean.breakpoints)
         except ValueError as exc:
             raise ConfigError(str(exc), d_line)

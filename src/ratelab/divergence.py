@@ -140,7 +140,6 @@ class SmoothMean:
     fn: Callable
     d_bound: float
     margin: float
-    label: str = "smooth"
     breakpoints: tuple = ()
 
     def __post_init__(self):
@@ -197,10 +196,6 @@ class RegressionDensity:
     @classmethod
     def smooth(cls, fn, d_bound: float, margin: float) -> "RegressionDensity":
         return cls(SmoothMean(fn, float(d_bound), float(margin)))
-
-    @property
-    def is_piecewise(self) -> bool:
-        return isinstance(self.mean, PiecewiseConstantMean)
 
 
 @dataclass(frozen=True)
@@ -281,7 +276,7 @@ def _binary_kl2(mu1, mu2):
 
 
 # ---------------------------------------------------------------------------
-# quadrature over [0, 1]
+# integrals over the covariate
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
@@ -301,9 +296,10 @@ def _composite_gl(fn, edges: np.ndarray) -> float:
 
 
 def _integrate_adaptive(fn, edges, tol: float = _QUAD_TOL, max_refine: int = 12) -> float:
-    """Composite 32-node Gauss-Legendre over the given panels, bisecting
-    every panel until successive estimates agree to within tol."""
-    edges = np.asarray(sorted(set(float(e) for e in edges)))
+    """Composite 32-node Gauss-Legendre over the given sorted, distinct
+    panel edges, bisecting every panel until successive estimates agree
+    to within tol."""
+    edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         raise ValueError("need at least one panel")
     est = _composite_gl(fn, edges)
@@ -320,14 +316,16 @@ def _integrate_adaptive(fn, edges, tol: float = _QUAD_TOL, max_refine: int = 12)
     raise QuadratureError(f"integral did not stabilize below {tol}")
 
 
-def _mean_edges(mean: MeanFunction) -> np.ndarray:
-    if isinstance(mean, PiecewiseConstantMean):
-        return mean.edges()
-    return np.array([0.0, *mean.breakpoints, 1.0])
-
-
-def _union_edges(mean1: MeanFunction, mean2: MeanFunction, min_panels: int = 8) -> np.ndarray:
-    edges = np.array(sorted(set(_mean_edges(mean1)) | set(_mean_edges(mean2))))
+def _union_edges(*means: MeanFunction, lo: float = 0.0, hi: float = 1.0,
+                 min_panels: int = 8) -> np.ndarray:
+    """[lo, hi] cut at every bin edge and declared breakpoint of the means
+    strictly inside it, then bisected until there are min_panels panels."""
+    cuts = {lo, hi}
+    for mean in means:
+        points = (mean.edges() if isinstance(mean, PiecewiseConstantMean)
+                  else mean.breakpoints)
+        cuts.update(e for e in points if lo < e < hi)
+    edges = np.array(sorted(cuts))
     while edges.size - 1 < min_panels:
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     return edges
@@ -342,23 +340,23 @@ def _clamped_eval(mean: MeanFunction, x):
     return vals
 
 
-def _regression_integral(p: RegressionDensity, q: RegressionDensity, term_fn) -> float:
-    """Integrate term_fn(mu_p(x), mu_q(x)) over x in [0, 1].
+def _covariate_integral(term, *means: MeanFunction, lo: float = 0.0,
+                        hi: float = 1.0, min_panels: int = 8) -> float:
+    """Integrate term(mu_1(x), ..., mu_k(x)) over x in [lo, hi].
 
-    Exact finite sum when both means are piecewise constant; composite
-    Gauss-Legendre per piece with adaptive bisection otherwise.
+    Exact midpoint sum over the union partition when every mean is
+    piecewise constant; composite Gauss-Legendre with adaptive bisection
+    on the clamped means, from at least min_panels panels, otherwise.
     """
-    m1, m2 = p.mean, q.mean
-    if isinstance(m1, PiecewiseConstantMean) and isinstance(m2, PiecewiseConstantMean):
-        edges = np.array(sorted(set(m1.edges()) | set(m2.edges())))
+    if all(isinstance(mean, PiecewiseConstantMean) for mean in means):
+        edges = _union_edges(*means, lo=lo, hi=hi, min_panels=1)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        lens = np.diff(edges)
-        vals = np.asarray(term_fn(m1(mids), m2(mids)), dtype=float)
-        if np.any(np.isposinf(vals)):
-            return math.inf
-        return float(np.dot(lens, vals))
-    fn = lambda x: term_fn(_clamped_eval(m1, x), _clamped_eval(m2, x))
-    return _integrate_adaptive(fn, _union_edges(m1, m2))
+        # panel lengths are positive and every term is bounded below, so
+        # a +inf term (support mismatch) makes the sum +inf
+        return float(np.dot(np.diff(edges), term(*(mean(mids) for mean in means))))
+    fn = lambda x: term(*(_clamped_eval(mean, x) for mean in means))
+    return _integrate_adaptive(
+        fn, _union_edges(*means, lo=lo, hi=hi, min_panels=min_panels))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +396,8 @@ def d_t_squared(p, q, t) -> float:
         if math.isinf(total):
             return math.inf
         return (float(total) - 1.0) / tv
-    val = _regression_integral(p, q, lambda a, b: _binary_power_minus1(a, b, tv))
+    val = _covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv),
+                              p.mean, q.mean)
     if math.isinf(val):
         return math.inf
     return val / tv
@@ -411,7 +410,7 @@ def kl_divergence(p, q) -> float:
         _check_outcomes(p, q)
         val = _log_ratio_term(p.mass, q.mass, 1).sum()
         return float(val)
-    return _regression_integral(p, q, _binary_kl)
+    return _covariate_integral(_binary_kl, p.mean, q.mean)
 
 
 def _kl_limit(p, q, tv: float) -> float:
@@ -422,7 +421,7 @@ def _kl_limit(p, q, tv: float) -> float:
     if kind == "discrete":
         second = float(_log_ratio_term(p.mass, q.mass, 2).sum())
     else:
-        second = _regression_integral(p, q, _binary_kl2)
+        second = _covariate_integral(_binary_kl2, p.mean, q.mean)
     if math.isinf(second):
         return math.inf
     return base + 0.5 * tv * second
@@ -440,9 +439,7 @@ def l1_distance(p, q) -> float:
         return float(np.abs(p.mass - q.mass).sum())
     m1, m2 = p.mean, q.mean
     if isinstance(m1, PiecewiseConstantMean) and isinstance(m2, PiecewiseConstantMean):
-        edges = np.array(sorted(set(m1.edges()) | set(m2.edges())))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return 2.0 * float(np.dot(np.diff(edges), np.abs(m1(mids) - m2(mids))))
+        return 2.0 * _covariate_integral(lambda a, b: np.abs(a - b), m1, m2)
     diff = lambda x: np.asarray(m1(x), dtype=float) - np.asarray(m2(x), dtype=float)
     edges = _union_edges(m1, m2, min_panels=64)
     cuts = _sign_change_cuts(diff, edges)

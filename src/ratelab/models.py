@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import expit, logit, ndtr
 from scipy.special import logsumexp
 
-from .divergence import PiecewiseConstantMean, RegressionDensity, SmoothMean
+from .divergence import (MEAN_CLAMP, PiecewiseConstantMean, RegressionDensity,
+                         SmoothMean, _union_edges)
 from .rng import stream
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "mean_to_log_odds",
 ]
 
-_MEAN_SATURATION = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class TrueModel:
@@ -52,7 +51,6 @@ class TrueModel:
     mean: Union[SmoothMean, PiecewiseConstantMean]
     d_bound: float
     m0: Optional[int] = None
-    label: str = ""
 
     @property
     def density(self) -> RegressionDensity:
@@ -60,10 +58,10 @@ class TrueModel:
 
     @classmethod
     def smooth(cls, fn: Callable, d_bound: float, margin: float,
-               label: str = "smooth", breakpoints: tuple = ()) -> "TrueModel":
-        mean = SmoothMean(fn, float(d_bound), float(margin), label=label,
+               breakpoints: tuple = ()) -> "TrueModel":
+        mean = SmoothMean(fn, float(d_bound), float(margin),
                           breakpoints=breakpoints)
-        return cls("smooth", float(margin), mean, float(d_bound), None, label)
+        return cls("smooth", float(margin), mean, float(d_bound))
 
     @classmethod
     def sine(cls, center: float = 0.5, amplitude: float = 0.15,
@@ -71,8 +69,7 @@ class TrueModel:
         center, amplitude = float(center), float(amplitude)
         fn = lambda x: center + amplitude * np.sin(2.0 * np.pi * x)
         d_bound = 2.0 * math.pi * abs(amplitude)
-        return cls.smooth(fn, d_bound, margin,
-                          label=f"sine(center={center},amplitude={amplitude})")
+        return cls.smooth(fn, d_bound, margin)
 
     @classmethod
     def triangle(cls, center: float = 0.5, amplitude: float = 0.24,
@@ -91,23 +88,19 @@ class TrueModel:
             return np.where(x < peak, up, down)
 
         d_bound = 2.0 * abs(amplitude) / min(peak, 1.0 - peak)
-        return cls.smooth(fn, d_bound, margin,
-                          label=f"triangle(center={center},amplitude={amplitude},"
-                                f"peak={peak})",
-                          breakpoints=(peak,))
+        return cls.smooth(fn, d_bound, margin, breakpoints=(peak,))
 
     @classmethod
     def linear(cls, intercept: float, slope: float, margin: float = 0.25) -> "TrueModel":
         intercept, slope = float(intercept), float(slope)
         fn = lambda x: intercept + slope * x
-        return cls.smooth(fn, abs(slope), margin,
-                          label=f"linear(intercept={intercept},slope={slope})")
+        return cls.smooth(fn, abs(slope), margin)
 
     @classmethod
     def constant(cls, level: float, margin: float = 0.25) -> "TrueModel":
         level = float(level)
         fn = lambda x: np.full_like(np.asarray(x, dtype=float), level)
-        return cls.smooth(fn, 0.0, margin, label=f"constant(level={level})")
+        return cls.smooth(fn, 0.0, margin)
 
     @classmethod
     def sparse(cls, levels: Sequence[float], margin: float = 0.25) -> "TrueModel":
@@ -118,8 +111,7 @@ class TrueModel:
         if np.any(levels <= margin) or np.any(levels >= 1.0 - margin):
             raise ValueError("sparse levels must lie strictly inside (margin, 1 - margin)")
         mean = PiecewiseConstantMean(levels)
-        return cls("sparse", margin, mean, 0.0, int(levels.size),
-                   label=f"sparse(m0={levels.size})")
+        return cls("sparse", margin, mean, 0.0, int(levels.size))
 
 
 @dataclass(frozen=True)
@@ -147,7 +139,7 @@ def best_approximation(truth: TrueModel, m: int) -> BestApproximation:
         bound = truth.d_bound / m
     else:
         approx = PiecewiseConstantMean(levels)
-        edges = np.array(sorted(set(truth.mean.edges()) | set(approx.edges())))
+        edges = _union_edges(truth.mean, approx, min_panels=1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         bound = float(np.abs(truth.mean(mids) - approx(mids)).max())
     levels = levels.copy()
@@ -334,10 +326,9 @@ def simulate_data(truth: TrueModel, n: int, seed) -> Dataset:
 
 def log_odds_to_mean(theta):
     """Logistic map, saturating inside [1e-12, 1 - 1e-12]."""
-    return np.clip(expit(np.asarray(theta, dtype=float)),
-                   _MEAN_SATURATION, 1.0 - _MEAN_SATURATION)
+    return np.clip(expit(np.asarray(theta, dtype=float)), MEAN_CLAMP, 1.0 - MEAN_CLAMP)
 
 
 def mean_to_log_odds(mu):
-    mu = np.clip(np.asarray(mu, dtype=float), _MEAN_SATURATION, 1.0 - _MEAN_SATURATION)
+    mu = np.clip(np.asarray(mu, dtype=float), MEAN_CLAMP, 1.0 - MEAN_CLAMP)
     return logit(mu)

@@ -15,13 +15,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import (PiecewiseConstantMean, SmoothMean, _binary_power_minus1,
-                         _integrate_adaptive)
+from .divergence import _binary_power_minus1, _covariate_integral
 from .models import (BestApproximation, PriorSpec, TrueModel, best_approximation,
                      mean_to_log_odds, model_log_prior)
 
 __all__ = [
-    "BoxCandidate",
     "PenalizedDivergenceResult",
     "sup_divergence_over_box",
     "box_prior_log_mass",
@@ -30,23 +28,6 @@ __all__ = [
     "default_m_grid",
     "default_delta_grid",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class BoxCandidate:
-    """A product box around the best approximating levels.
-
-    ``delta`` is the half-width on the mean scale for uniform
-    within-model priors, and on the log-odds scale for log-odds priors
-    (where the induced mean-scale half-width is at most delta / 4).
-    """
-
-    m: int
-    delta: float
-    levels: np.ndarray
-    sup_divergence: float
-    log_prior_mass: float
-    scale: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +41,6 @@ class PenalizedDivergenceResult:
     approx_term: float
     box_term: float
     model_term: float
-    t: float
-    n: int
-    candidate: BoxCandidate
 
 
 def sup_divergence_over_box(truth: TrueModel, m: int, delta: float,
@@ -95,23 +73,13 @@ def _numeric_box_sup(truth: TrueModel, approx: BestApproximation,
     edges = np.linspace(0.0, 1.0, m + 1)
     total = 0.0
     for j in range(m):
-        lo, hi = edges[j], edges[j + 1]
-        total += max(_bin_integral(truth, lo, hi, float(theta), t)
-                     for theta in (approx.levels[j] - delta,
-                                   approx.levels[j] + delta))
+        total += max(
+            _covariate_integral(lambda mu: _binary_power_minus1(mu, theta, t),
+                                truth.mean, lo=edges[j], hi=edges[j + 1],
+                                min_panels=1)
+            for theta in (float(approx.levels[j] - delta),
+                          float(approx.levels[j] + delta)))
     return total / t
-
-
-def _bin_integral(truth: TrueModel, lo: float, hi: float, theta: float, t: float) -> float:
-    if isinstance(truth.mean, PiecewiseConstantMean):
-        edges = np.array(sorted({lo, hi} | {e for e in truth.mean.edges() if lo < e < hi}))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        vals = _binary_power_minus1(truth.mean(mids), theta, t)
-        return float(np.dot(np.diff(edges), vals))
-    fn = lambda x: _binary_power_minus1(
-        np.clip(truth.mean(x), 1e-12, 1.0 - 1e-12), theta, t)
-    return _integrate_adaptive(
-        fn, [lo, *(b for b in truth.mean.breakpoints if lo < b < hi), hi])
 
 
 def _within_box_log_mass(spec: PriorSpec, delta: float,
@@ -169,27 +137,19 @@ def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float, n: int,
         raise ValueError(f"model index must lie in [1, {spec.m_max}], got {m}")
     delta = float(delta)
     approx = best_approximation(truth, m)
-    if spec.within.kind == "uniform":
-        mean_delta = delta
-        scale = "mean"
-    else:
-        # the logistic map is 1/4-Lipschitz, so a log-odds box of
-        # half-width delta maps into a mean box of half-width delta / 4
-        mean_delta = delta / 4.0
-        scale = "log_odds"
-    sup = sup_divergence_over_box(truth, m, mean_delta, t)
-    model_log = float(model_log_prior(spec)[m - 1])
-    within_log = _within_box_log_mass(spec, delta, approx.levels)
-    approx_term = sup
-    box_term = -within_log / n
-    model_term = -model_log / n
-    candidate = BoxCandidate(m, delta, approx.levels, sup,
-                             model_log + within_log, scale)
+    approx_term = sup_divergence_over_box(truth, m, _mean_half_width(spec, delta), t)
+    box_term = -_within_box_log_mass(spec, delta, approx.levels) / n
+    model_term = -float(model_log_prior(spec)[m - 1]) / n
     return PenalizedDivergenceResult(
         value=approx_term + box_term + model_term,
         m=m, delta=delta,
-        approx_term=approx_term, box_term=box_term, model_term=model_term,
-        t=float(t), n=n, candidate=candidate)
+        approx_term=approx_term, box_term=box_term, model_term=model_term)
+
+
+def _mean_half_width(spec: PriorSpec, delta: float) -> float:
+    # the logistic map is 1/4-Lipschitz, so a log-odds box of half-width
+    # delta maps into a mean box of half-width delta / 4
+    return delta if spec.within.kind == "uniform" else delta / 4.0
 
 
 def default_m_grid(truth: TrueModel, spec: PriorSpec, n: int) -> tuple:
@@ -228,8 +188,7 @@ def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
     best = None
     for m in sorted(set(int(m) for m in m_grid)):
         for delta in sorted(set(float(d) for d in delta_grid)):
-            mean_delta = delta if spec.within.kind == "uniform" else delta / 4.0
-            if not 0.0 < mean_delta < truth.margin:
+            if not 0.0 < _mean_half_width(spec, delta) < truth.margin:
                 continue
             cand = penalized_value_at(truth, spec, t, n, m, delta)
             if best is None or cand.value < best.value:

@@ -136,7 +136,6 @@ class PosteriorState:
     """
 
     spec: PriorSpec
-    log_weights: np.ndarray
     weights: np.ndarray
     counts: tuple
 
@@ -162,10 +161,8 @@ def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
     weights = weights / weights.sum()
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise RuntimeError("posterior weights failed to normalize")
-    log_post.setflags(write=False)
     weights.setflags(write=False)
-    return PosteriorState(spec=spec, log_weights=log_post, weights=weights,
-                          counts=counts)
+    return PosteriorState(spec=spec, weights=weights, counts=counts)
 
 
 _THETA_GRID = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)

@@ -69,6 +69,15 @@ def floor_to_unit_fraction(u_raw: float) -> float:
     return 1.0 / k
 
 
+def _unit_fraction(u: float) -> int:
+    """The integer k with u = 1/k, within 1e-9 on the reciprocal."""
+    k = 1.0 / u
+    k_round = round(k)
+    if k_round < 1 or abs(k - k_round) > 1e-9:
+        raise ValueError(f"u must be the reciprocal of a positive integer, got {u}")
+    return int(k_round)
+
+
 def bound_prefactor(u: float, t: float) -> float:
     """Constant c(u, t) multiplying the posterior-mass bound; at most 4
     throughout 0 < u < 1, t > 0."""
@@ -143,9 +152,7 @@ def rate_bound(variant: str, u: float, t: float, n: int, penalized_div: float,
     u, t = float(u), float(t)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
-    k = 1.0 / u
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"u must be the reciprocal of an integer, got {u}")
+    _unit_fraction(u)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     n = int(n)

@@ -60,6 +60,29 @@ n_grid = 500, 1000
 """
 
 
+# the complete example config of the README
+README_TRIANGLE = """
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = uniform
+k_model = 3
+
+[run]
+n_grid = 500, 1000, 2000, 4000, 8000, 16000, 32000
+draws = 50
+replicates = 5
+seed = 1
+variants = prop7
+
+[output]
+csv = rates.csv
+"""
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "study.cfg"
@@ -188,11 +211,12 @@ class TestComplexity:
         code, out, _ = _run(["complexity", "--config", config_path], capsys)
         lines = out.splitlines()
         assert code == 0
-        assert lines[0] == "m,u,n,grid_sum,analytic_bound,mixture_total"
+        assert lines[0] == ("m,u,n,log_grid_sum,log_analytic_bound,"
+                            "log_mixture_total")
         assert len(lines) == 1 + 3 * 3
         for line in lines[1:]:
-            _, _, _, grid_sum, analytic, _ = line.split(",")
-            assert float(grid_sum) <= float(analytic) * (1 + 1e-12)
+            _, _, _, log_grid, log_analytic, _ = line.split(",")
+            assert float(log_grid) <= float(log_analytic) + 1e-12
 
     def test_uniform_prior_finite_at_large_n(self, triangle_path, capsys):
         code, out, err = _run(["complexity", "--config", triangle_path],
@@ -217,7 +241,19 @@ class TestComplexity:
             n = int(row[2])
             per_coord = complexity._symmetric_cell_sum.__wrapped__(
                 within, 4.0 * n ** -2.0, 0.5, 2 ** 28)
-            assert float(row[3]) == pytest.approx(per_coord ** 2, rel=1e-12)
+            assert float(row[3]) == pytest.approx(2.0 * math.log(per_coord),
+                                                  rel=1e-12)
+
+    def test_readme_config_prints_no_inf(self, tmp_path, capsys):
+        # S^(m/u) leaves the float range from n = 8000 on; its log does not
+        path = tmp_path / "readme.cfg"
+        path.write_text(README_TRIANGLE, encoding="utf-8")
+        code, out, err = _run(["complexity", "--config", str(path)], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == sum(math.ceil(math.sqrt(n)) for n in
+                                (500, 1000, 2000, 4000, 8000, 16000, 32000))
+        assert not any(math.isinf(float(field)) for row in rows for field in row)
 
     def test_deterministic(self, config_path, capsys):
         first = _run(["complexity", "--config", config_path], capsys)[1]

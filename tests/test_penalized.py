@@ -55,6 +55,20 @@ class TestBoxSupremum:
             total += corner
         assert got == pytest.approx(total / t, rel=1e-12)
 
+    def test_general_order_with_a_truth_edge_inside_the_bin(self):
+        # m = 1 puts the sparse truth's edge x = 0.5 inside the one box
+        # bin, whose best level is 0.4; each half carries half the mass
+        truth = TrueModel.sparse([0.4, 0.6])
+        delta, t = 0.08, 2.0
+
+        def g(a, theta):
+            return a ** 3 * theta ** -2 + (1 - a) ** 3 * (1 - theta) ** -2 - 1.0
+
+        expected = max(0.5 * (g(0.4, theta) + g(0.6, theta)) / t
+                       for theta in (0.4 - delta, 0.4 + delta))
+        got = sup_divergence_over_box(truth, m=1, delta=delta, t=t)
+        assert got == pytest.approx(expected, rel=1e-13)
+
     def test_general_order_on_a_kinked_truth(self):
         # one bin over the triangle 0.28 -> 0.72 (x = 0.45) -> 0.28: each
         # linear piece of length L from a to b has integral of mu^3 equal
@@ -118,7 +132,6 @@ class TestPenalizedValue:
         # into a mean box of half-width at most 0.1
         assert res.approx_term == pytest.approx(
             sup_divergence_over_box(LINEAR, 5, 0.1), abs=1e-15)
-        assert res.candidate.scale == "log_odds"
 
     def test_model_index_bounds(self):
         spec = PriorSpec(n=100, m_max=4)

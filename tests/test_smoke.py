@@ -1,0 +1,52 @@
+"""Config smoke test: every truth kind × within prior runs end to end."""
+
+import math
+
+import pytest
+
+import ratelab.cli as cli
+from ratelab import VARIANTS, parse_config_text, run_rate_study
+
+TRUTHS = {
+    "sine": "kind = sine",
+    "triangle": "kind = triangle\npeak = 0.45",
+    "linear": "kind = linear\nintercept = 0.35\nslope = 0.3",
+    "constant": "kind = constant\nlevel = 0.4",
+    "sparse": "kind = sparse\nlevels = 0.3, 0.7, 0.45",
+}
+
+WITHINS = ("uniform", "normal", "laplace")
+
+
+def _config_text(truth: str, within: str) -> str:
+    return f"""
+[truth]
+{TRUTHS[truth]}
+
+[prior]
+within = {within}
+
+[run]
+n_grid = 20, 40
+draws = 3
+variants = {", ".join(VARIANTS)}
+"""
+
+
+@pytest.mark.parametrize("within", WITHINS)
+@pytest.mark.parametrize("truth", sorted(TRUTHS))
+def test_config_runs_end_to_end(truth, within, tmp_path, capsys):
+    text = _config_text(truth, within)
+    result = run_rate_study(parse_config_text(text))
+    assert len(result.rows) == 2 * len(VARIANTS)
+    for row in result.rows:
+        values = (row.epsilon_n, row.d2_min, row.d2_median, row.d2_q95,
+                  row.d2_max)
+        assert all(math.isfinite(v) for v in values), row
+
+    path = tmp_path / "smoke.cfg"
+    path.write_text(text, encoding="utf-8")
+    for command in ("bound", "complexity"):
+        code = cli.main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 0, (command, err)
