@@ -10,7 +10,9 @@ Kullback-Leibler divergence.  Two density representations are
 supported: probability masses on a finite outcome set, and the joint
 density of a binary response with a uniform covariate on [0, 1]
 described by its mean function (piecewise constant on equal bins, or
-smooth with a certified derivative bound).
+smooth with a certified derivative bound).  Smooth means are tabulated
+once per panel set of Gauss-Legendre nodes, in a bounded cache, since
+the draws of one posterior repeat a few panel sets.
 
 +infinity is a legitimate value here (support mismatch with t > 0),
 not an error.  All functions are pure and the value types immutable.
@@ -18,6 +20,7 @@ not an error.  All functions are pure and the value types immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -233,6 +236,10 @@ def _power_term(a, b, t):
     """a^(1+t) * b^(-t) elementwise; 0 where a == 0, +inf where b == 0 < a, t > 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if t < 0 or (t > 0 and (a > 0).all() and (b > 0).all()):
+        # -1 < t < 0 sends 0 to 0 under both powers; without zeros no mask is needed
+        with np.errstate(over="ignore"):
+            return a ** (1.0 + t) * b ** (-t)
     out = np.zeros(np.broadcast(a, b).shape)
     a, b = np.broadcast_arrays(a, b)
     pos = a > 0
@@ -288,9 +295,9 @@ def _composite_gl(fn, edges: np.ndarray) -> float:
     mid = 0.5 * (hi + lo)
     xs = mid[:, None] + half[:, None] * _GL_X[None, :]
     vals = np.asarray(fn(xs.ravel()), dtype=float).reshape(xs.shape)
-    if np.any(np.isposinf(vals)):
-        return math.inf
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
+        if np.isposinf(vals).any():
+            return math.inf
         raise QuadratureError("integrand produced nan or -inf")
     return float(((vals * _GL_W[None, :]).sum(axis=1) * half).sum())
 
@@ -334,9 +341,17 @@ def _union_edges(*means: MeanFunction, lo: float = 0.0, hi: float = 1.0,
 def _clamped_eval(mean: MeanFunction, x):
     # only smooth means are clamped before exponentiation; piecewise
     # levels of exactly 0 or 1 keep their exact zero-support behavior
-    vals = mean(x)
     if isinstance(mean, SmoothMean):
-        vals = np.clip(vals, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
+        return _smooth_on_nodes(mean, x.tobytes())
+    return mean(x)
+
+
+@functools.lru_cache(maxsize=16)
+def _smooth_on_nodes(mean: SmoothMean, nodes: bytes) -> np.ndarray:
+    """Clamped values of a smooth mean on the Gauss-Legendre nodes of one
+    panel set (a function of its edges), read-only and shared."""
+    vals = np.clip(mean(np.frombuffer(nodes)), MEAN_CLAMP, 1.0 - MEAN_CLAMP)
+    vals.setflags(write=False)
     return vals
 
 

@@ -128,11 +128,16 @@ def best_approximation(truth: TrueModel, m: int) -> BestApproximation:
 
     Smooth truth: bound d_bound / m.  Sparse truth: the gap is computed
     exactly on the union partition (0 whenever the working bins refine
-    the true bins, in particular at m = m0).
+    the true bins, in particular at m = m0).  Memoized per (truth, m).
     """
     m = int(m)
     if m < 1:
         raise ValueError(f"model size must be >= 1, got {m}")
+    return _best_approximation(truth, m)
+
+
+@functools.lru_cache(maxsize=256)
+def _best_approximation(truth: TrueModel, m: int) -> BestApproximation:
     left = np.arange(m) / m
     levels = np.asarray(truth.mean(left), dtype=float)
     if truth.kind == "smooth":

@@ -1,7 +1,8 @@
 """Exact model-averaged posterior for binned binary regression.
 
 Binning the covariate into m equal cells reduces each working model to
-m independent Bernoulli problems, so the uniform within-model prior
+m independent Bernoulli problems (the counts of every model come from
+one sorted pass over the data), so the uniform within-model prior
 has Beta-function evidence in closed form and conjugate Beta bin
 posteriors.  Log-odds within-model priors get adaptive quadrature for
 the evidence and tabulated bin posteriors on a fixed grid.  A small
@@ -73,13 +74,30 @@ def bin_counts(data: Dataset, m: int) -> BinnedCounts:
 
     Bins are right-open [(j-1)/m, j/m); the point x = 1 joins bin m.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    idx = np.minimum((data.x * m).astype(np.int64), m - 1)
-    trials = np.bincount(idx, minlength=m)
-    successes = np.bincount(idx, weights=data.z, minlength=m).astype(np.int64)
-    return BinnedCounts(m=m, trials=trials, successes=successes)
+    return _sorted_binning(data)(m)
+
+
+def _sorted_binning(data: Dataset):
+    """m -> BinnedCounts from one stable sort of x and a prefix sum of z:
+    bins 1..j hold the points with x * m < j, which is the floor(x * m)
+    rule because x * m is monotone in x."""
+    order = np.argsort(data.x, kind="stable")
+    xs, zs = data.x[order], data.z[order]
+    del order  # at large n each n-long int64 array shows in peak memory
+    z_prefix = np.zeros(xs.size + 1, dtype=np.int64)
+    np.cumsum(zs, out=z_prefix[1:])
+    scaled = np.empty_like(xs)  # x * m, for one m at a time
+
+    def counts(m: int) -> BinnedCounts:
+        m = int(m)
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        cuts = np.searchsorted(np.multiply(xs, m, out=scaled), np.arange(1, m))
+        ends = np.concatenate(([0], cuts, [xs.size]))
+        return BinnedCounts(m=m, trials=np.diff(ends),
+                            successes=np.diff(z_prefix[ends]))
+
+    return counts
 
 
 def log_evidence(counts: BinnedCounts, within: WithinModelPrior) -> float:
@@ -150,10 +168,12 @@ class PosteriorState:
 
 def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
     """Posterior model weights w_m proportional to pi_m * evidence_m,
-    accumulated in log space.  An empty dataset reproduces the prior."""
+    accumulated in log space.  The counts of every model come from one
+    sorted pass over the data.  An empty dataset reproduces the prior."""
     from .models import model_log_prior
 
-    counts = tuple(bin_counts(data, m) for m in range(1, spec.m_max + 1))
+    binning = _sorted_binning(data)
+    counts = tuple(binning(m) for m in range(1, spec.m_max + 1))
     log_prior = model_log_prior(spec)
     log_post = log_prior + np.array([log_evidence(c, spec.within) for c in counts])
     log_post = log_post - logsumexp(log_post)

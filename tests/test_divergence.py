@@ -266,3 +266,73 @@ class TestDeclaredBreakpoints:
         with pytest.raises(ValueError):
             SmoothMean(lambda x: 0.5 + 0.1 * x, d_bound=0.1, margin=0.25,
                        breakpoints=points)
+
+
+def _hellinger_closed_form(mu, levels):
+    # d_{-1/2}^2 of a constant truth mu against piecewise levels l_j:
+    # (1/t)(sum_j (1/m)[mu^(1+t) l_j^(-t) + (1-mu)^(1+t)(1-l_j)^(-t)] - 1)
+    t = -0.5
+    m = len(levels)
+    total = sum((mu ** (1 + t) * lv ** (-t)
+                 + (1 - mu) ** (1 + t) * (1 - lv) ** (-t)) / m
+                for lv in levels)
+    return (total - 1.0) / t
+
+
+class TestSmoothNodeCache:
+    LEVELS = [0.35, 0.62, 0.48, 0.7, 0.41]
+
+    def test_alternating_truths_on_one_panel_set_stay_apart(self):
+        draw = RegressionDensity.piecewise(self.LEVELS)
+        truths = {mu: TrueModel.constant(mu) for mu in (0.3, 0.6)}
+        for mu in (0.3, 0.6, 0.3, 0.6, 0.3):
+            got = d_t_squared(truths[mu].density, draw, -0.5)
+            assert got == pytest.approx(
+                _hellinger_closed_form(mu, self.LEVELS), rel=1e-13, abs=0)
+
+    def test_tables_are_read_only_and_bounded(self):
+        truth = TrueModel.constant(0.3)
+        nodes = np.linspace(0.0, 1.0, 64)
+        table = divergence._smooth_on_nodes(truth.mean, nodes.tobytes())
+        assert not table.flags.writeable
+        assert np.array_equal(table, np.full(64, 0.3))
+        assert divergence._smooth_on_nodes.cache_info().maxsize <= 16
+
+
+def _reference_power_term(a, b, t):
+    # the zero-support convention element by element; each power is the
+    # same numpy array operation the vectorized term applies
+    out = []
+    for x, y in zip(a.tolist(), b.tolist()):
+        if x == 0.0:
+            out.append(0.0)
+        elif y == 0.0:
+            out.append(math.inf if t > 0 else 0.0)
+        else:
+            with np.errstate(over="ignore"):
+                out.append((np.array([x]) ** (1.0 + t)
+                            * np.array([y]) ** (-t))[0])
+    return np.array(out)
+
+
+class TestPowerTerm:
+    @pytest.mark.parametrize("t", [-0.5, -1.0 / 3.0, 0.5, 2.0])
+    @pytest.mark.parametrize("case", ["corners", "positive", "tiny_b"])
+    def test_bit_for_bit_against_scalar_convention(self, t, case):
+        rng = np.random.default_rng(61)
+        a = rng.uniform(0.0, 1.0, 400)
+        b = rng.uniform(0.0, 1.0, 400)
+        if case == "corners":
+            # exact 0 and 1 in both arguments, every combination
+            corners = np.array([0.0, 1.0, 0.25])
+            a[:9] = np.repeat(corners, 3)
+            b[:9] = np.tile(corners, 3)
+        elif case == "tiny_b":
+            # b > 0 everywhere, but b^(-t) overflows at t = 2 and
+            # 0 * inf must still read 0
+            a[:3] = [0.0, 0.5, 1.0]
+            b[:3] = 1e-200
+        got = divergence._power_term(a, b, t)
+        want = _reference_power_term(a, b, t)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

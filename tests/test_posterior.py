@@ -75,6 +75,44 @@ class TestBinCounts:
             BinnedCounts(m=2, trials=np.array([1]), successes=np.array([1]))
 
 
+# every bin edge j/m for m up to 32, the ends 0 and 1 among them
+EDGE_POINTS = sorted({j / m for m in range(1, 33) for j in range(m + 1)})
+
+
+def _reference_counts(data, m):
+    # the floor(x * m) rule with x = 1 in bin m, tallied directly
+    idx = np.minimum((data.x * m).astype(int), m - 1)
+    trials = np.bincount(idx, minlength=m)
+    successes = np.bincount(idx, weights=data.z, minlength=m).astype(int)
+    return trials, successes
+
+
+class TestOnePassBinning:
+    @pytest.mark.parametrize("data", [
+        simulate_data(TrueModel.sine(), 997, seed=(12, 0)),
+        _dataset(EDGE_POINTS, [i % 3 == 0 for i in range(len(EDGE_POINTS))]),
+        _dataset([0.0, 0.0, 1.0, 1.0, 1.0], [1, 0, 1, 1, 0]),
+        EMPTY,
+    ], ids=["random", "edges", "ends", "empty"])
+    def test_counts_match_direct_tally_for_every_model(self, data):
+        m_top = max(32, math.ceil(math.sqrt(data.n)))
+        for m in range(1, m_top + 1):
+            trials, successes = _reference_counts(data, m)
+            counts = bin_counts(data, m)
+            assert counts.trials.tolist() == trials.tolist()
+            assert counts.successes.tolist() == successes.tolist()
+
+    def test_posterior_counts_are_bin_counts(self):
+        data = simulate_data(TrueModel.triangle(), 400, seed=(13, 1))
+        state = model_posterior(data, PriorSpec(n=400))
+        assert len(state.counts) == state.spec.m_max
+        for m, counts in enumerate(state.counts, start=1):
+            trials, successes = _reference_counts(data, m)
+            assert counts.m == m
+            assert counts.trials.tolist() == trials.tolist()
+            assert counts.successes.tolist() == successes.tolist()
+
+
 class TestLogEvidence:
     def test_no_data_is_log_one(self):
         counts = bin_counts(EMPTY, 3)
@@ -115,6 +153,7 @@ class TestModelPosterior:
         assert np.allclose(state.weights, np.exp(model_log_prior(spec)),
                            rtol=0, atol=1e-12)
         assert state.mode == 1
+        assert all(counts.n == 0 for counts in state.counts)
 
     def test_weights_sum_to_one(self):
         data = simulate_data(TrueModel.constant(0.5), 40, seed=(5, 0))

@@ -1,12 +1,18 @@
-"""Study driver: determinism, stream layout, fits, and CSV output."""
+"""Study driver: determinism, stream layout, fits, CSV output and work counts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ratelab.models as models
+import ratelab.penalized as penalized
+import ratelab.posterior as posterior
 from ratelab import (
     StudyRow,
+    TrueModel,
+    best_approximation,
     fit_slope,
     format_study_csv,
     parse_config_text,
@@ -208,3 +214,81 @@ class TestCsv:
         path = tmp_path / "study.csv"
         write_study_csv(result, str(path))
         assert path.read_bytes().decode("utf-8") == format_study_csv(result)
+
+
+DENSE_SMALL = """
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[run]
+n_grid = 200, 400, 800
+draws = 20
+replicates = 2
+seed = 4
+"""
+
+
+def _counting_triangle(calls):
+    base = TrueModel.triangle(amplitude=0.22, peak=0.45)
+
+    def fn(x):
+        calls.append(np.size(x))
+        return base.mean.fn(x)
+
+    return TrueModel.smooth(fn, base.d_bound, base.margin,
+                            breakpoints=base.mean.breakpoints)
+
+
+class TestWorkCounts:
+    """Counts of repeated work, not wall time: a dropped cache shows here."""
+
+    def test_best_approximation_computed_once_per_model_size(self, monkeypatch):
+        truth = _counting_triangle([])
+        config = replace(parse_config_text(DENSE_SMALL), truth=truth)
+        seen = []
+
+        def recorded(truth, m):
+            seen.append((truth, int(m)))
+            return best_approximation(truth, m)
+
+        monkeypatch.setattr(penalized, "best_approximation", recorded)
+        before = models._best_approximation.cache_info().misses
+        for n in config.n_grid:
+            variant_bounds_for_n(config, n)
+        misses = models._best_approximation.cache_info().misses - before
+        # best_approximation takes no n: one miss per distinct (truth, m),
+        # which is at most the number of distinct (n, m) pairs
+        assert misses == len(set(seen))
+        assert len(seen) > misses
+
+    def test_truth_tabulated_at_most_twice_per_drawn_model_size(self, monkeypatch):
+        calls = []
+        config = replace(parse_config_text(DENSE_SMALL),
+                         truth=_counting_triangle(calls))
+        sizes = []
+        sample = posterior.sample_posterior_density
+
+        def recorded(state, rng):
+            draw = sample(state, rng)
+            sizes.append(draw.mean.m)
+            return draw
+
+        monkeypatch.setattr(posterior, "sample_posterior_density", recorded)
+        total = 0
+        for n in config.n_grid:
+            for r in range(config.replicates):
+                data = simulate_data(config.truth, n,
+                                     seed=(config.seed, TAG_DATA, n, r))
+                state = model_posterior(data, config.prior_for(n))
+                calls.clear()
+                sizes.clear()
+                empirical_divergence_quantiles(
+                    config.truth, state, config.u, config.draws,
+                    stream(config.seed, TAG_DRAW, n, r))
+                assert len(sizes) == config.draws
+                # panel sets repeat across cells, so later cells may need none
+                assert len(calls) <= 2 * len(set(sizes))
+                total += len(calls)
+        assert total > 0
