@@ -236,22 +236,12 @@ def _power_term(a, b, t):
     """a^(1+t) * b^(-t) elementwise; 0 where a == 0, +inf where b == 0 < a, t > 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if t < 0 or (t > 0 and (a > 0).all() and (b > 0).all()):
-        # -1 < t < 0 sends 0 to 0 under both powers; without zeros no mask is needed
-        with np.errstate(over="ignore"):
-            return a ** (1.0 + t) * b ** (-t)
-    out = np.zeros(np.broadcast(a, b).shape)
-    a, b = np.broadcast_arrays(a, b)
-    pos = a > 0
-    bz = b == 0
-    if t > 0:
-        bad = pos & bz
-        if np.any(bad):
-            out[bad] = math.inf
-    ok = pos & ~bz
-    with np.errstate(over="ignore"):
-        out[ok] = a[ok] ** (1.0 + t) * b[ok] ** (-t)
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        val = a ** (1.0 + t) * b ** (-t)
+        if t > 0:
+            # a^(1+t) may underflow to 0 against b^(-t) = inf
+            val = np.where(b == 0, math.inf, val)
+        return np.where(a > 0, val, 0.0)
 
 
 def _log_ratio_term(a, b, power):

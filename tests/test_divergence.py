@@ -317,7 +317,8 @@ def _reference_power_term(a, b, t):
 
 class TestPowerTerm:
     @pytest.mark.parametrize("t", [-0.5, -1.0 / 3.0, 0.5, 2.0])
-    @pytest.mark.parametrize("case", ["corners", "positive", "tiny_b"])
+    @pytest.mark.parametrize("case", ["corners", "positive", "tiny_b",
+                                      "tiny_a"])
     def test_bit_for_bit_against_scalar_convention(self, t, case):
         rng = np.random.default_rng(61)
         a = rng.uniform(0.0, 1.0, 400)
@@ -332,6 +333,11 @@ class TestPowerTerm:
             # 0 * inf must still read 0
             a[:3] = [0.0, 0.5, 1.0]
             b[:3] = 1e-200
+        elif case == "tiny_a":
+            # a^(1+t) underflows to 0 for t > 0, yet b == 0 < a must
+            # still read +inf rather than 0 * inf = nan
+            a[:3] = 1e-300
+            b[:3] = [0.0, 0.5, 1.0]
         got = divergence._power_term(a, b, t)
         want = _reference_power_term(a, b, t)
         assert got.shape == want.shape
