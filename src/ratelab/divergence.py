@@ -10,9 +10,10 @@ Kullback-Leibler divergence.  Two density representations are
 supported: probability masses on a finite outcome set, and the joint
 density of a binary response with a uniform covariate on [0, 1]
 described by its mean function (piecewise constant on equal bins, or
-smooth with a certified derivative bound).  Smooth means are tabulated
-once per panel set of Gauss-Legendre nodes, in a bounded cache, since
-the draws of one posterior repeat a few panel sets.
+smooth with a certified derivative bound).  Against a piecewise-constant
+mean on m equal bins, a smooth mean enters the divergence only through
+two integrals per bin, tabulated once per (mean, m, t): the draws of a
+posterior then cost one sum over bins each.
 
 +infinity is a legitimate value here (support mismatch with t > 0),
 not an error.  All functions are pure and the value types immutable.
@@ -279,49 +280,63 @@ def _binary_kl2(mu1, mu2):
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 
 
-def _composite_gl(fn, edges: np.ndarray) -> float:
+def _composite_gl(fn, edges: np.ndarray) -> np.ndarray:
+    """32-node Gauss-Legendre integral of fn over each panel between
+    consecutive edges, keeping the leading axes of fn's values; every
+    entry is +inf once the integrand reaches +inf."""
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     xs = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = np.asarray(fn(xs.ravel()), dtype=float).reshape(xs.shape)
+    vals = np.asarray(fn(xs.ravel()), dtype=float)
+    vals = vals.reshape(vals.shape[:-1] + xs.shape)
     if not np.isfinite(vals).all():
         if np.isposinf(vals).any():
-            return math.inf
+            return np.full(vals.shape[:-1], math.inf)
         raise QuadratureError("integrand produced nan or -inf")
-    return float(((vals * _GL_W[None, :]).sum(axis=1) * half).sum())
+    return (vals * _GL_W).sum(axis=-1) * half
 
 
-def _integrate_adaptive(fn, edges, tol: float = _QUAD_TOL, max_refine: int = 12) -> float:
+def _group_sums(panels: np.ndarray, starts):
+    # the whole integral, or one per run of panels beginning at starts
+    if starts is None:
+        return float(panels.sum())
+    return np.add.reduceat(panels, starts, axis=-1)
+
+
+def _integrate_adaptive(fn, edges, tol: float = _QUAD_TOL, max_refine: int = 12,
+                        starts=None):
     """Composite 32-node Gauss-Legendre over the given sorted, distinct
     panel edges, bisecting every panel until successive estimates agree
-    to within tol."""
+    to within tol.  With ``starts``, the indices of panels that begin a
+    group, the integral over each group, every one held to tol."""
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         raise ValueError("need at least one panel")
-    est = _composite_gl(fn, edges)
-    if math.isinf(est):
+    est = _group_sums(_composite_gl(fn, edges), starts)
+    if np.isinf(est).any():
         return est
     for _ in range(max_refine):
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        new = _composite_gl(fn, edges)
-        if math.isinf(new):
+        if starts is not None:
+            starts = 2 * starts  # panel i is now panels 2i and 2i + 1
+        new = _group_sums(_composite_gl(fn, edges), starts)
+        if np.isinf(new).any():
             return new
-        if abs(new - est) < tol:
+        if np.all(np.abs(new - est) < tol):
             return new
         est = new
     raise QuadratureError(f"integral did not stabilize below {tol}")
 
 
-def _union_edges(*means: MeanFunction, lo: float = 0.0, hi: float = 1.0,
-                 min_panels: int = 8) -> np.ndarray:
-    """[lo, hi] cut at every bin edge and declared breakpoint of the means
-    strictly inside it, then bisected until there are min_panels panels."""
-    cuts = {lo, hi}
+def _union_edges(*means: MeanFunction, min_panels: int = 8) -> np.ndarray:
+    """[0, 1] cut at every bin edge and declared breakpoint of the means,
+    then bisected until there are min_panels panels."""
+    cuts = {0.0, 1.0}
     for mean in means:
         points = (mean.edges() if isinstance(mean, PiecewiseConstantMean)
                   else mean.breakpoints)
-        cuts.update(e for e in points if lo < e < hi)
+        cuts.update(points)
     edges = np.array(sorted(cuts))
     while edges.size - 1 < min_panels:
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
@@ -331,37 +346,62 @@ def _union_edges(*means: MeanFunction, lo: float = 0.0, hi: float = 1.0,
 def _clamped_eval(mean: MeanFunction, x):
     # only smooth means are clamped before exponentiation; piecewise
     # levels of exactly 0 or 1 keep their exact zero-support behavior
+    vals = mean(x)
     if isinstance(mean, SmoothMean):
-        return _smooth_on_nodes(mean, x.tobytes())
-    return mean(x)
-
-
-@functools.lru_cache(maxsize=16)
-def _smooth_on_nodes(mean: SmoothMean, nodes: bytes) -> np.ndarray:
-    """Clamped values of a smooth mean on the Gauss-Legendre nodes of one
-    panel set (a function of its edges), read-only and shared."""
-    vals = np.clip(mean(np.frombuffer(nodes)), MEAN_CLAMP, 1.0 - MEAN_CLAMP)
-    vals.setflags(write=False)
+        vals = np.clip(vals, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
     return vals
 
 
-def _covariate_integral(term, *means: MeanFunction, lo: float = 0.0,
-                        hi: float = 1.0, min_panels: int = 8) -> float:
-    """Integrate term(mu_1(x), ..., mu_k(x)) over x in [lo, hi].
+def _covariate_integral(term, *means: MeanFunction, bins: int = 0):
+    """Integrate term(mu_1(x), ..., mu_k(x)) over x in [0, 1].
 
     Exact midpoint sum over the union partition when every mean is
     piecewise constant; composite Gauss-Legendre with adaptive bisection
-    on the clamped means, from at least min_panels panels, otherwise.
+    on the clamped means, from at least 8 panels, otherwise.  With
+    bins = m > 0 the result is the array of integrals over each of m
+    equal bins (term may return rows, one integral per row and bin), and
+    the adaptive check holds every bin to the tolerance on its own.
     """
-    if all(isinstance(mean, PiecewiseConstantMean) for mean in means):
-        edges = _union_edges(*means, lo=lo, hi=hi, min_panels=1)
+    grid = (PiecewiseConstantMean(np.zeros(bins)),) if bins else ()
+    exact = all(isinstance(mean, PiecewiseConstantMean) for mean in means)
+    edges = _union_edges(*means, *grid, min_panels=1 if exact else 8)
+    starts = np.searchsorted(edges, grid[0].edges()[:-1]) if bins else None
+    if exact:
         mids = 0.5 * (edges[:-1] + edges[1:])
+        vals = term(*(mean(mids) for mean in means))
         # panel lengths are positive and every term is bounded below, so
         # a +inf term (support mismatch) makes the sum +inf
-        return float(np.dot(np.diff(edges), term(*(mean(mids) for mean in means))))
+        if bins:
+            return np.add.reduceat(np.diff(edges) * vals, starts, axis=-1)
+        return float(np.dot(np.diff(edges), vals))
     fn = lambda x: term(*(_clamped_eval(mean, x) for mean in means))
-    return _integrate_adaptive(
-        fn, _union_edges(*means, lo=lo, hi=hi, min_panels=min_panels))
+    return _integrate_adaptive(fn, edges, starts=starts)
+
+
+@functools.lru_cache(maxsize=256)
+def _bin_moments(mean: MeanFunction, m: int, t: float) -> np.ndarray:
+    """Integrals of mu^(1+t) (row 0) and (1 - mu)^(1+t) (row 1) over each
+    of m equal bins, smooth means clamped; read-only and shared per
+    (mean, m, t).
+
+    Against levels q_j on those bins, the power integral of the order-t
+    divergence is sum_j row0_j q_j^(-t) + row1_j (1 - q_j)^(-t).
+    """
+    moments = _covariate_integral(
+        lambda mu: np.stack([mu, 1.0 - mu]) ** (1.0 + t), mean, bins=m)
+    moments.setflags(write=False)
+    return moments
+
+
+def _moment_terms(moments: np.ndarray, levels, t: float) -> np.ndarray:
+    """Per bin, row0 q^(-t) + row1 (1 - q)^(-t) for levels q, with the
+    zero-support convention of _power_term: 0 where a moment is 0, +inf
+    where a level of 0 or 1 meets a positive moment at t > 0."""
+    levels = np.asarray(levels, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = np.where(moments > 0,
+                         moments * np.stack([levels, 1.0 - levels]) ** (-t), 0.0)
+    return terms.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +441,13 @@ def d_t_squared(p, q, t) -> float:
         if math.isinf(total):
             return math.inf
         return (float(total) - 1.0) / tv
-    val = _covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv),
-                              p.mean, q.mean)
+    if isinstance(p.mean, SmoothMean) and isinstance(q.mean, PiecewiseConstantMean):
+        # every posterior draw: the integrand factors bin by bin
+        moments = _bin_moments(p.mean, q.mean.m, tv)
+        val = float(_moment_terms(moments, q.mean.levels, tv).sum()) - 1.0
+    else:
+        val = _covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv),
+                                  p.mean, q.mean)
     if math.isinf(val):
         return math.inf
     return val / tv

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import _binary_power_minus1, _covariate_integral
+from .divergence import _bin_moments, _moment_terms
 from .models import (BestApproximation, PriorSpec, TrueModel, best_approximation,
                      mean_to_log_odds, model_log_prior)
 
@@ -49,10 +49,10 @@ def sup_divergence_over_box(truth: TrueModel, m: int, delta: float,
     best approximation.
 
     t = 1 uses the closed form (err + delta)^2 / ((margin - delta) *
-    (1 - margin + delta)); other positive orders fall back to a
-    per-coordinate numerical supremum (the box objective separates over
-    bins, and each bin's integral is convex in its level for t > 0, so
-    the supremum sits at one of the two box endpoints).
+    (1 - margin + delta)); other positive orders take a per-bin
+    supremum (the box objective separates over bins, and each bin's
+    integral is convex in its level for t > 0, so the supremum sits at
+    one of the two box endpoints), read off the truth's bin moments.
     """
     delta = float(delta)
     if not 0.0 < delta < truth.margin:
@@ -69,17 +69,10 @@ def sup_divergence_over_box(truth: TrueModel, m: int, delta: float,
 
 def _numeric_box_sup(truth: TrueModel, approx: BestApproximation,
                      delta: float, t: float) -> float:
-    m = approx.levels.size
-    edges = np.linspace(0.0, 1.0, m + 1)
-    total = 0.0
-    for j in range(m):
-        total += max(
-            _covariate_integral(lambda mu: _binary_power_minus1(mu, theta, t),
-                                truth.mean, lo=edges[j], hi=edges[j + 1],
-                                min_panels=1)
-            for theta in (float(approx.levels[j] - delta),
-                          float(approx.levels[j] + delta)))
-    return total / t
+    moments = _bin_moments(truth.mean, approx.levels.size, t)
+    worst = np.maximum(_moment_terms(moments, approx.levels - delta, t),
+                       _moment_terms(moments, approx.levels + delta, t))
+    return (float(worst.sum()) - 1.0) / t
 
 
 def _within_box_log_mass(spec: PriorSpec, delta: float,

@@ -1,13 +1,13 @@
 """Exact model-averaged posterior for binned binary regression.
 
 Binning the covariate into m equal cells reduces each working model to
-m independent Bernoulli problems (the counts of every model come from
-one sorted pass over the data), so the uniform within-model prior
-has Beta-function evidence in closed form and conjugate Beta bin
-posteriors.  Log-odds within-model priors get adaptive quadrature for
-the evidence and tabulated bin posteriors on a fixed grid.  A small
-exact enumeration oracle checks the posterior-mass bound on finite
-spaces by brute force.
+m independent Bernoulli problems (the bins of every model size are
+tallied together, in one flat pass over the sorted data), so the
+uniform within-model prior has Beta-function evidence in closed form
+and conjugate Beta bin posteriors.  Log-odds within-model priors get
+adaptive quadrature for the evidence and tabulated bin posteriors on a
+fixed grid.  A small exact enumeration oracle checks the posterior-mass
+bound on finite spaces by brute force.
 """
 
 from __future__ import annotations
@@ -74,30 +74,57 @@ def bin_counts(data: Dataset, m: int) -> BinnedCounts:
 
     Bins are right-open [(j-1)/m, j/m); the point x = 1 joins bin m.
     """
-    return _sorted_binning(data)(m)
+    m = int(m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    trials, successes = _flat_counts(data, np.array([m]))
+    return BinnedCounts(m=m, trials=trials, successes=successes)
 
 
-def _sorted_binning(data: Dataset):
-    """m -> BinnedCounts from one stable sort of x and a prefix sum of z:
-    bins 1..j hold the points with x * m < j, which is the floor(x * m)
-    rule because x * m is monotone in x."""
-    order = np.argsort(data.x, kind="stable")
-    xs, zs = data.x[order], data.z[order]
-    del order  # at large n each n-long int64 array shows in peak memory
+def _flat_counts(data: Dataset, sizes: np.ndarray):
+    """Trials and successes of every bin of every model size in sizes,
+    one size after another, from one sort of x and a prefix sum of z.
+
+    Bin j of m holds the points with j - 1 <= x * m < j, which is the
+    floor(x * m) rule, with x = 1 in bin m.
+    """
+    first = np.cumsum(sizes) - sizes  # flat index of each size's first bin
+    m = np.repeat(sizes, sizes)
+    j = np.arange(m.size) - np.repeat(first, sizes) + 1
+    # bins 1..j hold the x with x * m < j, and x * m is monotone in x, so
+    # they are the x below the least double c with c * m >= j, which lies
+    # within one ulp of j / m
+    cut = j / m
+    cut = np.where(cut * m < j, np.nextafter(cut, 2.0), cut)
+    below = np.nextafter(cut, -1.0)
+    cut = np.where(below * m >= j, below, cut)
+    last = j == m  # bin m also holds x = 1
+    # at large n the arrays of the tally show in peak memory: each is
+    # dropped as soon as it is used, and the cuts come before the sort
+    del m, j, below
+    order = np.argsort(data.x)
+    xs = data.x[order]
     z_prefix = np.zeros(xs.size + 1, dtype=np.int64)
-    np.cumsum(zs, out=z_prefix[1:])
-    scaled = np.empty_like(xs)  # x * m, for one m at a time
+    np.cumsum(data.z[order], out=z_prefix[1:])
+    del order
+    upper = np.searchsorted(xs, cut)
+    del xs, cut
+    upper[last] = z_prefix.size - 1
+    lower = np.concatenate(([0], upper[:-1]))
+    lower[first] = 0
+    return upper - lower, z_prefix[upper] - z_prefix[lower]
 
-    def counts(m: int) -> BinnedCounts:
-        m = int(m)
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        cuts = np.searchsorted(np.multiply(xs, m, out=scaled), np.arange(1, m))
-        ends = np.concatenate(([0], cuts, [xs.size]))
-        return BinnedCounts(m=m, trials=np.diff(ends),
-                            successes=np.diff(z_prefix[ends]))
 
-    return counts
+def _bin_log_evidence(trials: np.ndarray, successes: np.ndarray,
+                      within: WithinModelPrior) -> np.ndarray:
+    # one log evidence per bin: betaln for the uniform prior, one
+    # quadrature per bin for log-odds priors
+    s = successes
+    f = trials - successes
+    if within.kind == "uniform":
+        return betaln(1 + s, 1 + f)
+    return np.array([_log_odds_bin_evidence(sj, fj, within)
+                     for sj, fj in zip(s.tolist(), f.tolist())], dtype=float)
 
 
 def log_evidence(counts: BinnedCounts, within: WithinModelPrior) -> float:
@@ -107,14 +134,8 @@ def log_evidence(counts: BinnedCounts, within: WithinModelPrior) -> float:
     form.  Log-odds priors: per-bin adaptive quadrature on the log-odds
     scale, peak-shifted for stability, with a 1e-10 relative tolerance.
     """
-    s = counts.successes
-    f = counts.trials - counts.successes
-    if within.kind == "uniform":
-        return float(np.sum(betaln(1 + s, 1 + f)))
-    total = 0.0
-    for sj, fj in zip(s.tolist(), f.tolist()):
-        total += _log_odds_bin_evidence(sj, fj, within)
-    return total
+    return float(np.sum(_bin_log_evidence(counts.trials, counts.successes,
+                                          within)))
 
 
 def _log_odds_bin_loglik(theta, s: int, f: int):
@@ -146,7 +167,8 @@ def _log_odds_bin_evidence(s: int, f: int, within: WithinModelPrior) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorState:
-    """Exact posterior over model sizes plus per-model bin counts.
+    """Exact posterior over model sizes plus the bin counts of every model,
+    flat: the m bins of model m sit at [m(m-1)/2, m(m+1)/2).
 
     Bin-level posteriors are conjugate Beta(1 + s, 1 + f) under the
     uniform prior and tabulated on a fixed log-odds grid otherwise;
@@ -155,7 +177,8 @@ class PosteriorState:
 
     spec: PriorSpec
     weights: np.ndarray
-    counts: tuple
+    trials: np.ndarray
+    successes: np.ndarray
 
     @property
     def model_sizes(self) -> np.ndarray:
@@ -165,24 +188,42 @@ class PosteriorState:
     def mode(self) -> int:
         return int(np.argmax(self.weights)) + 1
 
+    @property
+    def counts(self) -> tuple:
+        """BinnedCounts of every model size, built on request."""
+        return tuple(BinnedCounts(m, self.trials[_model_bins(m)],
+                                  self.successes[_model_bins(m)])
+                     for m in range(1, self.spec.m_max + 1))
+
+
+def _model_bins(m: int) -> slice:
+    """Where model m's bins sit in the flat counts of model sizes 1, 2, ..."""
+    start = m * (m - 1) // 2
+    return slice(start, start + m)
+
 
 def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
     """Posterior model weights w_m proportional to pi_m * evidence_m,
-    accumulated in log space.  The counts of every model come from one
-    sorted pass over the data.  An empty dataset reproduces the prior."""
+    accumulated in log space.  The bins of every model are tallied and
+    their evidence computed in one flat pass; each model's log evidence
+    is the sum over its own bins, as log_evidence takes it.  An empty
+    dataset reproduces the prior."""
     from .models import model_log_prior
 
-    binning = _sorted_binning(data)
-    counts = tuple(binning(m) for m in range(1, spec.m_max + 1))
-    log_prior = model_log_prior(spec)
-    log_post = log_prior + np.array([log_evidence(c, spec.within) for c in counts])
+    sizes = np.arange(1, spec.m_max + 1)
+    trials, successes = _flat_counts(data, sizes)
+    per_bin = _bin_log_evidence(trials, successes, spec.within)
+    log_ev = np.array([np.sum(per_bin[_model_bins(m)]) for m in sizes.tolist()])
+    log_post = model_log_prior(spec) + log_ev
     log_post = log_post - logsumexp(log_post)
     weights = np.exp(log_post)
     weights = weights / weights.sum()
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise RuntimeError("posterior weights failed to normalize")
-    weights.setflags(write=False)
-    return PosteriorState(spec=spec, weights=weights, counts=counts)
+    for array in (weights, trials, successes):
+        array.setflags(write=False)
+    return PosteriorState(spec=spec, weights=weights, trials=trials,
+                          successes=successes)
 
 
 _THETA_GRID = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
@@ -216,17 +257,16 @@ def _sample_log_odds_bin(s: int, f: int, within: WithinModelPrior,
 def sample_posterior_density(state: PosteriorState, rng) -> RegressionDensity:
     """Draw one working density: a model size from the posterior weights,
     then its bin levels from the bin posteriors."""
-    idx = int(rng.choice(state.weights.size, p=state.weights))
-    counts = state.counts[idx]
-    s = counts.successes
-    f = counts.trials - counts.successes
+    m = int(rng.choice(state.weights.size, p=state.weights)) + 1
+    s = state.successes[_model_bins(m)]
+    f = state.trials[_model_bins(m)] - s
     if state.spec.within.kind == "uniform":
         levels = rng.beta(1.0 + s, 1.0 + f)
     else:
-        units = rng.random(counts.m)
+        units = rng.random(m)
         theta = np.array([
             _sample_log_odds_bin(int(s[j]), int(f[j]), state.spec.within, float(units[j]))
-            for j in range(counts.m)])
+            for j in range(m)])
         levels = log_odds_to_mean(theta)
     return RegressionDensity.piecewise(levels)
 

@@ -279,10 +279,48 @@ def _hellinger_closed_form(mu, levels):
     return (total - 1.0) / t
 
 
-class TestSmoothNodeCache:
+def _generic_d2(truth, draw, t):
+    # the covariate integral of the full integrand, no bin moments
+    term = lambda a, b: divergence._binary_power_minus1(a, b, t)
+    return divergence._covariate_integral(term, truth.mean, draw.mean) / t
+
+
+class TestBinMoments:
     LEVELS = [0.35, 0.62, 0.48, 0.7, 0.41]
 
-    def test_alternating_truths_on_one_panel_set_stay_apart(self):
+    @pytest.mark.parametrize("t", [-0.5, -1.0 / 3.0, 0.5, 2.0])
+    @pytest.mark.parametrize("m", [1, 3, 7, 20, 179])
+    @pytest.mark.parametrize("truth", [TRIANGLE, TrueModel.sine()],
+                             ids=["triangle", "sine"])
+    def test_random_draws_match_the_generic_integral(self, truth, m, t):
+        rng = np.random.default_rng(1000 * m + 7)
+        for _ in range(3):
+            draw = RegressionDensity.piecewise(rng.uniform(0.05, 0.95, m))
+            want = _generic_d2(truth, draw, t)
+            assert d_t_squared(truth.density, draw, t) == pytest.approx(
+                want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("t", [-0.5, -1.0 / 3.0, 0.5, 2.0])
+    def test_levels_of_zero_and_one(self, t):
+        draw = RegressionDensity.piecewise([0.0, 0.4, 1.0, 0.7])
+        got = d_t_squared(TRIANGLE.density, draw, t)
+        if t > 0:
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(_generic_d2(TRIANGLE, draw, t),
+                                        rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("t", [-0.5, 2.0])
+    def test_zero_moments_read_zero(self, t):
+        # a moment of 0 gives 0 whatever its level; a positive moment
+        # against a level of 0 or 1 gives 0 for t < 0 and +inf for t > 0
+        moments = np.array([[0.0, 0.2, 0.0], [0.3, 0.0, 0.0]])
+        got = divergence._moment_terms(moments, [0.0, 1.0, 0.5], t)
+        assert got.tolist() == [0.3, 0.2, 0.0]
+        edge = divergence._moment_terms(np.array([[0.2], [0.3]]), [0.0], t)
+        assert edge.tolist() == [math.inf if t > 0 else 0.3]
+
+    def test_alternating_truths_on_one_m_stay_apart(self):
         draw = RegressionDensity.piecewise(self.LEVELS)
         truths = {mu: TrueModel.constant(mu) for mu in (0.3, 0.6)}
         for mu in (0.3, 0.6, 0.3, 0.6, 0.3):
@@ -292,11 +330,14 @@ class TestSmoothNodeCache:
 
     def test_tables_are_read_only_and_bounded(self):
         truth = TrueModel.constant(0.3)
-        nodes = np.linspace(0.0, 1.0, 64)
-        table = divergence._smooth_on_nodes(truth.mean, nodes.tobytes())
+        table = divergence._bin_moments(truth.mean, 4, -0.5)
         assert not table.flags.writeable
-        assert np.array_equal(table, np.full(64, 0.3))
-        assert divergence._smooth_on_nodes.cache_info().maxsize <= 16
+        assert table is divergence._bin_moments(truth.mean, 4, -0.5)
+        assert table.shape == (2, 4)
+        assert table == pytest.approx(
+            np.array([[0.3 ** 0.5 / 4] * 4, [0.7 ** 0.5 / 4] * 4]),
+            rel=1e-14, abs=0)
+        assert divergence._bin_moments.cache_info().maxsize <= 256
 
 
 def _reference_power_term(a, b, t):

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import ratelab.divergence as divergence
 from ratelab import (
+    PiecewiseConstantMean,
     PriorSpec,
     TrueModel,
     WithinModelPrior,
+    best_approximation,
     box_prior_log_mass,
     default_delta_grid,
     default_m_grid,
@@ -80,6 +84,46 @@ class TestBoxSupremum:
                    for theta in (0.28 - delta, 0.28 + delta)]
         got = sup_divergence_over_box(truth, m=1, delta=delta, t=t)
         assert got == pytest.approx(max(corners) / t, rel=1e-13)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("truth", [
+        TrueModel.triangle(amplitude=0.22, peak=0.45),
+        TrueModel.sparse([0.3, 0.7, 0.45]),
+    ], ids=["triangle", "sparse"])
+    def test_bin_moments_against_per_bin_integrals(self, truth, t):
+        rng = np.random.default_rng(int(40 * t))
+        term = lambda mu, q: divergence._binary_power_minus1(mu, q, t)
+        kinks = truth.mean.breakpoints if truth.m0 is None else (1 / 3, 2 / 3)
+        for _ in range(4):
+            m = int(rng.integers(1, 31))
+            # log-uniform over the default delta grids for n up to 32000
+            delta = math.exp(rng.uniform(math.log(1 / 32000),
+                                         math.log(truth.margin / 2)))
+            got = sup_divergence_over_box(truth, m, delta, t)
+            levels = best_approximation(truth, m).levels
+            # the full integrand over each bin at both box ends; both sums
+            # cancel terms of size 1 down to the result, so they agree to
+            # about 1e-16 absolute when the result is tiny (a sparse truth
+            # on bins that refine its own, with delta near 1/n)
+            ends = [divergence._covariate_integral(
+                        term, truth.mean, PiecewiseConstantMean(levels + s),
+                        bins=m) for s in (-delta, delta)]
+            assert got == pytest.approx(np.maximum(*ends).sum() / t,
+                                        rel=1e-12, abs=1e-15)
+            # every point of the box is below the supremum: quad over
+            # each bin, at levels a hair inside both ends
+            edges = np.linspace(0.0, 1.0, m + 1)
+            inside = 0.0
+            for j in range(m):
+                cuts = [k for k in kinks if edges[j] < k < edges[j + 1]]
+                inside += max(quad(
+                    lambda x: float(term(truth.mean(np.array([x])),
+                                         np.array([theta]))[0]),
+                    edges[j], edges[j + 1], points=cuts or None,
+                    epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                    for theta in (levels[j] - delta * (1 - 1e-6),
+                                  levels[j] + delta * (1 - 1e-6)))
+            assert inside / t <= got <= inside / t * (1 + 1e-5)
 
     def test_monotone_in_delta(self):
         vals = [sup_divergence_over_box(LINEAR, 4, d) for d in (0.02, 0.08, 0.2)]

@@ -1,11 +1,13 @@
 """Binned posterior, its samplers, and the enumeration oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from ratelab import (
     BinnedCounts,
@@ -75,8 +77,12 @@ class TestBinCounts:
             BinnedCounts(m=2, trials=np.array([1]), successes=np.array([1]))
 
 
-# every bin edge j/m for m up to 32, the ends 0 and 1 among them
-EDGE_POINTS = sorted({j / m for m in range(1, 33) for j in range(m + 1)})
+# every bin edge j/m for m up to 32 and the doubles next to it, inside
+# [0, 1]: x * m rounds to either side of j near an edge
+EDGE_POINTS = sorted({
+    x for m in range(1, 33) for j in range(m + 1)
+    for x in (np.nextafter(j / m, -1.0), j / m, np.nextafter(j / m, 2.0))
+    if 0.0 <= x <= 1.0})
 
 
 def _reference_counts(data, m):
@@ -87,20 +93,46 @@ def _reference_counts(data, m):
     return trials, successes
 
 
+DATASETS = pytest.mark.parametrize("data", [
+    simulate_data(TrueModel.sine(), 997, seed=(12, 0)),
+    _dataset(EDGE_POINTS, [i % 3 == 0 for i in range(len(EDGE_POINTS))]),
+    _dataset([0.0, 0.0, 1.0, 1.0, 1.0], [1, 0, 1, 1, 0]),
+    EMPTY,
+], ids=["random", "edges", "ends", "empty"])
+
+
+def _every_model(data):
+    # every model size up to max(32, ceil sqrt n) in one posterior
+    m_top = max(32, math.ceil(math.sqrt(data.n)))
+    return PriorSpec(n=max(data.n, 1), m_max=m_top)
+
+
 class TestOnePassBinning:
-    @pytest.mark.parametrize("data", [
-        simulate_data(TrueModel.sine(), 997, seed=(12, 0)),
-        _dataset(EDGE_POINTS, [i % 3 == 0 for i in range(len(EDGE_POINTS))]),
-        _dataset([0.0, 0.0, 1.0, 1.0, 1.0], [1, 0, 1, 1, 0]),
-        EMPTY,
-    ], ids=["random", "edges", "ends", "empty"])
+    @DATASETS
     def test_counts_match_direct_tally_for_every_model(self, data):
-        m_top = max(32, math.ceil(math.sqrt(data.n)))
-        for m in range(1, m_top + 1):
+        spec = _every_model(data)
+        flat = model_posterior(data, spec).counts
+        for m in range(1, spec.m_max + 1):
             trials, successes = _reference_counts(data, m)
-            counts = bin_counts(data, m)
-            assert counts.trials.tolist() == trials.tolist()
-            assert counts.successes.tolist() == successes.tolist()
+            for counts in (bin_counts(data, m), flat[m - 1]):
+                assert counts.m == m
+                assert counts.trials.tolist() == trials.tolist()
+                assert counts.successes.tolist() == successes.tolist()
+
+    @DATASETS
+    @pytest.mark.parametrize("within", [WithinModelPrior.uniform_box(),
+                                        WithinModelPrior.log_odds("normal", 1.5)],
+                             ids=["uniform", "normal"])
+    def test_weights_match_per_model_log_evidence(self, data, within):
+        spec = replace(_every_model(data), within=within)
+        log_post = model_log_prior(spec) + np.array([
+            log_evidence(bin_counts(data, m), within)
+            for m in range(1, spec.m_max + 1)])
+        log_post = log_post - logsumexp(log_post)
+        weights = np.exp(log_post)
+        weights = weights / weights.sum()
+        got = model_posterior(data, spec).weights
+        assert np.array_equal(got.view(np.int64), weights.view(np.int64))
 
     def test_posterior_counts_are_bin_counts(self):
         data = simulate_data(TrueModel.triangle(), 400, seed=(13, 1))

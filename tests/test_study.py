@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ratelab.divergence as divergence
 import ratelab.models as models
 import ratelab.penalized as penalized
 import ratelab.posterior as posterior
@@ -263,32 +264,36 @@ class TestWorkCounts:
         assert misses == len(set(seen))
         assert len(seen) > misses
 
-    def test_truth_tabulated_at_most_twice_per_drawn_model_size(self, monkeypatch):
+    def test_moment_tables_built_once_per_truth_model_size_and_order(
+            self, monkeypatch):
         calls = []
+        # a weak model prior, so that the draws spread over several sizes
         config = replace(parse_config_text(DENSE_SMALL),
-                         truth=_counting_triangle(calls))
-        sizes = []
+                         truth=_counting_triangle(calls), k_model=0.5)
+        triples = set()
         sample = posterior.sample_posterior_density
 
         def recorded(state, rng):
             draw = sample(state, rng)
-            sizes.append(draw.mean.m)
+            triples.add((config.truth.mean, draw.mean.m, -config.u))
             return draw
 
         monkeypatch.setattr(posterior, "sample_posterior_density", recorded)
-        total = 0
+        misses = divergence._bin_moments.cache_info().misses
+        start = misses
         for n in config.n_grid:
             for r in range(config.replicates):
                 data = simulate_data(config.truth, n,
                                      seed=(config.seed, TAG_DATA, n, r))
                 state = model_posterior(data, config.prior_for(n))
                 calls.clear()
-                sizes.clear()
                 empirical_divergence_quantiles(
                     config.truth, state, config.u, config.draws,
                     stream(config.seed, TAG_DRAW, n, r))
-                assert len(sizes) == config.draws
-                # panel sets repeat across cells, so later cells may need none
-                assert len(calls) <= 2 * len(set(sizes))
-                total += len(calls)
-        assert total > 0
+                # one evaluation of the truth per quadrature pass, and the
+                # kink-aware panels need one check pass per table
+                before = misses
+                misses = divergence._bin_moments.cache_info().misses
+                assert len(calls) <= 2 * (misses - before)
+        assert misses - start == len(triples)
+        assert len(triples) > 1
