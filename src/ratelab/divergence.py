@@ -34,8 +34,6 @@ __all__ = [
     "PiecewiseConstantMean",
     "SmoothMean",
     "RegressionDensity",
-    "DivergenceOrder",
-    "KL",
     "d_t_squared",
     "kl_divergence",
     "l1_distance",
@@ -200,33 +198,6 @@ class RegressionDensity:
     @classmethod
     def smooth(cls, fn, d_bound: float, margin: float) -> "RegressionDensity":
         return cls(SmoothMean(fn, float(d_bound), float(margin)))
-
-
-@dataclass(frozen=True)
-class DivergenceOrder:
-    """Order of the divergence family; ``is_kl`` tags the t -> 0 limit."""
-
-    t: float
-    is_kl: bool = False
-
-    def __post_init__(self):
-        if self.is_kl:
-            object.__setattr__(self, "t", 0.0)
-        elif not self.t > -1.0:
-            raise ValueError(f"order must satisfy t > -1, got {self.t}")
-
-    @classmethod
-    def kl(cls) -> "DivergenceOrder":
-        return cls(0.0, True)
-
-
-KL = DivergenceOrder.kl()
-
-
-def _as_order(t) -> DivergenceOrder:
-    if isinstance(t, DivergenceOrder):
-        return t
-    return DivergenceOrder(float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +395,13 @@ def _check_outcomes(p: DiscreteDensity, q: DiscreteDensity):
 def d_t_squared(p, q, t) -> float:
     """Order-t divergence between two densities of the same representation.
 
-    Orders with |t| below 1e-8 (and the explicit KL tag) are evaluated
-    through the t -> 0 limit plus its first-order correction, which is
-    exact at t = 0 and avoids catastrophic cancellation nearby.
+    Orders with |t| below 1e-8 are evaluated through the t -> 0 limit
+    plus its first-order correction, which is exact at t = 0 (the KL
+    divergence) and avoids catastrophic cancellation nearby.
     """
-    order = _as_order(t)
-    if order.is_kl:
-        return kl_divergence(p, q)
-    tv = order.t
+    tv = float(t)
+    if not tv > -1.0:
+        raise ValueError(f"order must satisfy t > -1, got {tv}")
     if abs(tv) < _SMALL_T:
         return _kl_limit(p, q, tv)
     kind = _pair_kind(p, q)
@@ -517,18 +487,16 @@ def d_t_squared_product(p, q, t, n: int) -> float:
     single-observation value in closed form.
 
     For finite order t the product value is ((1 + t*d^2)^n - 1) / t,
-    evaluated in log space; the KL limit is additive (n times KL).
+    evaluated in log space; the KL limit is additive (n times KL, +inf
+    included).
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"product size must be >= 1, got {n}")
-    order = _as_order(t)
-    if order.is_kl:
-        return n * kl_divergence(p, q)
-    base = d_t_squared(p, q, order)
-    if not math.isfinite(base):
+    tv = float(t)
+    base = d_t_squared(p, q, tv)
+    if not (math.isfinite(base) or tv == 0.0):
         raise ValueError("product tensorization requires a finite base divergence")
-    tv = order.t
     if abs(tv) < _SMALL_T:
         return n * base
     x = tv * base

@@ -11,7 +11,7 @@ those four assembly rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,12 +37,9 @@ VARIANTS = ("prop3", "prop7", "remark8", "remark10")
 
 @dataclass(frozen=True)
 class RateBoundBreakdown:
-    """epsilon_n = penalized_div + complexity_term, with provenance.
+    """epsilon_n = penalized_div + complexity_term.
 
-    ``log_richness`` is ln N for the variant's richness measure N;
-    ``provenance`` records the L1-ball radius lambda = n^(-1/u), the
-    slack eps - delta = 4/(n*u) that produces it, and the e^4 factor
-    that cancels against that slack in the assembly.
+    ``log_richness`` is ln N for the variant's richness measure N.
     """
 
     variant: str
@@ -53,7 +50,6 @@ class RateBoundBreakdown:
     complexity_term: float
     epsilon_n: float
     log_richness: float
-    provenance: dict = field(default_factory=dict)
 
 
 def floor_to_unit_fraction(u_raw: float) -> float:
@@ -192,9 +188,4 @@ def rate_bound(variant: str, u: float, t: float, n: int, penalized_div: float,
         penalized_div=float(penalized_div),
         complexity_term=complexity,
         epsilon_n=float(penalized_div) + complexity,
-        log_richness=log_richness,
-        provenance={
-            "l1_radius": n ** (-1.0 / u),
-            "eps_minus_delta": 4.0 / (n * u),
-            "log_e4_factor": 4.0,
-        })
+        log_richness=log_richness)

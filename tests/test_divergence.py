@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from ratelab import (
-    KL,
     DiscreteDensity,
-    DivergenceOrder,
     PiecewiseConstantMean,
     RegressionDensity,
     SmoothMean,
@@ -50,7 +48,7 @@ class TestFrozenOracles:
 
     def test_kl_tag_and_limit(self):
         assert kl_divergence(BERN_03, BERN_05) == pytest.approx(KL_ORACLE, abs=1e-14)
-        assert d_t_squared(BERN_03, BERN_05, KL) == pytest.approx(KL_ORACLE, abs=1e-14)
+        assert d_t_squared(BERN_03, BERN_05, 0.0) == pytest.approx(KL_ORACLE, abs=1e-14)
         # |t| below the small-t threshold goes through the expansion path
         assert d_t_squared(BERN_03, BERN_05, 1e-12) == pytest.approx(
             KL_ORACLE, abs=1e-10)
@@ -59,7 +57,7 @@ class TestFrozenOracles:
         assert l1_distance(BERN_03, BERN_05) == pytest.approx(0.4, abs=1e-15)
 
     def test_identical_densities_vanish(self):
-        for t in (-0.5, 1e-9, 0.3, 1.0, 2.0, KL):
+        for t in (-0.5, 1e-9, 0.3, 1.0, 2.0, 0.0):
             assert d_t_squared(BERN_03, BERN_03, t) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -104,7 +102,7 @@ class TestValidation:
 
     def test_order_must_exceed_minus_one(self):
         with pytest.raises(ValueError):
-            DivergenceOrder(-1.0)
+            d_t_squared(BERN_03, BERN_05, -1.0)
 
 
 class TestMonotonicityInOrder:
@@ -164,7 +162,12 @@ class TestTensorization:
     def test_kl_is_additive(self, rng):
         p, q = random_density_pair(rng)
         base = kl_divergence(p, q)
-        assert d_t_squared_product(p, q, KL, 7) == pytest.approx(7 * base, rel=1e-14)
+        assert d_t_squared_product(p, q, 0.0, 7) == pytest.approx(7 * base, rel=1e-14)
+
+    def test_infinite_kl_is_additive(self):
+        # t = 0 is the KL member: a support mismatch gives n * inf, no error
+        q = DiscreteDensity.bernoulli(0.0)
+        assert d_t_squared_product(BERN_05, q, 0.0, 3) == math.inf
 
     def test_bad_product_size(self):
         with pytest.raises(ValueError):

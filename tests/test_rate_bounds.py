@@ -228,12 +228,6 @@ class TestRateBound:
             assert b.complexity_term > 0.0
             assert abs(b.epsilon_n - (b.penalized_div + b.complexity_term)) <= 1e-12
 
-    def test_provenance_records_radius_choice(self):
-        b = rate_bound("prop3", 0.5, 1.0, 10, 0.0, log_cover_count=0.0)
-        assert b.provenance["l1_radius"] == pytest.approx(0.01, rel=1e-14)
-        assert b.provenance["eps_minus_delta"] == pytest.approx(0.8, rel=1e-14)
-        assert b.provenance["log_e4_factor"] == 4.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             rate_bound("prop4", 0.5, 1.0, 10, 0.0, log_cover_count=1.0)

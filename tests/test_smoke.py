@@ -50,3 +50,32 @@ def test_config_runs_end_to_end(truth, within, tmp_path, capsys):
         code = cli.main([command, "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 0, (command, err)
+
+
+LARGE_N_TEXT = """
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = {within}
+scale = {scale}
+
+[run]
+n_grid = 32000
+draws = 3
+replicates = 1
+"""
+
+
+@pytest.mark.parametrize("within,scale", [("normal", 1.5), ("laplace", 1)])
+def test_log_odds_simulate_at_largest_n(within, scale, tmp_path, capsys):
+    # the README's largest n: the evidence of every bin must certify
+    path = tmp_path / "large.cfg"
+    path.write_text(LARGE_N_TEXT.format(within=within, scale=scale),
+                    encoding="utf-8")
+    code = cli.main(["simulate", "--config", str(path), "--seed", "3"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert len(out.splitlines()) == 2 + 3
