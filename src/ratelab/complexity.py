@@ -28,6 +28,7 @@ __all__ = [
     "log_covering_number_uniform",
     "norm_complexity_grid",
     "log_norm_complexity_analytic",
+    "log_cover_mixture",
     "norm_complexity_mixture",
     "log_norm_complexity_mixture",
     "parametric_norm_complexity_bound",
@@ -196,6 +197,18 @@ def log_norm_complexity_analytic(within: WithinModelPrior, m: int, u: float,
         u_integral = within.u_norm_integral(u)
     log_a = math.log((2.0 * h * f0 ** u + u_integral) * h ** (u - 1.0))
     return m * log_a / u
+
+
+def log_cover_mixture(log_masses: Sequence[float],
+                      log_covers: Sequence[float], u: float) -> float:
+    """Log of the cover-count mixture sum_m pi_m^u * N_m."""
+    log_masses = np.asarray(log_masses, dtype=float)
+    log_covers = np.asarray(log_covers, dtype=float)
+    if log_masses.shape != log_covers.shape or log_masses.ndim != 1 or log_masses.size == 0:
+        raise ValueError("need matching nonempty 1-d mass and cover arrays")
+    if np.any(log_covers < -1e-12):
+        raise ValueError("cover counts must be >= 1")
+    return float(logsumexp(u * log_masses + log_covers))
 
 
 def log_norm_complexity_mixture(log_masses: Sequence[float],

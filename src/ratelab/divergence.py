@@ -487,16 +487,14 @@ def d_t_squared_product(p, q, t, n: int) -> float:
     single-observation value in closed form.
 
     For finite order t the product value is ((1 + t*d^2)^n - 1) / t,
-    evaluated in log space; the KL limit is additive (n times KL, +inf
-    included).
+    evaluated in log space, and +inf wherever the base value is; the KL
+    limit is additive (n times KL).
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"product size must be >= 1, got {n}")
     tv = float(t)
     base = d_t_squared(p, q, tv)
-    if not (math.isfinite(base) or tv == 0.0):
-        raise ValueError("product tensorization requires a finite base divergence")
     if abs(tv) < _SMALL_T:
         return n * base
     x = tv * base

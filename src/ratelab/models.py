@@ -285,11 +285,10 @@ def model_prior_mass(spec: PriorSpec, m: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Simulated covariate/response pairs plus the stream key that made them."""
+    """Simulated covariate/response pairs."""
 
     x: np.ndarray
     z: np.ndarray
-    seed: tuple
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -304,7 +303,6 @@ class Dataset:
         z = z.copy(); z.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "seed", tuple(self.seed))
 
     @property
     def n(self) -> int:
@@ -326,7 +324,7 @@ def simulate_data(truth: TrueModel, n: int, seed) -> Dataset:
     x = rng.random(n)
     mu = np.asarray(truth.mean(x), dtype=float)
     z = (rng.random(n) < mu).astype(np.int8)
-    return Dataset(x=x, z=z, seed=key)
+    return Dataset(x=x, z=z)
 
 
 def log_odds_to_mean(theta):

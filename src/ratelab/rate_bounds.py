@@ -2,22 +2,22 @@
 
 epsilon_n adds the penalized divergence of the prior to a complexity
 term n^(-1) * ln(N^(1/u) * n^(2*(1/u + 1/t))), where N measures the
-richness of the prior support: a plain cover count, its model-mixture
-refinement, or the prior-weighted norm complexity.  The variant tags
-(prop3, prop7, remark8, remark10) are the stable interface names of
-those four assembly rules.
+richness of the prior support.  The variant tags (prop3, prop7,
+remark8, remark10) are the stable interface names of the richness
+measures; each variant supplies one ln N to the same formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .divergence import _safe_exp
+from .penalized import PenalizedDivergenceResult
 
 __all__ = [
     "VARIANTS",
@@ -28,28 +28,36 @@ __all__ = [
     "rate_bound",
 ]
 
-# prop3: one cover count for the whole prior support
+# prop3: the total cover count sum_m count_m of the prior support
 # prop7: per-model cover counts mixed as sum_m pi_m^u * count_m
-# remark8 / remark10: prior-weighted norm complexity (remark10 is the
-#   mixture aggregation of per-model remark8 values)
+# remark8 / remark10: the mixture norm complexity
+#   [sum_m (pi_m * norm_m)^u]^(1/u); both take the same value
 VARIANTS = ("prop3", "prop7", "remark8", "remark10")
+
+# a norm complexity already carries the 1/u power of the formula
+_NORM_VARIANTS = ("remark8", "remark10")
 
 
 @dataclass(frozen=True)
 class RateBoundBreakdown:
     """epsilon_n = penalized_div + complexity_term.
 
-    ``log_richness`` is ln N for the variant's richness measure N.
+    ``penalized`` is the penalized-divergence bound whose value is added
+    and ``log_richness`` is ln N for the variant's richness measure N.
     """
 
     variant: str
     u: float
     t: float
     n: int
-    penalized_div: float
+    penalized: PenalizedDivergenceResult
     complexity_term: float
     epsilon_n: float
     log_richness: float
+
+    @property
+    def penalized_div(self) -> float:
+        return float(self.penalized.value)
 
 
 def floor_to_unit_fraction(u_raw: float) -> float:
@@ -124,24 +132,14 @@ def posterior_mass_bound_rhs(cover: Sequence, anchor, u: float, t: float,
     return _safe_exp(float(logsumexp(np.asarray(exponents))))
 
 
-def _complexity_from_log_richness(log_richness: float, u: float, t: float,
-                                  n: int) -> float:
-    return (log_richness / u + 2.0 * (1.0 / u + 1.0 / t) * math.log(n)) / n
+def rate_bound(variant: str, u: float, t: float, n: int,
+               penalized: PenalizedDivergenceResult,
+               log_richness: float) -> RateBoundBreakdown:
+    """Assemble epsilon_n for one variant from its richness ln N.
 
-
-def rate_bound(variant: str, u: float, t: float, n: int, penalized_div: float,
-               *, log_cover_count: Optional[float] = None,
-               model_log_masses: Optional[Sequence[float]] = None,
-               model_log_covers: Optional[Sequence[float]] = None,
-               log_norm_complexity: Optional[float] = None,
-               ) -> RateBoundBreakdown:
-    """Assemble epsilon_n for the requested variant.
-
-    prop3 consumes ``log_cover_count`` (ln of one cover count); prop7
-    consumes per-model ``model_log_masses`` and ``model_log_covers``;
-    remark8 and remark10 consume ``log_norm_complexity``.  In the norm
-    variants the complexity enters without the extra 1/u power because
-    the norm already carries it.
+    The complexity term is (ln N / u + 2 (1/u + 1/t) ln n) / n; in the
+    norm variants ln N enters without the 1/u because the norm already
+    carries it.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -154,38 +152,17 @@ def rate_bound(variant: str, u: float, t: float, n: int, penalized_div: float,
     n = int(n)
     if n < 2:
         raise ValueError("n must be >= 2")
+    penalized_div = float(penalized.value)
     if not penalized_div >= 0.0:
         raise ValueError("penalized divergence must be nonnegative")
+    log_richness = float(log_richness)
+    if log_richness < -1e-12:
+        raise ValueError("richness N must be >= 1")
 
-    if variant == "prop3":
-        if log_cover_count is None:
-            raise ValueError("prop3 needs log_cover_count")
-        log_richness = float(log_cover_count)
-        if log_richness < -1e-12:
-            raise ValueError("cover count must be >= 1")
-        complexity = _complexity_from_log_richness(log_richness, u, t, n)
-    elif variant == "prop7":
-        if model_log_masses is None or model_log_covers is None:
-            raise ValueError("prop7 needs model_log_masses and model_log_covers")
-        lm = np.asarray(model_log_masses, dtype=float)
-        lc = np.asarray(model_log_covers, dtype=float)
-        if lm.shape != lc.shape or lm.ndim != 1 or lm.size == 0:
-            raise ValueError("model masses and covers must be matching 1-d arrays")
-        if np.any(lc < -1e-12):
-            raise ValueError("cover counts must be >= 1")
-        log_richness = float(logsumexp(u * lm + lc))
-        complexity = _complexity_from_log_richness(log_richness, u, t, n)
-    else:
-        if log_norm_complexity is None:
-            raise ValueError(f"{variant} needs log_norm_complexity")
-        log_richness = float(log_norm_complexity)
-        if log_richness < -1e-12:
-            raise ValueError("norm complexity must be >= 1")
-        complexity = (log_richness + 2.0 * (1.0 / u + 1.0 / t) * math.log(n)) / n
-
+    richness = log_richness if variant in _NORM_VARIANTS else log_richness / u
+    complexity = (richness + 2.0 * (1.0 / u + 1.0 / t) * math.log(n)) / n
     return RateBoundBreakdown(
-        variant=variant, u=u, t=t, n=n,
-        penalized_div=float(penalized_div),
+        variant=variant, u=u, t=t, n=n, penalized=penalized,
         complexity_term=complexity,
-        epsilon_n=float(penalized_div) + complexity,
+        epsilon_n=penalized_div + complexity,
         log_richness=log_richness)

@@ -16,23 +16,21 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .complexity import (log_covering_number_uniform,
+from .complexity import (log_cover_mixture, log_covering_number_uniform,
                          log_norm_complexity_analytic,
                          log_norm_complexity_mixture, norm_complexity_grid)
 from .config import ExperimentConfig
 from .models import PriorSpec, model_log_prior, simulate_data
-from .penalized import PenalizedDivergenceResult, penalized_divergence_upper
+from .penalized import penalized_divergence_upper
 from .posterior import (DivergenceSummary, empirical_divergence_quantiles,
                         model_posterior)
-from .rate_bounds import RateBoundBreakdown, rate_bound
+from .rate_bounds import rate_bound
 from .rng import stream
 
 __all__ = [
     "TAG_DATA",
     "TAG_DRAW",
-    "VariantBounds",
     "StudyRow",
     "SlopeFit",
     "StudySummary",
@@ -56,21 +54,6 @@ CSV_SCHEMA_HEADER = "# ratelab rate-study schema v1"
 CSV_COLUMNS = ("n", "replicate", "variant", "d2_min", "d2_median", "d2_q95",
                "d2_max", "penalized_div", "complexity_term", "epsilon_n",
                "exceedance")
-
-
-@dataclass(frozen=True)
-class VariantBounds:
-    """One variant's epsilon_n breakdown at one n, with the penalized
-    bound whose value it adds.  The breakdown's fields (variant, n,
-    penalized_div, complexity_term, epsilon_n, ...) read through."""
-
-    breakdown: RateBoundBreakdown
-    penalized: PenalizedDivergenceResult
-
-    def __getattr__(self, name):
-        if name.startswith("__") or name == "breakdown":
-            raise AttributeError(name)
-        return getattr(self.breakdown, name)
 
 
 @dataclass(frozen=True)
@@ -149,36 +132,32 @@ def log_mixture_norm_complexity(spec: PriorSpec, u: float, n: int) -> float:
 def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
     """epsilon_n breakdowns for every configured variant at one n.
 
-    The penalized bound is computed once and shared by all variants;
-    covering counts use the per-model uniform grid.
+    The penalized bound is computed once and shared by all variants,
+    which differ only in the richness ln N they pass to ``rate_bound``:
+    prop7 mixes the per-model uniform-grid cover counts with the model
+    prior, prop3 is the same mixture with every ln pi_m = 0, and the
+    norm variants take the mixture norm complexity.
     """
     spec = config.prior_for(n)
-    truth, u, t = config.truth, config.u, config.t
-    pen = penalized_divergence_upper(truth, spec, t, n)
-    log_masses = model_log_prior(spec)
+    u = config.u
+    pen = penalized_divergence_upper(config.truth, spec, config.t, n)
 
-    log_covers = None
-    if "prop3" in config.variants or "prop7" in config.variants:
+    variants = set(config.variants)
+    log_richness = {}
+    if variants & {"prop3", "prop7"}:
         log_covers = np.array([log_covering_number_uniform(m, n, u)
                                for m in range(1, spec.m_max + 1)])
-    log_norm = None
-    if "remark8" in config.variants or "remark10" in config.variants:
+        if "prop3" in variants:
+            log_richness["prop3"] = log_cover_mixture(
+                np.zeros_like(log_covers), log_covers, u)
+        if "prop7" in variants:
+            log_richness["prop7"] = log_cover_mixture(
+                model_log_prior(spec), log_covers, u)
+    if variants & {"remark8", "remark10"}:
         log_norm = log_mixture_norm_complexity(spec, u, n)
-
-    out = []
-    for variant in config.variants:
-        if variant == "prop3":
-            breakdown = rate_bound(variant, u, t, n, pen.value,
-                                   log_cover_count=float(logsumexp(log_covers)))
-        elif variant == "prop7":
-            breakdown = rate_bound(variant, u, t, n, pen.value,
-                                   model_log_masses=log_masses,
-                                   model_log_covers=log_covers)
-        else:
-            breakdown = rate_bound(variant, u, t, n, pen.value,
-                                   log_norm_complexity=log_norm)
-        out.append(VariantBounds(breakdown, pen))
-    return tuple(out)
+        log_richness.update(remark8=log_norm, remark10=log_norm)
+    return tuple(rate_bound(variant, u, config.t, n, pen, log_richness[variant])
+                 for variant in config.variants)
 
 
 def fit_slope(points: Sequence) -> SlopeFit:

@@ -169,6 +169,20 @@ class TestTensorization:
         q = DiscreteDensity.bernoulli(0.0)
         assert d_t_squared_product(BERN_05, q, 0.0, 3) == math.inf
 
+    def test_support_mismatch_is_infinite_for_positive_orders(self):
+        # p puts mass where q has none, so every order t > 0 is +inf,
+        # below the small-t cut-off included
+        q = DiscreteDensity.bernoulli(0.0)
+        for t in (1e-9, 0.5, 2.0):
+            assert d_t_squared_product(BERN_05, q, t, 3) == math.inf
+        prod_p = [float(np.prod(BERN_05.mass[list(ys)]))
+                  for ys in itertools.product(range(2), repeat=2)]
+        prod_q = [float(np.prod(q.mass[list(ys)]))
+                  for ys in itertools.product(range(2), repeat=2)]
+        direct = d_t_squared(DiscreteDensity(np.array(prod_p)),
+                             DiscreteDensity(np.array(prod_q)), 0.5)
+        assert direct == d_t_squared_product(BERN_05, q, 0.5, 2) == math.inf
+
     def test_bad_product_size(self):
         with pytest.raises(ValueError):
             d_t_squared_product(BERN_03, BERN_05, 1.0, 0)

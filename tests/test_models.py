@@ -177,10 +177,9 @@ class TestSimulation:
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
-            Dataset(x=np.array([0.5, 1.5]), z=np.array([0, 1], dtype=np.int8),
-                    seed=(1,))
+            Dataset(x=np.array([0.5, 1.5]), z=np.array([0, 1], dtype=np.int8))
         with pytest.raises(ValueError):
-            Dataset(x=np.array([0.5]), z=np.array([2], dtype=np.int8), seed=(1,))
+            Dataset(x=np.array([0.5]), z=np.array([2], dtype=np.int8))
 
 
 def test_log_odds_mean_round_trip():

@@ -34,12 +34,12 @@ from ratelab.rng import stream
 NORMAL = WithinModelPrior.log_odds("normal", 1.0)
 LAPLACE = WithinModelPrior.log_odds("laplace", 0.7)
 
-EMPTY = Dataset(x=np.zeros(0), z=np.zeros(0, dtype=np.int8), seed=(0,))
+EMPTY = Dataset(x=np.zeros(0), z=np.zeros(0, dtype=np.int8))
 
 
 def _dataset(x, z):
     return Dataset(x=np.asarray(x, dtype=float),
-                   z=np.asarray(z, dtype=np.int8), seed=(0,))
+                   z=np.asarray(z, dtype=np.int8))
 
 
 class TestBinCounts:

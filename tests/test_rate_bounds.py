@@ -8,13 +8,16 @@ from mpmath import mp
 
 from ratelab import (
     VARIANTS,
+    PenalizedDivergenceResult,
     bound_prefactor,
     floor_to_unit_fraction,
+    log_cover_mixture,
     parse_config_text,
     posterior_mass_bound_rhs,
     rate_bound,
     variant_bounds_for_n,
 )
+from ratelab.study import log_mixture_norm_complexity
 
 
 class TestUnitFractionFloor:
@@ -164,40 +167,47 @@ class TestPosteriorMassRhs:
             posterior_mass_bound_rhs([(0.1, -1.0)], (0.1, -1.0), u, t, n)
 
 
+def _pen(value):
+    """A penalized-divergence result carrying only its value."""
+    return PenalizedDivergenceResult(value=value, m=1, delta=0.1,
+                                     approx_term=value, box_term=0.0,
+                                     model_term=0.0)
+
+
 class TestRateBound:
     def test_cover_count_assembly_identity(self):
         # the complexity term collapses to [2(1+u/t)ln n + ln N] / (n u)
         u, t, n, log_count, pen = 1.0 / 3.0, 0.7, 977, 12.34, 0.05
-        got = rate_bound("prop3", u, t, n, pen, log_cover_count=log_count)
+        got = rate_bound("prop3", u, t, n, _pen(pen), log_count)
         expected = (2.0 * (1.0 + u / t) * math.log(n) + log_count) / (n * u)
         assert got.complexity_term == pytest.approx(expected, rel=1e-12)
         assert got.epsilon_n == pytest.approx(pen + expected, rel=1e-12)
         assert got.log_richness == log_count
 
     def test_single_model_mixture_reduces_to_plain_count(self):
-        plain = rate_bound("prop3", 0.5, 1.0, 100, 0.02, log_cover_count=5.0)
-        mixed = rate_bound("prop7", 0.5, 1.0, 100, 0.02,
-                           model_log_masses=[0.0], model_log_covers=[5.0])
+        plain = rate_bound("prop3", 0.5, 1.0, 100, _pen(0.02), 5.0)
+        mixed = rate_bound("prop7", 0.5, 1.0, 100, _pen(0.02),
+                           log_cover_mixture([0.0], [5.0], 0.5))
         assert mixed.complexity_term == plain.complexity_term
         assert mixed.epsilon_n == plain.epsilon_n
 
     def test_two_model_mixture_hand_value(self):
-        got = rate_bound("prop7", 0.5, 1.0, 50, 0.0,
-                         model_log_masses=np.log([0.5, 0.5]),
-                         model_log_covers=np.log([4.0, 16.0]))
+        log_richness = log_cover_mixture(np.log([0.5, 0.5]),
+                                         np.log([4.0, 16.0]), 0.5)
+        got = rate_bound("prop7", 0.5, 1.0, 50, _pen(0.0), log_richness)
         expected = math.log(math.sqrt(0.5) * (4.0 + 16.0))
         assert got.log_richness == pytest.approx(expected, rel=1e-12)
 
     def test_norm_variants_skip_the_extra_power(self):
         # the norm already carries the 1/u, so remark8 adds ln N directly
         u, t, n, log_norm = 0.5, 1.0, 1000, math.log(100.0)
-        r8 = rate_bound("remark8", u, t, n, 0.0, log_norm_complexity=log_norm)
+        r8 = rate_bound("remark8", u, t, n, _pen(0.0), log_norm)
         expected = (log_norm + 2.0 * (1.0 / u + 1.0 / t) * math.log(n)) / n
         assert r8.complexity_term == pytest.approx(expected, rel=1e-14)
-        r10 = rate_bound("remark10", u, t, n, 0.0, log_norm_complexity=log_norm)
+        r10 = rate_bound("remark10", u, t, n, _pen(0.0), log_norm)
         assert r10.complexity_term == r8.complexity_term
         assert r10.variant == "remark10"
-        plain = rate_bound("prop3", u, t, n, 0.0, log_cover_count=log_norm)
+        plain = rate_bound("prop3", u, t, n, _pen(0.0), log_norm)
         gap = plain.complexity_term - r8.complexity_term
         assert gap == pytest.approx((1.0 / u - 1.0) * log_norm / n, rel=1e-12)
 
@@ -210,52 +220,84 @@ class TestRateBound:
             raw = -3.0 * (sizes - 1) * math.log(n)
             lm = raw - math.log(np.sum(np.exp(raw - raw.max()))) - raw.max()
             lc = 2.0 * sizes * math.log(n)
-            got = rate_bound("prop7", u, t, n, 0.0,
-                             model_log_masses=lm, model_log_covers=lc)
+            got = rate_bound("prop7", u, t, n, _pen(0.0),
+                             log_cover_mixture(lm, lc, u))
             assert math.isfinite(got.log_richness)
             scaled = got.complexity_term * n / math.log(n)
             assert 13.9 <= scaled <= 14.2
 
     def test_terms_nonnegative_and_consistent(self):
-        for variant, kwargs in [
-                ("prop3", {"log_cover_count": 3.0}),
-                ("prop7", {"model_log_masses": [math.log(0.3), math.log(0.7)],
-                           "model_log_covers": [1.0, 2.0]}),
-                ("remark8", {"log_norm_complexity": 4.0}),
+        pen = _pen(0.01)
+        for variant, log_richness in [
+                ("prop3", 3.0),
+                ("prop7", log_cover_mixture([math.log(0.3), math.log(0.7)],
+                                            [1.0, 2.0], 0.5)),
+                ("remark8", 4.0),
         ]:
-            b = rate_bound(variant, 0.5, 2.0, 64, 0.01, **kwargs)
-            assert b.penalized_div >= 0.0
+            b = rate_bound(variant, 0.5, 2.0, 64, pen, log_richness)
+            assert b.penalized is pen and b.penalized_div == pen.value
             assert b.complexity_term > 0.0
             assert abs(b.epsilon_n - (b.penalized_div + b.complexity_term)) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            rate_bound("prop4", 0.5, 1.0, 10, 0.0, log_cover_count=1.0)
+            rate_bound("prop4", 0.5, 1.0, 10, _pen(0.0), 1.0)
         with pytest.raises(ValueError):
-            rate_bound("prop3", 0.4, 1.0, 10, 0.0, log_cover_count=1.0)
+            rate_bound("prop3", 0.4, 1.0, 10, _pen(0.0), 1.0)
         with pytest.raises(ValueError):
-            rate_bound("prop3", 0.5, 1.0, 1, 0.0, log_cover_count=1.0)
+            rate_bound("prop3", 0.5, 1.0, 1, _pen(0.0), 1.0)
         with pytest.raises(ValueError):
-            rate_bound("prop3", 0.5, 1.0, 10, -0.1, log_cover_count=1.0)
+            rate_bound("prop3", 0.5, 1.0, 10, _pen(-0.1), 1.0)
         with pytest.raises(ValueError):
-            rate_bound("prop3", 0.5, 1.0, 10, 0.0)
+            rate_bound("prop3", 0.5, 1.0, 10, _pen(0.0), -0.5)
         with pytest.raises(ValueError):
-            rate_bound("prop3", 0.5, 1.0, 10, 0.0, log_cover_count=-0.5)
+            log_cover_mixture([0.0, -1.0], [1.0], 0.5)
         with pytest.raises(ValueError):
-            rate_bound("prop7", 0.5, 1.0, 10, 0.0, model_log_masses=[0.0])
+            log_cover_mixture([0.0], [-1.0], 0.5)
         with pytest.raises(ValueError):
-            rate_bound("prop7", 0.5, 1.0, 10, 0.0,
-                       model_log_masses=[0.0, -1.0], model_log_covers=[1.0])
-        with pytest.raises(ValueError):
-            rate_bound("prop7", 0.5, 1.0, 10, 0.0,
-                       model_log_masses=[0.0], model_log_covers=[-1.0])
-        with pytest.raises(ValueError):
-            rate_bound("remark8", 0.5, 1.0, 10, 0.0)
-        with pytest.raises(ValueError):
-            rate_bound("remark8", 0.5, 1.0, 10, 0.0, log_norm_complexity=-2.0)
+            rate_bound("remark8", 0.5, 1.0, 10, _pen(0.0), -2.0)
 
     def test_variant_tags(self):
         assert VARIANTS == ("prop3", "prop7", "remark8", "remark10")
+
+
+def test_richness_table_for_uniform_prior():
+    # n = 16, u = 1/2: m_max = 4 and each model's cover count is
+    # (16^2)^m = 256^m; the model prior is pi_m ~ 16^(-3(m-1))
+    config = parse_config_text("""
+[truth]
+kind = triangle
+
+[prior]
+within = uniform
+
+[run]
+n_grid = 16
+u = 0.5
+t = 1
+variants = prop3, prop7, remark8, remark10
+""")
+    n, u, t = 16, 0.5, 1.0
+    rows = {b.variant: b for b in variant_bounds_for_n(config, n)}
+    spec = config.prior_for(n)
+    assert spec.m_max == 4
+
+    assert rows["prop3"].log_richness == pytest.approx(
+        math.log(sum(256 ** m for m in range(1, 5))), rel=1e-15)
+    mp.dps = 30
+    weights = [mp.mpf(16) ** (-3 * (m - 1)) for m in range(1, 5)]
+    total = sum(weights)
+    prop7 = mp.log(sum(mp.sqrt(w / total) * mp.mpf(256) ** m
+                       for m, w in zip(range(1, 5), weights)))
+    assert rows["prop7"].log_richness == pytest.approx(float(prop7), rel=1e-14)
+    log_norm = log_mixture_norm_complexity(spec, u, n)
+    assert rows["remark8"].log_richness == log_norm
+    assert rows["remark10"].log_richness == log_norm
+
+    for variant, b in rows.items():
+        richness = b.log_richness if variant.startswith("remark") else b.log_richness / u
+        expected = (richness + 2.0 * (1.0 / u + 1.0 / t) * math.log(n)) / n
+        assert b.complexity_term == pytest.approx(expected, rel=1e-13)
 
 
 def test_epsilon_decreases_along_the_grid_for_step_truth():
