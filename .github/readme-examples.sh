@@ -1,0 +1,29 @@
+#!/usr/bin/env bash
+# The README's example commands, run from the working directory with the
+# installed `ratelab` script; they write study.cfg, rates.csv and the SVGs.
+set -euo pipefail
+
+ratelab divergence --p 0.3,0.7 --q 0.5,0.5 --t=-0.5,0,1
+ratelab verify-prop2 --count 100 --seed 0
+cat > study.cfg <<'CFG'
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = uniform
+k_model = 3
+
+[run]
+n_grid = 500, 1000, 2000, 4000, 8000, 16000, 32000
+draws = 50
+replicates = 5
+seed = 1
+variants = prop7
+
+[output]
+csv = rates.csv
+CFG
+ratelab bound --config study.cfg --variant prop7
+ratelab rate-study --config study.cfg --out rates.csv --plot

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergence import QuadratureError, _safe_exp
 from .models import WithinModelPrior
 from .rate_bounds import _unit_fraction
+from .special import logsumexp
 
 __all__ = [
     "CoverSummary",
@@ -125,8 +125,9 @@ def _symmetric_cell_sum(within: WithinModelPrior, h: float, u: float,
     j0 = 0
     block = 4096
     while True:
-        js = np.arange(j0, j0 + block, dtype=float)
-        masses = within.tail(js * h) - within.tail((js + 1.0) * h)
+        # the tails at the block's block + 1 cell edges, each computed once
+        tails = within.tail(np.arange(j0, j0 + block + 1, dtype=float) * h)
+        masses = tails[:-1] - tails[1:]
         contr = float(np.sum(np.maximum(masses, 0.0) ** u))
         new_total = total + contr
         if j0 > 0 and contr <= _TAIL_TOL * new_total:
@@ -208,7 +209,7 @@ def log_cover_mixture(log_masses: Sequence[float],
         raise ValueError("need matching nonempty 1-d mass and cover arrays")
     if np.any(log_covers < -1e-12):
         raise ValueError("cover counts must be >= 1")
-    return float(logsumexp(u * log_masses + log_covers))
+    return logsumexp(u * log_masses + log_covers)
 
 
 def log_norm_complexity_mixture(log_masses: Sequence[float],
@@ -220,7 +221,7 @@ def log_norm_complexity_mixture(log_masses: Sequence[float],
         raise ValueError("need matching nonempty 1-d mass and norm arrays")
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
-    return float(logsumexp(u * (log_masses + log_norms)) / u)
+    return logsumexp(u * (log_masses + log_norms)) / u
 
 
 def norm_complexity_mixture(model_masses: Sequence[float],

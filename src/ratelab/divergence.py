@@ -469,17 +469,19 @@ def l1_distance(p, q) -> float:
 
 def _sign_change_cuts(diff, edges: np.ndarray) -> np.ndarray:
     """Panel edges augmented with the roots of diff, so that |diff| is
-    smooth on every panel."""
-    from scipy.optimize import brentq
-
+    smooth on every panel.  Every bracket of a sign change on a fine grid
+    is bisected at once, 64 times, which pins its root to the last bit."""
     xs = np.linspace(0.0, 1.0, 2049)
-    vals = diff(xs)
-    roots = []
-    sign = np.sign(vals)
-    for i in range(xs.size - 1):
-        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-            roots.append(brentq(lambda x: float(diff(np.array([x]))[0]), xs[i], xs[i + 1]))
-    return np.array(sorted(set(edges.tolist()) | set(roots)))
+    sign = np.sign(diff(xs))
+    at = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
+    lo, hi = xs[at], xs[at + 1]
+    if at.size:
+        left = sign[at]
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            past = np.sign(diff(mid)) == left  # the root lies right of mid
+            lo, hi = np.where(past, mid, lo), np.where(past, hi, mid)
+    return np.array(sorted(set(edges.tolist()) | set(lo.tolist())))
 
 
 def d_t_squared_product(p, q, t, n: int) -> float:

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import expit, logit, ndtr
-from scipy.special import logsumexp
 
 from .divergence import (MEAN_CLAMP, PiecewiseConstantMean, RegressionDensity,
                          SmoothMean, _union_edges)
 from .rng import stream
+from .special import expit, logit, logsumexp, ndtr
 
 __all__ = [
     "TrueModel",
@@ -116,10 +115,12 @@ class TrueModel:
 
 @dataclass(frozen=True)
 class BestApproximation:
-    """Working-model levels closest to the truth, with a sup-error bound."""
+    """Working-model levels closest to the truth, with a sup-error bound,
+    and the levels' log odds."""
 
     levels: np.ndarray
     sup_error: float
+    log_odds: np.ndarray
 
 
 def best_approximation(truth: TrueModel, m: int) -> BestApproximation:
@@ -128,7 +129,8 @@ def best_approximation(truth: TrueModel, m: int) -> BestApproximation:
 
     Smooth truth: bound d_bound / m.  Sparse truth: the gap is computed
     exactly on the union partition (0 whenever the working bins refine
-    the true bins, in particular at m = m0).  Memoized per (truth, m).
+    the true bins, in particular at m = m0).  Memoized per (truth, m), so
+    the log odds of the levels are computed once.
     """
     m = int(m)
     if m < 1:
@@ -148,8 +150,10 @@ def _best_approximation(truth: TrueModel, m: int) -> BestApproximation:
         mids = 0.5 * (edges[:-1] + edges[1:])
         bound = float(np.abs(truth.mean(mids) - approx(mids)).max())
     levels = levels.copy()
-    levels.setflags(write=False)
-    return BestApproximation(levels, float(bound))
+    log_odds = mean_to_log_odds(levels)
+    for array in (levels, log_odds):
+        array.setflags(write=False)
+    return BestApproximation(levels, float(bound), log_odds)
 
 
 @dataclass(frozen=True)

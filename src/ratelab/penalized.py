@@ -75,12 +75,12 @@ def _numeric_box_sup(truth: TrueModel, approx: BestApproximation,
     return (float(worst.sum()) - 1.0) / t
 
 
-def _within_box_log_mass(spec: PriorSpec, delta: float,
-                         centers: np.ndarray) -> float:
+def _within_box_log_mass(spec: PriorSpec, delta: float, centers: np.ndarray,
+                         log_odds: np.ndarray) -> float:
     """Log within-model prior mass of the product box around ``centers``
-    (centers on the mean scale)."""
+    (on the mean scale), or under a log-odds prior around their log odds
+    ``log_odds``."""
     within = spec.within
-    centers = np.asarray(centers, dtype=float)
     if within.kind == "uniform":
         lo = centers - delta
         hi = centers + delta
@@ -88,8 +88,7 @@ def _within_box_log_mass(spec: PriorSpec, delta: float,
             raise ValueError("box escapes the within-model prior support [0, 1]")
         widths = np.minimum(hi, 1.0) - np.maximum(lo, 0.0)
         return float(np.log(widths).sum())
-    theta = mean_to_log_odds(centers)
-    masses = within.interval_mass(theta - delta, theta + delta)
+    masses = within.interval_mass(log_odds - delta, log_odds + delta)
     if np.any(masses <= 0):
         raise ValueError("log-odds box has zero prior mass")
     return float(np.log(masses).sum())
@@ -115,7 +114,8 @@ def box_prior_log_mass(spec: PriorSpec, m: int, delta: float,
     if centers.size != m:
         raise ValueError(f"need {m} centers, got {centers.size}")
     model_part = float(model_log_prior(spec)[m - 1])
-    return model_part + _within_box_log_mass(spec, delta, centers)
+    return model_part + _within_box_log_mass(spec, delta, centers,
+                                             mean_to_log_odds(centers))
 
 
 def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float, n: int,
@@ -131,7 +131,8 @@ def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float, n: int,
     delta = float(delta)
     approx = best_approximation(truth, m)
     approx_term = sup_divergence_over_box(truth, m, _mean_half_width(spec, delta), t)
-    box_term = -_within_box_log_mass(spec, delta, approx.levels) / n
+    box_term = -_within_box_log_mass(spec, delta, approx.levels,
+                                     approx.log_odds) / n
     model_term = -float(model_log_prior(spec)[m - 1]) / n
     return PenalizedDivergenceResult(
         value=approx_term + box_term + model_term,

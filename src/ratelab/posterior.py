@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import betaln, expit, logsumexp
 
 from .divergence import (DiscreteDensity, QuadratureError, RegressionDensity,
                          _composite_gl, d_t_squared)
 from .models import Dataset, PriorSpec, TrueModel, WithinModelPrior, log_odds_to_mean
 from .rate_bounds import posterior_mass_bound_rhs
+from .special import expit, log_beta_counts, logsumexp
 
 __all__ = [
     "BinnedCounts",
@@ -121,7 +121,7 @@ def _bin_posteriors(trials: np.ndarray, successes: np.ndarray,
     """Per-bin log evidence, and per-bin frames under a log-odds prior."""
     s, f = successes, trials - successes
     if within.kind == "uniform":
-        return betaln(1 + s, 1 + f), None
+        return log_beta_counts(s, f), None
     frames = _bin_frames(s, f, within)
     log_ev = np.zeros(s.shape)  # an empty bin's evidence is 1, its log 0
     live = np.flatnonzero(trials)
@@ -250,10 +250,13 @@ class PosteriorState:
     uniform prior.  Under a log-odds prior ``frames`` holds every bin's
     posterior mode (row 0) and scale (row 1) in the same flat order, read
     by the evidence and by every draw; it is None under the uniform prior.
+    ``cdf`` is the cumulative sum of the weights, scaled to end at 1, from
+    which every draw picks its model size.
     """
 
     spec: PriorSpec
     weights: np.ndarray
+    cdf: np.ndarray
     trials: np.ndarray
     successes: np.ndarray
     frames: Optional[np.ndarray] = None
@@ -298,17 +301,21 @@ def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
     weights = weights / weights.sum()
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise RuntimeError("posterior weights failed to normalize")
-    for array in (weights, trials, successes, frames):
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    for array in (weights, cdf, trials, successes, frames):
         if array is not None:
             array.setflags(write=False)
-    return PosteriorState(spec=spec, weights=weights, trials=trials,
+    return PosteriorState(spec=spec, weights=weights, cdf=cdf, trials=trials,
                           successes=successes, frames=frames)
 
 
 def sample_posterior_density(state: PosteriorState, rng) -> RegressionDensity:
     """Draw one working density: a model size from the posterior weights,
-    then its bin levels from the bin posteriors."""
-    m = int(rng.choice(state.weights.size, p=state.weights)) + 1
+    then its bin levels from the bin posteriors.  The size is drawn as
+    Generator.choice draws it from p = weights, off the stored CDF, so the
+    stream and the sizes are the same."""
+    m = int(state.cdf.searchsorted(rng.random(), side="right")) + 1
     s = state.successes[_model_bins(m)]
     f = state.trials[_model_bins(m)] - s
     if state.spec.within.kind == "uniform":

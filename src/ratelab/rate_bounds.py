@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-from scipy.special import logsumexp
-
 from .divergence import _safe_exp
 from .penalized import PenalizedDivergenceResult
+from .special import logsumexp
 
 __all__ = [
     "VARIANTS",
@@ -129,7 +127,7 @@ def posterior_mass_bound_rhs(cover: Sequence, anchor, u: float, t: float,
         exponents.append(-u * (n * inf_d - log_mass - n * sup_d + log_anchor_mass))
     if not exponents:
         return 0.0
-    return _safe_exp(float(logsumexp(np.asarray(exponents))))
+    return _safe_exp(logsumexp(exponents))
 
 
 def rate_bound(variant: str, u: float, t: float, n: int,

@@ -223,6 +223,21 @@ class TestRegressionDensities:
         # 2 * integral |0.2 sin| = 2 * 0.2 * 2/pi
         assert l1_distance(p, q) == pytest.approx(0.8 / math.pi, rel=1e-9)
 
+    def test_smooth_l1_with_several_sign_changes(self):
+        # the means cross six times, at (j pi - 0.4) / (6 pi), and the
+        # difference 0.2 sin(6 pi x + 0.4) runs over three whole periods,
+        # so the distance is 2 * 0.2 * 2/pi, whatever the phase
+        wave = lambda x: np.sin(6.0 * np.pi * x + 0.4)
+        p = RegressionDensity.smooth(lambda x: 0.5 + 0.15 * wave(x),
+                                     6.0 * np.pi * 0.15, 0.25)
+        q = RegressionDensity.smooth(lambda x: 0.5 - 0.05 * wave(x),
+                                     6.0 * np.pi * 0.05, 0.25)
+        roots = (np.arange(1, 7) * np.pi - 0.4) / (6.0 * np.pi)
+        cuts = divergence._sign_change_cuts(
+            lambda x: 0.2 * wave(x), np.array([0.0, 1.0]))
+        assert np.allclose(cuts[1:-1], roots, rtol=0.0, atol=4e-16)
+        assert l1_distance(p, q) == pytest.approx(0.8 / math.pi, rel=1e-12)
+
     def test_smooth_mean_declared_bound_enforced(self):
         with pytest.raises(ValueError):
             SmoothMean(lambda x: 0.5 + 0.2 * np.sin(2 * np.pi * x),

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from ratelab import (
     BinnedCounts,
@@ -28,8 +27,11 @@ from ratelab import (
 )
 from ratelab.models import model_log_prior
 from ratelab.posterior import (_bin_posteriors, _log_odds_bin_loglik,
-                               _log_odds_quantiles)
+                               _log_odds_quantiles, _model_bins)
 from ratelab.rng import stream
+# the normalizer model_posterior applies: the bit-for-bit weight check below
+# must not depend on which log-sum-exp rule the installed scipy uses
+from ratelab.special import logsumexp
 
 NORMAL = WithinModelPrior.log_odds("normal", 1.0)
 LAPLACE = WithinModelPrior.log_odds("laplace", 0.7)
@@ -343,6 +345,21 @@ class TestSampling:
             freq = float(np.mean(sizes == m))
             w = float(state.weights[m - 1])
             assert abs(freq - w) <= 4.0 * math.sqrt(w * (1 - w) / sizes.size) + 1e-9
+
+    def test_model_size_draw_matches_generator_choice(self):
+        # reference: the size drawn by rng.choice(p=weights), then the Beta
+        # levels, from a second copy of the same stream
+        data = simulate_data(TrueModel.sparse([0.3, 0.7, 0.45]), 60, seed=(9, 0))
+        state = model_posterior(data, PriorSpec(n=60, m_max=6))
+        rng, ref = stream(15, 4), stream(15, 4)
+        for _ in range(3000):
+            m = int(ref.choice(state.weights.size, p=state.weights)) + 1
+            s = state.successes[_model_bins(m)]
+            f = state.trials[_model_bins(m)] - s
+            levels = ref.beta(1.0 + s, 1.0 + f)
+            draw = sample_posterior_density(state, rng).mean.levels
+            assert np.array_equal(draw, levels)
+        assert rng.random() == ref.random()
 
     def test_quantile_sampler_matches_quadrature_median(self):
         sampled = _log_odds_quantiles(3, 1, NORMAL, 0.5)

@@ -1,9 +1,15 @@
 """Config smoke test: every truth kind × within prior runs end to end."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ratelab
 import ratelab.cli as cli
 from ratelab import VARIANTS, parse_config_text, run_rate_study
 
@@ -79,3 +85,43 @@ def test_log_odds_simulate_at_largest_n(within, scale, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 0, err
     assert len(out.splitlines()) == 2 + 3
+
+
+# Runs in a fresh interpreter: every study path and CLI command, then the
+# names of the scipy modules it loaded.
+NO_SCIPY_SCRIPT = """
+import json, sys
+import numpy as np
+from ratelab import RegressionDensity, l1_distance, parse_config_text, run_rate_study
+from ratelab.cli import main
+
+texts, config_path, csv_path = json.loads(sys.argv[1])
+for text in texts:
+    run_rate_study(parse_config_text(text))
+wave = lambda x: np.sin(6.0 * np.pi * x + 0.4)
+l1_distance(RegressionDensity.smooth(lambda x: 0.5 + 0.15 * wave(x), 2.9, 0.25),
+            RegressionDensity.smooth(lambda x: 0.5 - 0.05 * wave(x), 1.0, 0.25))
+for args in (["divergence", "--p", "0.3,0.7", "--q", "0.5,0.5", "--t=-0.5,0,1"],
+             ["bound", "--config", config_path],
+             ["complexity", "--config", config_path],
+             ["simulate", "--config", config_path],
+             ["verify-prop2", "--count", "5"],
+             ["rate-study", "--config", config_path, "--out", csv_path, "--plot"]):
+    assert main(args) == 0, args
+print(json.dumps(sorted(k for k in sys.modules if k.split(".")[0] == "scipy")))
+"""
+
+
+def test_no_scipy_module_is_loaded(tmp_path):
+    texts = [_config_text(truth, within) for truth in sorted(TRUTHS)
+             for within in WITHINS]
+    config = tmp_path / "study.cfg"
+    config.write_text(_config_text("triangle", "normal"), encoding="utf-8")
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    args = json.dumps([texts, str(config), str(tmp_path / "rates.csv")])
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, args],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
