@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The README's example commands, run from the working directory with the
-# installed `ratelab` script; they write study.cfg, rates.csv and the SVGs.
+# installed `ratelab` script; they write study.cfg, logodds.cfg, rates.csv
+# and the SVGs.
 set -euo pipefail
 
 ratelab divergence --p 0.3,0.7 --q 0.5,0.5 --t=-0.5,0,1
@@ -27,3 +28,18 @@ csv = rates.csv
 CFG
 ratelab bound --config study.cfg --variant prop7
 ratelab rate-study --config study.cfg --out rates.csv --plot
+cat > logodds.cfg <<'CFG'
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = normal
+scale = 0.1
+
+[run]
+n_grid = 500, 1000
+CFG
+ratelab bound --config logodds.cfg
+ratelab simulate --config logodds.cfg

@@ -4,7 +4,8 @@ Two complexity notions feed the rate bounds: plain covering numbers of
 the level space by L1 balls of radius n^(-1/u), and a prior-weighted
 complexity obtained by summing prior-cell masses raised to the power u
 over an equispaced grid of cells.  The grid spacing on the level scale
-is h = 4 * n^(-1/u).
+is h = 4 * n^(-1/u).  Covers and complexities are returned as natural
+logs, since both pass the float range at moderate n.
 """
 
 from __future__ import annotations
@@ -16,22 +17,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import QuadratureError, _safe_exp
+from .divergence import QuadratureError
 from .models import WithinModelPrior
 from .rate_bounds import _unit_fraction
 from .special import logsumexp
 
 __all__ = [
     "CoverSummary",
-    "ParametricComplexity",
-    "covering_number_uniform",
     "log_covering_number_uniform",
     "norm_complexity_grid",
     "log_norm_complexity_analytic",
     "log_cover_mixture",
-    "norm_complexity_mixture",
     "log_norm_complexity_mixture",
-    "parametric_norm_complexity_bound",
 ]
 
 _TAIL_TOL = 1e-15
@@ -42,38 +39,15 @@ class CoverSummary:
     """Cell-sum complexity of one m-level working model.
 
     ``per_coordinate_sum`` is the sum S of cell-mass^u over one
-    coordinate's cells of width ``grid_spacing`` and ``lu_norm`` the
-    complexity S^(m/u); log values are carried alongside because the
-    linear ones overflow (to inf) for large m.
+    coordinate's cells of width ``grid_spacing``; the complexity S^(m/u)
+    and its analytic bound are carried as natural logs, because both
+    overflow a float for large m.
     """
 
     per_coordinate_sum: float
     grid_spacing: float
-    lu_norm: float
     log_lu_norm: float
-    analytic_bound: float
     log_analytic_bound: float
-
-
-@dataclass(frozen=True)
-class ParametricComplexity:
-    """Closed-form norm-complexity bound of a d-parameter family."""
-
-    bound: float
-    log_bound: float
-    complexity_term: float
-
-
-def covering_number_uniform(m: int, n: int, u: float) -> int:
-    """Count of l-infinity grid cells of spacing n^(-1/u) needed to cover
-    [0, 1]^m, namely ceil(n^(1/u))^m.  m = 0 covers a single point."""
-    m = int(m)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return 1
-    side = _grid_side(n, u)
-    return side ** m
 
 
 def _grid_side(n: int, u: float) -> int:
@@ -89,9 +63,14 @@ def _grid_side(n: int, u: float) -> int:
 
 
 def log_covering_number_uniform(m: int, n: int, u: float) -> float:
-    if int(m) == 0:
+    """ln of ceil(n^(1/u))^m, the count of l-infinity grid cells of
+    spacing n^(-1/u) that cover [0, 1]^m; m = 0 covers a single point."""
+    m = int(m)
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m == 0:
         return 0.0
-    return int(m) * math.log(_grid_side(n, u))
+    return m * math.log(_grid_side(n, u))
 
 
 def _uniform_cell_sum(h: float, u: float) -> float:
@@ -177,9 +156,7 @@ def norm_complexity_grid(within: WithinModelPrior, m: int, u: float, n: int,
     return CoverSummary(
         per_coordinate_sum=per_coord,
         grid_spacing=h,
-        lu_norm=_safe_exp(log_norm),
         log_lu_norm=log_norm,
-        analytic_bound=_safe_exp(log_analytic),
         log_analytic_bound=log_analytic)
 
 
@@ -223,36 +200,3 @@ def log_norm_complexity_mixture(log_masses: Sequence[float],
         raise ValueError(f"u must lie in (0, 1), got {u}")
     return logsumexp(u * (log_masses + log_norms)) / u
 
-
-def norm_complexity_mixture(model_masses: Sequence[float],
-                            per_model_norms: Sequence[float], u: float) -> float:
-    masses = np.asarray(model_masses, dtype=float)
-    norms = np.asarray(per_model_norms, dtype=float)
-    if np.any(masses <= 0) or np.any(norms <= 0):
-        raise ValueError("masses and norms must be positive")
-    if abs(float(masses.sum()) - 1.0) > 1e-9:
-        raise ValueError("model masses must sum to 1")
-    return float(math.exp(log_norm_complexity_mixture(np.log(masses), np.log(norms), u)))
-
-
-def parametric_norm_complexity_bound(d: int, u: float, n: int, c: float,
-                                     prior_u_norm: float, t: float = 1.0,
-                                     ) -> ParametricComplexity:
-    """Closed-form norm-complexity bound |pi|_u * (c*d*n)^(d/u^2) of a
-    d-parameter prior, with the complexity term it induces in the rate.
-    """
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    if c * d * n <= 1.0:
-        raise ValueError("c * d * n must exceed 1")
-    if prior_u_norm <= 0:
-        raise ValueError("prior u-norm must be positive")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    log_bound = math.log(prior_u_norm) + (d / u ** 2) * math.log(c * d * n)
-    term = (log_bound + 2.0 * (1.0 / u + 1.0 / t) * math.log(n)) / n
-    return ParametricComplexity(bound=_safe_exp(log_bound), log_bound=log_bound,
-                                complexity_term=term)

@@ -30,7 +30,6 @@ __all__ = [
     "BestApproximation",
     "best_approximation",
     "model_log_prior",
-    "model_prior_mass",
     "simulate_data",
     "log_odds_to_mean",
     "mean_to_log_odds",
@@ -204,14 +203,6 @@ class WithinModelPrior:
             return -0.5 * (w / self.scale) ** 2 - math.log(self.scale) - 0.5 * math.log(2.0 * math.pi)
         return -np.abs(w) / self.scale - math.log(2.0 * self.scale)
 
-    def cdf(self, w):
-        self._require_log_odds()
-        w = np.asarray(w, dtype=float)
-        if self.density == "normal":
-            return ndtr(w / self.scale)
-        return np.where(w < 0, 0.5 * np.exp(w / self.scale),
-                        1.0 - 0.5 * np.exp(-w / self.scale))
-
     def tail(self, w):
         """P(W > w) for w >= 0, computed without cancellation."""
         self._require_log_odds()
@@ -222,9 +213,22 @@ class WithinModelPrior:
             return ndtr(-w / self.scale)
         return 0.5 * np.exp(-w / self.scale)
 
-    def interval_mass(self, lo, hi):
+    def log_interval_mass(self, lo, hi):
+        """ln P(lo < W < hi) for lo <= hi, from the tails alone.
+
+        A box on one side of 0 takes the difference of the tails at its
+        ends' distances from 0, so a mirrored box gives the same bits; a
+        box across 0 takes ln(1 - both outer tails).  -inf where the
+        tails underflow (a normal box beyond about 38 scales).
+        """
         self._require_log_odds()
-        return np.maximum(self.cdf(hi) - self.cdf(lo), 0.0)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        left = hi <= 0
+        near = self.tail(np.abs(np.where(left, hi, lo)))
+        far = self.tail(np.abs(np.where(left, lo, hi)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((lo < 0) & (hi > 0), np.log1p(-near - far),
+                            np.log(near - far))
 
     def u_norm_integral(self, u: float) -> float:
         """Closed form of the integral of pdf^u over the real line."""
@@ -278,13 +282,6 @@ def _model_log_prior(n: int, k_model: float, m_max: int) -> np.ndarray:
     out = logw - logsumexp(logw)
     out.setflags(write=False)
     return out
-
-
-def model_prior_mass(spec: PriorSpec, m: int) -> float:
-    m = int(m)
-    if not 1 <= m <= spec.m_max:
-        raise ValueError(f"model index must lie in [1, {spec.m_max}], got {m}")
-    return float(np.exp(model_log_prior(spec)[m - 1]))
 
 
 @dataclass(frozen=True, eq=False)

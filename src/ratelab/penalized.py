@@ -88,10 +88,15 @@ def _within_box_log_mass(spec: PriorSpec, delta: float, centers: np.ndarray,
             raise ValueError("box escapes the within-model prior support [0, 1]")
         widths = np.minimum(hi, 1.0) - np.maximum(lo, 0.0)
         return float(np.log(widths).sum())
-    masses = within.interval_mass(log_odds - delta, log_odds + delta)
-    if np.any(masses <= 0):
-        raise ValueError("log-odds box has zero prior mass")
-    return float(np.log(masses).sum())
+    lo, hi = log_odds - delta, log_odds + delta
+    log_masses = within.log_interval_mass(lo, hi)
+    j = int(np.argmin(log_masses))
+    if log_masses[j] == -np.inf:
+        raise FloatingPointError(
+            f"prior mass of bin {j}'s log-odds box [{lo[j]:.6g}, {hi[j]:.6g}] "
+            f"underflows float64 at m={log_odds.size}, delta={delta:.6g} "
+            f"({within.density} prior, scale={within.scale:g})")
+    return float(log_masses.sum())
 
 
 def box_prior_log_mass(spec: PriorSpec, m: int, delta: float,

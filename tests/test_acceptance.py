@@ -222,14 +222,16 @@ def test_10_norm_complexity_grid_analytic_and_mixture_growth(capsys):
         h = summary.grid_spacing
         assert abs(round(1.0 / h) - 1.0 / h) < 1e-9
         expected = h ** (m * (u - 1.0) / u)
-        worst_rel = max(worst_rel, abs(summary.lu_norm - expected) / expected)
+        worst_rel = max(worst_rel,
+                        abs(math.exp(summary.log_lu_norm) - expected) / expected)
 
     gaussian = WithinModelPrior.log_odds(density="normal", scale=1.0)
     grid_bounded = True
     for n, m, uu in itertools.product((2, 3, 4), (1, 2, 3), (0.5, 1.0 / 3.0)):
         summary = norm_complexity_grid(gaussian, m, uu, n)
         grid_bounded = grid_bounded and (
-            summary.lu_norm <= summary.analytic_bound * (1 + 1e-12))
+            math.exp(summary.log_lu_norm)
+            <= math.exp(summary.log_analytic_bound) * (1 + 1e-12))
 
     ns = (100, 316, 1000, 3162, 10000)
     log_mixture = []

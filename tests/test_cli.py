@@ -192,6 +192,18 @@ class TestBound:
                for row in (line.split(",") for line in out.splitlines()[1:])]
         assert got == expected
 
+    def test_underflowing_box_mass_exits_two(self, tmp_path, capsys):
+        # the triangle's first bin sits at log odds -0.944, 47 prior scales
+        # out, where the normal tails underflow float64
+        path = tmp_path / "narrow.cfg"
+        path.write_text(NORMAL_TRIANGLE.replace("scale = 1.5", "scale = 0.02"),
+                        encoding="utf-8")
+        code, out, err = _run(["bound", "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == ("numerical failure: prior mass of bin 0's log-odds box "
+                       "[-0.946462, -0.942462] underflows float64 at m=1, "
+                       "delta=0.002 (normal prior, scale=0.02)\n")
+
     def test_unknown_variant_exits_one(self, config_path, capsys):
         code, _, err = _run(["bound", "--config", config_path,
                              "--variant", "prop9"], capsys)

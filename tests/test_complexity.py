@@ -9,13 +9,10 @@ import ratelab.complexity as complexity
 from ratelab import (
     QuadratureError,
     WithinModelPrior,
-    covering_number_uniform,
     log_covering_number_uniform,
     log_norm_complexity_analytic,
     log_norm_complexity_mixture,
     norm_complexity_grid,
-    norm_complexity_mixture,
-    parametric_norm_complexity_bound,
 )
 
 UNIFORM = WithinModelPrior.uniform_box()
@@ -26,26 +23,30 @@ LAPLACE = WithinModelPrior.log_odds("laplace", 1.0)
 class TestCoveringNumbers:
     def test_single_coordinate_count(self):
         # radius n^(-1/u) = 1/16 at n = 4, u = 1/2
-        assert covering_number_uniform(1, 4, 0.5) == 16
+        assert math.exp(log_covering_number_uniform(1, 4, 0.5)) == (
+            pytest.approx(16, rel=1e-14))
 
     def test_power_in_dimension(self):
-        assert covering_number_uniform(3, 4, 0.5) == 16 ** 3
+        assert math.exp(log_covering_number_uniform(3, 4, 0.5)) == (
+            pytest.approx(16 ** 3, rel=1e-14))
 
     def test_integer_power_path_is_exact(self):
         # n^(1/u) with u = 1/3 and n = 10 must be exactly 1000, not a
         # float ceiling artifact
-        assert covering_number_uniform(1, 10, 1.0 / 3.0) == 1000
+        assert log_covering_number_uniform(1, 10, 1.0 / 3.0) == math.log(1000)
 
     def test_fractional_exponent_uses_ceiling(self):
-        assert covering_number_uniform(1, 5, 0.4) == math.ceil(5 ** 2.5 - 1e-9)
+        assert log_covering_number_uniform(1, 5, 0.4) == math.log(
+            math.ceil(5 ** 2.5 - 1e-9))
 
     def test_log_form_matches(self):
-        for m, n, u in [(1, 4, 0.5), (3, 9, 0.5), (2, 8, 1.0 / 3.0)]:
+        # against the log of the integer count ceil(n^(1/u))^m
+        for m, n, u, side in [(1, 4, 0.5, 16), (3, 9, 0.5, 81),
+                              (2, 8, 1.0 / 3.0, 512)]:
             assert log_covering_number_uniform(m, n, u) == pytest.approx(
-                math.log(covering_number_uniform(m, n, u)), rel=1e-14)
+                math.log(side ** m), rel=1e-14)
 
     def test_zero_dimensions_is_one_ball(self):
-        assert covering_number_uniform(0, 100, 0.5) == 1
         assert log_covering_number_uniform(0, 100, 0.5) == 0.0
 
 
@@ -58,7 +59,7 @@ class TestUniformGridSums:
             for m in (1, 2, 3):
                 summary = norm_complexity_grid(UNIFORM, m, 0.5, n)
                 assert summary.grid_spacing == pytest.approx(h, rel=1e-15)
-                assert summary.lu_norm == pytest.approx(
+                assert math.exp(summary.log_lu_norm) == pytest.approx(
                     h ** (m * (0.5 - 1.0) / 0.5), rel=1e-9)
 
     def test_partial_cell_contributes_its_own_mass(self):
@@ -71,7 +72,7 @@ class TestUniformGridSums:
         # h >= 1 means a single cell holding all the mass
         summary = norm_complexity_grid(UNIFORM, 2, 0.5, 1)
         assert summary.per_coordinate_sum == pytest.approx(1.0, abs=1e-15)
-        assert summary.lu_norm == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(summary.log_lu_norm) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLogOddsGridSums:
@@ -120,54 +121,34 @@ class TestLogOddsGridSums:
 
 class TestMixtures:
     def test_single_model_reduces_to_weighted_norm(self):
-        val = norm_complexity_mixture([1.0], [7.5], 0.5)
-        assert val == pytest.approx(7.5, rel=1e-12)
+        val = log_norm_complexity_mixture([0.0], [math.log(7.5)], 0.5)
+        assert math.exp(val) == pytest.approx(7.5, rel=1e-12)
 
     def test_two_model_hand_computation(self):
         masses, norms, u = [0.75, 0.25], [2.0, 16.0], 0.5
         expected = (math.sqrt(0.75 * 2.0) + math.sqrt(0.25 * 16.0)) ** 2
-        assert norm_complexity_mixture(masses, norms, u) == pytest.approx(
-            expected, rel=1e-12)
+        log_val = log_norm_complexity_mixture(np.log(masses), np.log(norms), u)
+        assert math.exp(log_val) == pytest.approx(expected, rel=1e-12)
 
     def test_log_and_linear_forms_agree(self):
+        # against the linear sum [sum_m (pi_m N_m)^u]^(1/u), u = 1/3
         masses, norms = [0.5, 0.3, 0.2], [3.0, 9.0, 27.0]
+        linear = sum((p * c) ** (1.0 / 3.0) for p, c in zip(masses, norms)) ** 3
         log_val = log_norm_complexity_mixture(
             np.log(masses), np.log(norms), 1.0 / 3.0)
-        assert math.exp(log_val) == pytest.approx(
-            norm_complexity_mixture(masses, norms, 1.0 / 3.0), rel=1e-12)
+        assert math.exp(log_val) == pytest.approx(linear, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            norm_complexity_mixture([0.6, 0.6], [1.0, 1.0], 0.5)
+            log_norm_complexity_mixture([0.0, 0.0], [1.0], 0.5)
         with pytest.raises(ValueError):
-            norm_complexity_mixture([1.0], [-2.0], 0.5)
+            log_norm_complexity_mixture([], [], 0.5)
         with pytest.raises(ValueError):
             log_norm_complexity_mixture([0.0], [1.0], 1.5)
-
-
-class TestParametricBound:
-    def test_frozen_value(self):
-        # |pi|_u * (c d n)^(d/u^2) = 10^4 at d = 1, u = 1/2, c*n = 10
-        res = parametric_norm_complexity_bound(d=1, u=0.5, n=10, c=1.0,
-                                               prior_u_norm=1.0)
-        assert res.bound == pytest.approx(1e4, rel=1e-12)
-        assert res.log_bound == pytest.approx(4 * math.log(10), rel=1e-12)
-
-    def test_complexity_term_assembly(self):
-        res = parametric_norm_complexity_bound(d=2, u=0.5, n=100, c=1.0,
-                                               prior_u_norm=3.0, t=1.0)
-        expected = (res.log_bound + 2.0 * 3.0 * math.log(100)) / 100
-        assert res.complexity_term == pytest.approx(expected, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            parametric_norm_complexity_bound(0, 0.5, 10, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            parametric_norm_complexity_bound(1, 0.5, 1, 1.0, 1.0)
 
 
 def test_unit_fraction_enforced():
     with pytest.raises(ValueError):
         norm_complexity_grid(UNIFORM, 1, 0.4, 10)
     with pytest.raises(ValueError):
-        covering_number_uniform(-1, 10, 0.5)
+        log_covering_number_uniform(-1, 10, 0.5)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,7 +16,6 @@ from ratelab import (
     log_odds_to_mean,
     mean_to_log_odds,
     model_log_prior,
-    model_prior_mass,
     simulate_data,
 )
 
@@ -105,9 +105,9 @@ class TestModelPrior:
 
     def test_mass_accessor_bounds(self):
         spec = PriorSpec(n=50, m_max=3)
-        assert model_prior_mass(spec, 1) > model_prior_mass(spec, 2)
-        with pytest.raises(ValueError):
-            model_prior_mass(spec, 4)
+        log_prior = model_log_prior(spec)
+        assert log_prior.shape == (3,)
+        assert log_prior[0] > log_prior[1]
 
 
 class TestWithinModelPrior:
@@ -136,12 +136,42 @@ class TestWithinModelPrior:
         assert laplace.u_norm_integral(0.5) == pytest.approx(
             2.8284271247461903, abs=1e-14)
 
-    def test_tail_and_interval_mass_consistency(self):
-        within = WithinModelPrior.log_odds("laplace", 1.3)
-        assert within.tail(0.0) == pytest.approx(0.5, abs=1e-15)
-        lo, hi = 0.4, 2.1
-        assert within.interval_mass(lo, hi) == pytest.approx(
-            float(within.tail(lo) - within.tail(hi)), rel=1e-12)
+    # ln P(lo < W < hi) against the closed-form tails at 40 digits: far
+    # out in a tail, where a CDF difference cancels to 0, from 0, and
+    # across 0, where the mass is near 1 and the log keeps the tails
+    @pytest.mark.parametrize("density,scale,lo,hi", [
+        pytest.param("normal", 0.1, 0.815, 1.065, id="normal-far-tail"),
+        pytest.param("laplace", 0.01, 1.0, 1.125, id="laplace-far-tail"),
+        pytest.param("laplace", 1.3, 0.0, 2.1, id="laplace-from-0"),
+        pytest.param("normal", 1.5, -0.3, 0.7, id="normal-across-0"),
+        pytest.param("laplace", 1.3, -2.1, 0.4, id="laplace-across-0"),
+        pytest.param("normal", 0.1, -1.0, 1.0, id="normal-near-1"),
+        pytest.param("laplace", 0.1, -5.0, 4.0, id="laplace-near-1"),
+    ])
+    def test_log_interval_mass_against_mpmath(self, density, scale, lo, hi):
+        with mpmath.workdps(40):
+            s = mpmath.mpf(scale)
+            if density == "normal":
+                tail = lambda w: mpmath.erfc(w / (s * mpmath.sqrt(2))) / 2
+            else:
+                tail = lambda w: mpmath.exp(-w / s) / 2
+            a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+            mass = tail(a) - tail(b) if a >= 0 else 1 - tail(-a) - tail(b)
+            log_ref = float(mpmath.log(mass))
+            mass = float(mass)
+        got = float(WithinModelPrior.log_odds(density, scale)
+                    .log_interval_mass(lo, hi))
+        assert got == pytest.approx(log_ref, rel=1e-13)
+        assert math.exp(got) == pytest.approx(mass, rel=1e-13)
+
+    @pytest.mark.parametrize("density,scale", [("normal", 0.1), ("normal", 1.5),
+                                               ("laplace", 0.01), ("laplace", 100.0)])
+    def test_mirrored_boxes_give_equal_bits(self, density, scale):
+        within = WithinModelPrior.log_odds(density, scale)
+        lo = np.array([0.0, 0.3, 0.815, 2.0, -0.2, -1.5])
+        hi = np.array([0.4, 0.9, 1.065, 7.5, 0.5, 0.25])
+        assert np.array_equal(within.log_interval_mass(lo, hi),
+                              within.log_interval_mass(-hi, -lo))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -23,14 +23,21 @@ TRUTHS = {
 
 WITHINS = ("uniform", "normal", "laplace")
 
+# (within, scale): each prior at its default scale, then the log-odds
+# priors far narrower and far wider than the truths' log-odds range
+PRIORS = [pytest.param(within, None, id=within) for within in WITHINS] + [
+    pytest.param(within, scale, id=f"{within}-{scale:g}")
+    for within in ("normal", "laplace") for scale in (0.1, 100.0)]
 
-def _config_text(truth: str, within: str) -> str:
+
+def _config_text(truth: str, within: str, scale=None) -> str:
+    scale_line = "" if scale is None else f"\nscale = {scale}"
     return f"""
 [truth]
 {TRUTHS[truth]}
 
 [prior]
-within = {within}
+within = {within}{scale_line}
 
 [run]
 n_grid = 20, 40
@@ -39,10 +46,10 @@ variants = {", ".join(VARIANTS)}
 """
 
 
-@pytest.mark.parametrize("within", WITHINS)
+@pytest.mark.parametrize("within,scale", PRIORS)
 @pytest.mark.parametrize("truth", sorted(TRUTHS))
-def test_config_runs_end_to_end(truth, within, tmp_path, capsys):
-    text = _config_text(truth, within)
+def test_config_runs_end_to_end(truth, within, scale, tmp_path, capsys):
+    text = _config_text(truth, within, scale)
     result = run_rate_study(parse_config_text(text))
     assert len(result.rows) == 2 * len(VARIANTS)
     for row in result.rows:
