@@ -79,11 +79,7 @@ def _uniform_cell_sum(h: float, u: float) -> float:
     if h >= 1.0:
         return 1.0
     q0 = int(math.floor(1.0 / h))
-    q = q0
-    for cand in (q0 + 1, q0):
-        if cand * h <= 1.0 + 1e-12:
-            q = cand
-            break
+    q = q0 + 1 if (q0 + 1) * h <= 1.0 + 1e-12 else q0
     r = 1.0 - q * h
     if r < 1e-13 * h:
         r = 0.0
@@ -108,11 +104,9 @@ def _symmetric_cell_sum(within: WithinModelPrior, h: float, u: float,
         tails = within.tail(np.arange(j0, j0 + block + 1, dtype=float) * h)
         masses = tails[:-1] - tails[1:]
         contr = float(np.sum(np.maximum(masses, 0.0) ** u))
-        new_total = total + contr
-        if j0 > 0 and contr <= _TAIL_TOL * new_total:
-            total = new_total
+        total += contr
+        if j0 > 0 and contr <= _TAIL_TOL * total:
             break
-        total = new_total
         j0 += block
         block = min(block * 2, 1 << 20)
         if j0 >= max_cells // 2:

@@ -171,10 +171,7 @@ class _Reader:
 
 def _strict_int(value: str) -> int:
     value = value.strip()
-    if value.startswith(("+", "-")):
-        body = value[1:]
-    else:
-        body = value
+    body = value[1:] if value.startswith(("+", "-")) else value
     if not body.isdigit():
         raise ValueError(value)
     return int(value)
@@ -299,14 +296,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}", seed_line)
     variants, var_line = run.str_list("variants", ("prop7",))
-    seen = []
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {', '.join(VARIANTS)}, got {v!r}",
                 var_line)
-        if v not in seen:
-            seen.append(v)
     burn_in, burn_line = run.intv("burn_in", 0)
     if not 0 <= burn_in < len(n_grid):
         raise ConfigError(
@@ -342,7 +336,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         u=floor_to_unit_fraction(u_raw),
         t=float(t),
         seed=int(seed),
-        variants=tuple(seen),
+        variants=tuple(dict.fromkeys(variants)),
         burn_in=int(burn_in),
         workers=int(workers),
         csv_path=str(csv_path),

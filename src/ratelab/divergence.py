@@ -11,7 +11,7 @@ supported: probability masses on a finite outcome set, and the joint
 density of a binary response with a uniform covariate on [0, 1]
 described by its mean function (piecewise constant on equal bins, or
 smooth with a certified derivative bound).  Against a piecewise-constant
-mean on m equal bins, a smooth mean enters the divergence only through
+mean on m equal bins, any mean, smooth or piecewise, enters only through
 two integrals per bin, tabulated once per (mean, m, t): the draws of a
 posterior then cost one sum over bins each.
 
@@ -411,7 +411,7 @@ def d_t_squared(p, q, t) -> float:
         if math.isinf(total):
             return math.inf
         return (float(total) - 1.0) / tv
-    if isinstance(p.mean, SmoothMean) and isinstance(q.mean, PiecewiseConstantMean):
+    if isinstance(q.mean, PiecewiseConstantMean):
         # every posterior draw: the integrand factors bin by bin
         moments = _bin_moments(p.mean, q.mean.m, tv)
         val = float(_moment_terms(moments, q.mean.levels, tv).sum()) - 1.0

@@ -218,17 +218,19 @@ class WithinModelPrior:
 
         A box on one side of 0 takes the difference of the tails at its
         ends' distances from 0, so a mirrored box gives the same bits; a
-        box across 0 takes ln(1 - both outer tails).  -inf where the
-        tails underflow (a normal box beyond about 38 scales).
+        box across 0 takes ln(1 - both outer tails).  -inf for a one-sided
+        box whose near tail is subnormal, with too few digits to trust (a
+        normal box beyond about 37.5 scales).
         """
         self._require_log_odds()
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         left = hi <= 0
         near = self.tail(np.abs(np.where(left, hi, lo)))
         far = self.tail(np.abs(np.where(left, lo, hi)))
+        one_sided = np.where(near < np.finfo(float).tiny, 0.0, near - far)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where((lo < 0) & (hi > 0), np.log1p(-near - far),
-                            np.log(near - far))
+                            np.log(one_sided))
 
     def u_norm_integral(self, u: float) -> float:
         """Closed form of the integral of pdf^u over the real line."""

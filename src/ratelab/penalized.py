@@ -54,49 +54,51 @@ def sup_divergence_over_box(truth: TrueModel, m: int, delta: float,
     integral is convex in its level for t > 0, so the supremum sits at
     one of the two box endpoints), read off the truth's bin moments.
     """
-    delta = float(delta)
-    if not 0.0 < delta < truth.margin:
-        raise ValueError(f"delta must lie in (0, margin={truth.margin}), got {delta}")
+    half_widths = np.array([float(delta)])
+    return float(_box_sups(truth, best_approximation(truth, m), half_widths, t)[0])
+
+
+def _box_sups(truth: TrueModel, approx: BestApproximation,
+              half_widths: np.ndarray, t: float) -> np.ndarray:
+    # the box supremum at each mean half-width around one approximation
+    outside = ~((0.0 < half_widths) & (half_widths < truth.margin))
+    if outside.any():
+        raise ValueError(f"delta must lie in (0, margin={truth.margin}), "
+                         f"got {float(half_widths[outside][0])}")
     if not t > 0:
         raise ValueError(f"box supremum needs a positive order, got t={t}")
-    approx = best_approximation(truth, m)
     if abs(t - 1.0) <= 1e-12:
-        num = (approx.sup_error + delta) ** 2
-        den = (truth.margin - delta) * (1.0 - truth.margin + delta)
+        num = (approx.sup_error + half_widths) ** 2
+        den = (truth.margin - half_widths) * (1.0 - truth.margin + half_widths)
         return num / den
-    return _numeric_box_sup(truth, approx, delta, t)
+    moments = _bin_moments(truth.mean, approx.levels.size, t)[:, None]
+    ends = half_widths[:, None]  # box ends: a row per half-width, a column per bin
+    worst = np.maximum(_moment_terms(moments, approx.levels - ends, t),
+                       _moment_terms(moments, approx.levels + ends, t))
+    return (worst.sum(axis=-1) - 1.0) / t
 
 
-def _numeric_box_sup(truth: TrueModel, approx: BestApproximation,
-                     delta: float, t: float) -> float:
-    moments = _bin_moments(truth.mean, approx.levels.size, t)
-    worst = np.maximum(_moment_terms(moments, approx.levels - delta, t),
-                       _moment_terms(moments, approx.levels + delta, t))
-    return (float(worst.sum()) - 1.0) / t
-
-
-def _within_box_log_mass(spec: PriorSpec, delta: float, centers: np.ndarray,
-                         log_odds: np.ndarray) -> float:
-    """Log within-model prior mass of the product box around ``centers``
-    (on the mean scale), or under a log-odds prior around their log odds
-    ``log_odds``."""
+def _within_box_log_mass(spec: PriorSpec, deltas: np.ndarray, centers: np.ndarray,
+                         log_odds: np.ndarray) -> np.ndarray:
+    """Log within-model prior mass of the product box of each half-width
+    around ``centers`` (on the mean scale), or under a log-odds prior
+    around their log odds ``log_odds``."""
     within = spec.within
+    mids = centers if within.kind == "uniform" else log_odds
+    lo, hi = mids - deltas[:, None], mids + deltas[:, None]
     if within.kind == "uniform":
-        lo = centers - delta
-        hi = centers + delta
         if np.any(lo < -1e-12) or np.any(hi > 1.0 + 1e-12):
             raise ValueError("box escapes the within-model prior support [0, 1]")
-        widths = np.minimum(hi, 1.0) - np.maximum(lo, 0.0)
-        return float(np.log(widths).sum())
-    lo, hi = log_odds - delta, log_odds + delta
+        return np.log(np.minimum(hi, 1.0) - np.maximum(lo, 0.0)).sum(axis=-1)
     log_masses = within.log_interval_mass(lo, hi)
-    j = int(np.argmin(log_masses))
-    if log_masses[j] == -np.inf:
+    if np.isneginf(log_masses).any():
+        # the first underflowing box in (delta, bin) order
+        i, j = np.argwhere(np.isneginf(log_masses))[0]
         raise FloatingPointError(
-            f"prior mass of bin {j}'s log-odds box [{lo[j]:.6g}, {hi[j]:.6g}] "
-            f"underflows float64 at m={log_odds.size}, delta={delta:.6g} "
+            f"prior mass of bin {j}'s log-odds box [{lo[i, j]:.6g}, {hi[i, j]:.6g}] "
+            f"underflows float64 at m={log_odds.size}, delta={deltas[i]:.6g} "
             f"({within.density} prior, scale={within.scale:g})")
-    return float(log_masses.sum())
+    return log_masses.sum(axis=-1)
 
 
 def box_prior_log_mass(spec: PriorSpec, m: int, delta: float,
@@ -119,33 +121,40 @@ def box_prior_log_mass(spec: PriorSpec, m: int, delta: float,
     if centers.size != m:
         raise ValueError(f"need {m} centers, got {centers.size}")
     model_part = float(model_log_prior(spec)[m - 1])
-    return model_part + _within_box_log_mass(spec, delta, centers,
-                                             mean_to_log_odds(centers))
+    return model_part + float(_within_box_log_mass(
+        spec, np.array([delta]), centers, mean_to_log_odds(centers))[0])
 
 
 def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float, n: int,
                        m: int, delta: float) -> PenalizedDivergenceResult:
     """Penalized-divergence upper bound of the single box candidate
     (m, delta), decomposed into approximation, box and model terms."""
+    return _best_box(truth, spec, t, n, m, np.array([float(delta)]))
+
+
+def _best_box(truth: TrueModel, spec: PriorSpec, t: float, n: int, m: int,
+              deltas: np.ndarray) -> PenalizedDivergenceResult:
+    # every candidate (m, delta) of one m in one pass; the first minimum wins
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     m = int(m)
     if not 1 <= m <= spec.m_max:
         raise ValueError(f"model index must lie in [1, {spec.m_max}], got {m}")
-    delta = float(delta)
     approx = best_approximation(truth, m)
-    approx_term = sup_divergence_over_box(truth, m, _mean_half_width(spec, delta), t)
-    box_term = -_within_box_log_mass(spec, delta, approx.levels,
-                                     approx.log_odds) / n
+    approx_terms = _box_sups(truth, approx, _mean_half_width(spec, deltas), t)
+    box_terms = -_within_box_log_mass(spec, deltas, approx.levels,
+                                      approx.log_odds) / n
     model_term = -float(model_log_prior(spec)[m - 1]) / n
+    values = approx_terms + box_terms + model_term
+    j = int(np.argmin(values))
     return PenalizedDivergenceResult(
-        value=approx_term + box_term + model_term,
-        m=m, delta=delta,
-        approx_term=approx_term, box_term=box_term, model_term=model_term)
+        value=float(values[j]), m=m, delta=float(deltas[j]),
+        approx_term=float(approx_terms[j]), box_term=float(box_terms[j]),
+        model_term=model_term)
 
 
-def _mean_half_width(spec: PriorSpec, delta: float) -> float:
+def _mean_half_width(spec: PriorSpec, delta):
     # the logistic map is 1/4-Lipschitz, so a log-odds box of half-width
     # delta maps into a mean box of half-width delta / 4
     return delta if spec.within.kind == "uniform" else delta / 4.0
@@ -176,22 +185,22 @@ def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
 
     The result is an upper bound on the penalized divergence of the
     mixture prior: any single candidate set is admissible in the
-    defining infimum.  Ties prefer the smallest m, then the smallest
-    delta (grids are scanned in sorted order and only strict
-    improvements replace the incumbent).
+    defining infimum.  Each m scores its whole delta grid as arrays;
+    ties prefer the smallest m, then the smallest delta (the first
+    minimum of each m, replaced across m only on strict improvement).
     """
     if m_grid is None:
         m_grid = default_m_grid(truth, spec, n)
     if delta_grid is None:
         delta_grid = default_delta_grid(truth, n)
+    deltas = np.array(sorted(set(float(d) for d in delta_grid)))
+    half_widths = _mean_half_width(spec, deltas)
+    deltas = deltas[(0.0 < half_widths) & (half_widths < truth.margin)]
     best = None
-    for m in sorted(set(int(m) for m in m_grid)):
-        for delta in sorted(set(float(d) for d in delta_grid)):
-            if not 0.0 < _mean_half_width(spec, delta) < truth.margin:
-                continue
-            cand = penalized_value_at(truth, spec, t, n, m, delta)
-            if best is None or cand.value < best.value:
-                best = cand
+    for m in sorted(set(int(m) for m in m_grid)) if deltas.size else ():
+        cand = _best_box(truth, spec, t, n, m, deltas)
+        if best is None or cand.value < best.value:
+            best = cand
     if best is None:
         raise ValueError("no feasible (m, delta) candidate in the supplied grids")
     return best

@@ -10,7 +10,6 @@ degenerate layout uses <rect class="bar"> elements instead.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .study import StudyResult
 
@@ -23,6 +22,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
+
+
+def escape(text: str) -> str:
+    # xml.sax.saxutils.escape without its import, which loads urllib and ssl
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class _Canvas:

@@ -71,6 +71,15 @@ def floor_to_unit_fraction(u_raw: float) -> float:
     return 1.0 / k
 
 
+def _checked_orders(u: float, t: float) -> tuple:
+    u, t = float(u), float(t)
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"u must lie in (0, 1), got {u}")
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t}")
+    return u, t
+
+
 def _unit_fraction(u: float) -> int:
     """The integer k with u = 1/k, within 1e-9 on the reciprocal."""
     k = 1.0 / u
@@ -83,11 +92,7 @@ def _unit_fraction(u: float) -> int:
 def bound_prefactor(u: float, t: float) -> float:
     """Constant c(u, t) multiplying the posterior-mass bound; at most 4
     throughout 0 < u < 1, t > 0."""
-    u, t = float(u), float(t)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    u, t = _checked_orders(u, t)
     a = t / (t + u)
     b = u / (t + u)
 
@@ -108,12 +113,8 @@ def posterior_mass_bound_rhs(cover: Sequence, anchor, u: float, t: float,
     exp(-u * n * ([inf d_{-u}^2 - ln pi(B)/n] - [sup d_t^2 - ln pi(K)/n]))
     and the terms are accumulated in log space.
     """
-    u, t = float(u), float(t)
+    u, t = _checked_orders(u, t)
     n = int(n)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
     if n < 1:
         raise ValueError("n must be >= 1")
     sup_d, log_anchor_mass = float(anchor[0]), float(anchor[1])
@@ -141,12 +142,8 @@ def rate_bound(variant: str, u: float, t: float, n: int,
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    u, t = float(u), float(t)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
+    u, t = _checked_orders(u, t)
     _unit_fraction(u)
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
     n = int(n)
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -56,7 +56,7 @@ CSV_COLUMNS = ("n", "replicate", "variant", "d2_min", "d2_median", "d2_q95",
                "exceedance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StudyRow:
     """One (n, replicate, variant) record of empirical and bound values."""
 
@@ -80,14 +80,14 @@ class StudyRow:
             raise ValueError("exceedance must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlopeFit:
     slope: float
     intercept: float
     r_squared: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StudySummary:
     """Pooled per-n medians, the fitted log-log rate, and worst-case
     exceedance per variant over the post-burn-in grid."""
@@ -105,7 +105,7 @@ class StudySummary:
         raise KeyError(variant)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StudyResult:
     rows: tuple
     summary: StudySummary

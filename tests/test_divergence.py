@@ -322,8 +322,9 @@ class TestBinMoments:
 
     @pytest.mark.parametrize("t", [-0.5, -1.0 / 3.0, 0.5, 2.0])
     @pytest.mark.parametrize("m", [1, 3, 7, 20, 179])
-    @pytest.mark.parametrize("truth", [TRIANGLE, TrueModel.sine()],
-                             ids=["triangle", "sine"])
+    @pytest.mark.parametrize("truth", [
+        TRIANGLE, TrueModel.sine(), TrueModel.sparse([0.3, 0.7, 0.45])],
+        ids=["triangle", "sine", "sparse"])
     def test_random_draws_match_the_generic_integral(self, truth, m, t):
         rng = np.random.default_rng(1000 * m + 7)
         for _ in range(3):

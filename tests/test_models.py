@@ -164,6 +164,27 @@ class TestWithinModelPrior:
         assert got == pytest.approx(log_ref, rel=1e-13)
         assert math.exp(got) == pytest.approx(mass, rel=1e-13)
 
+    # the near tail of a normal box at 37.4 scales is still a normal
+    # float; at 37.6 and 38.1 it is subnormal, and at 38.1 its mass is
+    # 2.6e-6 relative too large, which would lower a certified bound
+    @pytest.mark.parametrize("distance,accepted", [
+        (37.4, True), (37.6, False), (38.1, False)])
+    def test_subnormal_near_tail_is_refused(self, distance, accepted):
+        scale = 0.0247
+        lo = distance * scale
+        hi = lo + 0.002
+        within = WithinModelPrior.log_odds("normal", scale)
+        got = within.log_interval_mass(np.array([lo, -hi]), np.array([hi, -lo]))
+        with mpmath.workdps(40):
+            tail = lambda w: mpmath.erfc(w / (scale * mpmath.sqrt(2))) / 2
+            near = tail(mpmath.mpf(lo))
+            log_ref = float(mpmath.log(near - tail(mpmath.mpf(hi))))
+        assert (float(near) >= np.finfo(float).tiny) == accepted
+        if accepted:
+            assert got == pytest.approx([log_ref, log_ref], rel=1e-13)
+        else:
+            assert got.tolist() == [-math.inf, -math.inf]
+
     @pytest.mark.parametrize("density,scale", [("normal", 0.1), ("normal", 1.5),
                                                ("laplace", 0.01), ("laplace", 100.0)])
     def test_mirrored_boxes_give_equal_bits(self, density, scale):

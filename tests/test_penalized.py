@@ -237,3 +237,103 @@ class TestPenalizedUpper:
                                - float(log_prior[m - 1]) / n)
                     per_model_best = min(per_model_best, charged)
             assert mixture.value <= per_model_best + 1e-12
+
+
+def _loop_minimum(truth, spec, t, n, m_grid, delta_grid):
+    """The grid minimum one candidate at a time: (m, delta) in sorted
+    order, infeasible half-widths skipped, strict improvements only."""
+    best = None
+    for m in sorted(set(m_grid)):
+        for delta in sorted(set(delta_grid)):
+            half = delta if spec.within.kind == "uniform" else delta / 4.0
+            if not 0.0 < half < truth.margin:
+                continue
+            cand = penalized_value_at(truth, spec, t, n, m, delta)
+            if best is None or cand.value < best.value:
+                best = cand
+    return best
+
+
+def _fields(res):
+    return (res.value, res.m, res.delta, res.approx_term, res.box_term,
+            res.model_term)
+
+
+TRIANGLE = TrueModel.triangle(amplitude=0.22, peak=0.45)
+
+
+class TestGridEqualsLoop:
+    """The array grid returns the bits of the per-candidate minimum."""
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("truth,within,k_model", [
+        (TRIANGLE, WithinModelPrior.uniform_box(), 3.0),
+        (TrueModel.sparse([0.3, 0.7, 0.45]), WithinModelPrior.uniform_box(), 1.0),
+        (TRIANGLE, WithinModelPrior.log_odds("normal", 1.5), 3.0),
+        (TRIANGLE, WithinModelPrior.log_odds("laplace", 1.5), 3.0),
+    ], ids=["dense", "sparse", "logodds-normal", "logodds-laplace"])
+    @pytest.mark.parametrize("n", [500, 4000])
+    def test_default_grids(self, truth, within, k_model, t, n):
+        spec = PriorSpec(n=n, k_model=k_model, within=within)
+        m_grid = default_m_grid(truth, spec, n)
+        delta_grid = default_delta_grid(truth, n)
+        got = penalized_divergence_upper(truth, spec, t, n)
+        want = _loop_minimum(truth, spec, t, n, m_grid, delta_grid)
+        assert _fields(got) == _fields(want)
+
+    def test_exact_tie_takes_the_smallest_m_then_delta(self):
+        # n = 1 gives every model the same prior mass, boxes 100 scales
+        # wide around log odds 0 hold prior mass 1, and the approximation
+        # term of the constant truth is below half an ulp of the total:
+        # every candidate has the same value
+        truth = TrueModel.constant(0.5)
+        spec = PriorSpec(n=1, m_max=6,
+                         within=WithinModelPrior.log_odds("normal", 1e-10))
+        m_grid, delta_grid = (4, 2, 6, 1, 3), (1.2e-8, 1e-8, 1.1e-8)
+        values = {penalized_value_at(truth, spec, 1.0, 1, m, d).value
+                  for m in m_grid for d in delta_grid}
+        assert len(values) == 1
+        got = penalized_divergence_upper(truth, spec, 1.0, 1, m_grid, delta_grid)
+        assert (got.m, got.delta) == (1, 1e-8)
+        assert _fields(got) == _fields(
+            _loop_minimum(truth, spec, 1.0, 1, m_grid, delta_grid))
+
+    @pytest.mark.parametrize("within", [WithinModelPrior.uniform_box(),
+                                        WithinModelPrior.log_odds("normal", 1.0)],
+                             ids=["uniform", "normal"])
+    def test_infeasible_deltas_are_skipped(self, within):
+        # 0, a negative width and half-widths of the margin or more
+        spec = PriorSpec(n=300, m_max=10, within=within)
+        m_grid = (1, 3, 5)
+        delta_grid = (0.0, -0.01, 0.02, 0.07, 0.25, 0.6, 1.0, 2.0)
+        got = penalized_divergence_upper(LINEAR, spec, 2.0, 300, m_grid,
+                                         delta_grid)
+        want = _loop_minimum(LINEAR, spec, 2.0, 300, m_grid, delta_grid)
+        assert _fields(got) == _fields(want)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            penalized_value_at(LINEAR, spec, 2.0, 300, 3, 1.0 if
+                               within.kind == "uniform" else 4.0)
+
+    def test_underflow_names_the_first_failing_candidate(self):
+        # m = 1 puts its box around log odds 0; from m = 2 on, the level
+        # 0.3 sits 42 prior scales out, where small boxes lose their mass
+        truth = TrueModel.sparse([0.5, 0.3])
+        spec = PriorSpec(n=400, m_max=6,
+                         within=WithinModelPrior.log_odds("normal", 0.02))
+        message = ("prior mass of bin 1's log-odds box [-0.867298, -0.827298] "
+                   "underflows float64 at m=2, delta=0.02 "
+                   "(normal prior, scale=0.02)")
+        with pytest.raises(FloatingPointError) as grid:
+            penalized_divergence_upper(truth, spec, 1.0, 400, (3, 1, 2),
+                                       (0.3, 0.05, 0.02))
+        assert str(grid.value) == message
+        with pytest.raises(FloatingPointError) as single:
+            penalized_value_at(truth, spec, 1.0, 400, 2, 0.02)
+        assert str(single.value) == message
+        assert penalized_value_at(truth, spec, 1.0, 400, 1, 0.02).m == 1
+
+    def test_escaping_box_keeps_its_message(self):
+        spec = PriorSpec(n=64, m_max=4)
+        with pytest.raises(ValueError, match=r"^box escapes the within-model "
+                           r"prior support \[0, 1\]$"):
+            box_prior_log_mass(spec, 2, 0.2, centers=[0.5, 0.9])

@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ratelab import parse_config_text, run_rate_study
-from ratelab.plots import exceedance_plot_svg, rates_plot_svg, render_plots
+from ratelab.plots import (escape, exceedance_plot_svg, rates_plot_svg,
+                           render_plots)
 
 _NS = "{http://www.w3.org/2000/svg}"
 
@@ -104,3 +105,9 @@ def test_empty_results_are_rejected(result, tmp_path):
         exceedance_plot_svg(empty)
     with pytest.raises(ValueError):
         render_plots(empty, str(tmp_path / "x"))
+
+
+def test_escape_matches_the_xml_rules():
+    # & first, so the entities of > and < are not escaped twice
+    assert escape("a&b<c>d") == "a&amp;b&lt;c&gt;d"
+    assert escape('say "hi"') == 'say "hi"'

@@ -132,3 +132,17 @@ def test_no_scipy_module_is_loaded(tmp_path):
                           cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_cli_import_loads_no_network_modules():
+    # the SVG writer's escape once came from xml.sax.saxutils, which
+    # pulls urllib.request, http.client, email and ssl into every start
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, ratelab.cli; "
+         "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"urllib.request", "ssl", "xml.sax"}

@@ -136,6 +136,13 @@ class TestStudyRows:
                      complexity_term=0.2, epsilon_n=0.3, exceedance=1.5)
 
 
+    def test_result_records_carry_no_instance_dict(self, result):
+        # a benchmark keeps every study it runs: slots keep each row small
+        for record in (result, result.rows[0], result.summary,
+                       result.summary.fit):
+            assert not hasattr(record, "__dict__")
+
+
 class TestSummary:
     def test_fit_covers_the_grid(self, result):
         fit = result.summary.fit
