@@ -12,8 +12,9 @@ density of a binary response with a uniform covariate on [0, 1]
 described by its mean function (piecewise constant on equal bins, or
 smooth with a certified derivative bound).  Against a piecewise-constant
 mean on m equal bins, any mean, smooth or piecewise, enters only through
-two integrals per bin, tabulated once per (mean, m, t): the draws of a
-posterior then cost one sum over bins each.
+two integrals per bin, tabulated once per (mean, m, t): the posterior
+draws of one size m, stacked as rows of levels, then take one pass over
+that table together.
 
 +infinity is a legitimate value here (support mismatch with t > 0),
 not an error.  All functions are pure and the value types immutable.
@@ -100,14 +101,18 @@ class DiscreteDensity:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstantMean:
-    """Mean function equal to level j on [(j-1)/m, j/m); x = 1 joins the last bin."""
+    """Mean function equal to level j on [(j-1)/m, j/m); x = 1 joins the last bin.
+
+    ``levels`` is one mean's m levels, or a (k, m) stack of k means on the
+    same m bins, one per row (d_t_squared then gives one value per row).
+    """
 
     levels: np.ndarray
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=float)
-        if levels.ndim != 1 or levels.size == 0:
-            raise ValueError("levels must be a nonempty 1-d array")
+        if levels.ndim not in (1, 2) or levels.size == 0:
+            raise ValueError("levels must be a nonempty 1-d array or (k, m) stack")
         if np.any(levels < 0) or np.any(levels > 1):
             raise ValueError("levels must lie in [0, 1]")
         levels = levels.copy()
@@ -116,7 +121,7 @@ class PiecewiseConstantMean:
 
     @property
     def m(self) -> int:
-        return self.levels.size
+        return self.levels.shape[-1]
 
     def edges(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.m + 1)
@@ -125,7 +130,7 @@ class PiecewiseConstantMean:
         x = np.asarray(x, dtype=float)
         idx = np.minimum((x * self.m).astype(np.int64), self.m - 1)
         idx = np.maximum(idx, 0)
-        return self.levels[idx]
+        return self.levels[..., idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +253,23 @@ def _binary_kl2(mu1, mu2):
 # integrals over the covariate
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+# the positive nodes and weights of numpy.polynomial.legendre.leggauss(32),
+# which symmetrizes its output to the bit, mirrored; written out so that
+# importing this module does not load numpy.polynomial
+_GL_X = np.array([
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+])
+_GL_W = np.array([
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+])
+_GL_X = np.concatenate([-_GL_X[::-1], _GL_X])
+_GL_W = np.concatenate([_GL_W[::-1], _GL_W])
 
 
 def _composite_gl(fn, edges: np.ndarray) -> np.ndarray:
@@ -397,12 +418,19 @@ def d_t_squared(p, q, t) -> float:
 
     Orders with |t| below 1e-8 are evaluated through the t -> 0 limit
     plus its first-order correction, which is exact at t = 0 (the KL
-    divergence) and avoids catastrophic cancellation nearby.
+    divergence) and avoids catastrophic cancellation nearby.  A piecewise
+    q whose levels are a (k, m) stack gives an array of k values, one
+    per row, each equal to the value for that row alone.
     """
     tv = float(t)
     if not tv > -1.0:
         raise ValueError(f"order must satisfy t > -1, got {tv}")
+    stack = isinstance(getattr(q, "mean", None), PiecewiseConstantMean) and (
+        q.mean.levels.ndim == 2)
     if abs(tv) < _SMALL_T:
+        if stack:
+            return np.array([_kl_limit(p, RegressionDensity.piecewise(row), tv)
+                             for row in q.mean.levels])
         return _kl_limit(p, q, tv)
     kind = _pair_kind(p, q)
     if kind == "discrete":
@@ -412,12 +440,14 @@ def d_t_squared(p, q, t) -> float:
             return math.inf
         return (float(total) - 1.0) / tv
     if isinstance(q.mean, PiecewiseConstantMean):
-        # every posterior draw: the integrand factors bin by bin
-        moments = _bin_moments(p.mean, q.mean.m, tv)
-        val = float(_moment_terms(moments, q.mean.levels, tv).sum()) - 1.0
-    else:
-        val = _covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv),
-                                  p.mean, q.mean)
+        # posterior draws: the integrand factors bin by bin, and a row per
+        # draw takes the moments as (2, 1, m) against (2, k, m) terms
+        moments = _bin_moments(p.mean, q.mean.m, tv)[:, None]
+        val = _moment_terms(moments, np.atleast_2d(q.mean.levels), tv).sum(axis=-1) - 1.0
+        val = np.where(np.isinf(val), math.inf, val / tv)
+        return val if stack else float(val[0])
+    val = _covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv),
+                              p.mean, q.mean)
     if math.isinf(val):
         return math.inf
     return val / tv

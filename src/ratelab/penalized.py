@@ -141,6 +141,13 @@ def _best_box(truth: TrueModel, spec: PriorSpec, t: float, n: int, m: int,
     m = int(m)
     if not 1 <= m <= spec.m_max:
         raise ValueError(f"model index must lie in [1, {spec.m_max}], got {m}")
+    inside = _fits_margin(truth, spec, deltas)
+    if not inside.all():
+        # name the caller's delta, not the mean half-width it maps to
+        top = truth.margin / _mean_half_width(spec, 1.0)
+        raise ValueError(f"delta must lie in (0, {top:g}) (margin={truth.margin}, "
+                         f"{spec.within.kind} within prior), "
+                         f"got {float(deltas[~inside][0])}")
     approx = best_approximation(truth, m)
     approx_terms = _box_sups(truth, approx, _mean_half_width(spec, deltas), t)
     box_terms = -_within_box_log_mass(spec, deltas, approx.levels,
@@ -158,6 +165,12 @@ def _mean_half_width(spec: PriorSpec, delta):
     # the logistic map is 1/4-Lipschitz, so a log-odds box of half-width
     # delta maps into a mean box of half-width delta / 4
     return delta if spec.within.kind == "uniform" else delta / 4.0
+
+
+def _fits_margin(truth: TrueModel, spec: PriorSpec, deltas: np.ndarray) -> np.ndarray:
+    # whether each half-width's mean box stays inside the truth's margin
+    half_widths = _mean_half_width(spec, deltas)
+    return (0.0 < half_widths) & (half_widths < truth.margin)
 
 
 def default_m_grid(truth: TrueModel, spec: PriorSpec, n: int) -> tuple:
@@ -194,8 +207,7 @@ def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
     if delta_grid is None:
         delta_grid = default_delta_grid(truth, n)
     deltas = np.array(sorted(set(float(d) for d in delta_grid)))
-    half_widths = _mean_half_width(spec, deltas)
-    deltas = deltas[(0.0 < half_widths) & (half_widths < truth.margin)]
+    deltas = deltas[_fits_margin(truth, spec, deltas)]
     best = None
     for m in sorted(set(int(m) for m in m_grid)) if deltas.size else ():
         cand = _best_box(truth, spec, t, n, m, deltas)

@@ -8,9 +8,10 @@ and conjugate Beta bin posteriors.  Under a log-odds within-model prior
 every bin gets one frame, its posterior mode and the scale
 1/sqrt(curvature) there, for all bins at once: the evidence is
 Gauss-Legendre quadrature on the framed bin, certified per bin, and
-each draw reads its bins' quantiles off one table per bin on the same
-frame.  A small exact enumeration oracle checks the posterior-mass
-bound on finite spaces by brute force.
+the draws of one model size read their bins' quantiles off one table
+per bin on the same frame.  The draws of one size are scored against
+the truth together, as one stack of levels.  A small exact enumeration
+oracle checks the posterior-mass bound on finite spaces by brute force.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .divergence import (DiscreteDensity, QuadratureError, RegressionDensity,
                          _composite_gl, d_t_squared)
 from .models import Dataset, PriorSpec, TrueModel, WithinModelPrior, log_odds_to_mean
 from .rate_bounds import posterior_mass_bound_rhs
-from .special import expit, log_beta_counts, logsumexp
+from .special import expit, log_beta_counts, logsumexp, median, quantile
 
 __all__ = [
     "BinnedCounts",
@@ -283,6 +284,12 @@ def _model_bins(m: int) -> slice:
     return slice(start, start + m)
 
 
+def _model_counts(state: PosteriorState, m: int) -> tuple:
+    """Successes and failures of model m's bins."""
+    s = state.successes[_model_bins(m)]
+    return s, state.trials[_model_bins(m)] - s
+
+
 def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
     """Posterior model weights w_m proportional to pi_m * evidence_m,
     accumulated in log space.  The bins of every model are tallied and
@@ -310,22 +317,42 @@ def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
                           successes=successes, frames=frames)
 
 
+def _posterior_draws(state: PosteriorState, rng, draws: int) -> list:
+    """Draw working densities and group them by model size: (m, the
+    indices of its draws, their levels as a (k, m) stack) per size drawn,
+    in increasing m.  Per draw the stream gives the size, as
+    Generator.choice draws it from p = weights, off the stored CDF, then
+    the levels: Beta(1 + s, 1 + f) variates, or under a log-odds prior m
+    uniforms, read as bin posterior quantiles off one table per bin for
+    all draws of that size."""
+    within = state.spec.within
+    sizes = np.empty(draws, dtype=np.int64)
+    rows, params = {}, {}  # per size: the draws' variates, the Beta parameters
+    for i in range(draws):
+        m = int(state.cdf.searchsorted(rng.random(), side="right")) + 1
+        sizes[i] = m
+        if m not in rows:
+            params[m] = tuple(1.0 + c for c in _model_counts(state, m))
+            rows[m] = []
+        rows[m].append(rng.beta(*params[m]) if within.kind == "uniform"
+                       else rng.random(m))
+    groups = []
+    for m in sorted(rows):
+        levels = np.array(rows[m])
+        if within.kind != "uniform":
+            theta = _log_odds_quantiles(*_model_counts(state, m), within, levels,
+                                        state.frames[:, _model_bins(m)])
+            levels = log_odds_to_mean(theta)
+        groups.append((m, np.flatnonzero(sizes == m), levels))
+    return groups
+
+
 def sample_posterior_density(state: PosteriorState, rng) -> RegressionDensity:
     """Draw one working density: a model size from the posterior weights,
-    then its bin levels from the bin posteriors.  The size is drawn as
-    Generator.choice draws it from p = weights, off the stored CDF, so the
-    stream and the sizes are the same."""
-    m = int(state.cdf.searchsorted(rng.random(), side="right")) + 1
-    s = state.successes[_model_bins(m)]
-    f = state.trials[_model_bins(m)] - s
-    if state.spec.within.kind == "uniform":
-        levels = rng.beta(1.0 + s, 1.0 + f)
-    else:
-        units = rng.random(m)
-        theta = _log_odds_quantiles(s, f, state.spec.within, units,
-                                    state.frames[:, _model_bins(m)])
-        levels = log_odds_to_mean(theta)
-    return RegressionDensity.piecewise(levels)
+    then its bin levels from the bin posteriors, as every draw of
+    empirical_divergence_quantiles takes them."""
+    ((_, _, levels),) = _posterior_draws(state, rng, 1)
+    return RegressionDensity.piecewise(levels[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +369,8 @@ class DivergenceSummary:
 def empirical_divergence_quantiles(truth: TrueModel, state: PosteriorState,
                                    u: float, draws: int, rng,
                                    ) -> DivergenceSummary:
-    """Sample posterior densities and summarize d_{-u}^2(p0, draw)."""
+    """Sample posterior densities and summarize d_{-u}^2(p0, draw); the
+    draws of one model size take one d_t_squared pass as a stack."""
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
@@ -350,15 +378,15 @@ def empirical_divergence_quantiles(truth: TrueModel, state: PosteriorState,
     if draws < 1:
         raise ValueError("draws must be >= 1")
     p0 = truth.density
-    values = np.array([
-        d_t_squared(p0, sample_posterior_density(state, rng), -u)
-        for _ in range(draws)])
+    values = np.empty(draws)
+    for _, at, levels in _posterior_draws(state, rng, draws):
+        values[at] = d_t_squared(p0, RegressionDensity.piecewise(levels), -u)
     values.setflags(write=False)
     return DivergenceSummary(
         values=values,
         min=float(values.min()),
-        median=float(np.median(values)),
-        q95=float(np.quantile(values, 0.95)),
+        median=median(values),
+        q95=quantile(values, 0.95),
         max=float(values.max()))
 
 

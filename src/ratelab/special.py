@@ -3,6 +3,8 @@
 The package carries its own because importing SciPy's special-function
 module costs a fresh process about 0.3 s, more than half of what
 ``import ratelab`` took with it, while only these five were used from it.
+The median and quantile of a sample are here because numpy's own import
+numpy.ma on first use, which holds about 1.3 MB of resident memory.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import math
 
 import numpy as np
 
-__all__ = ["logsumexp", "log_beta_counts", "expit", "logit", "ndtr"]
+__all__ = ["logsumexp", "log_beta_counts", "expit", "logit", "ndtr", "median",
+           "quantile"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -89,3 +92,33 @@ def ndtr(x):
     out = np.fromiter([0.5 * math.erfc(-v / _SQRT2) for v in x.ravel().tolist()],
                       dtype=float, count=x.size)
     return out.reshape(x.shape)[()]
+
+
+def median(a) -> float:
+    """np.median of a nonempty 1-d sample, with the same bits: the middle
+    order statistic, or (x + y) / 2 of the middle two; nan if a holds nan."""
+    ordered = np.sort(np.asarray(a, dtype=float))
+    half = ordered.size // 2
+    if np.isnan(ordered[-1]):
+        return math.nan
+    if ordered.size % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2.0)
+
+
+def quantile(a, q: float) -> float:
+    """np.quantile(a, q) of a nonempty 1-d sample for q in [0, 1], with the
+    same bits: numpy's default 'linear' method, which interpolates between
+    the order statistics around (size - 1) q, from the upper one when the
+    weight on it is 1/2 or more; nan if a holds nan."""
+    ordered = np.sort(np.asarray(a, dtype=float))
+    if np.isnan(ordered[-1]):
+        return math.nan
+    at = (ordered.size - 1) * q
+    # at the top both neighbours are the last element, as numpy takes them
+    below = math.floor(at) if at < ordered.size - 1 else -1
+    lo, hi = ordered[below], ordered[below + 1 if below >= 0 else -1]
+    weight = at - below
+    if weight >= 0.5:
+        return float(hi - (hi - lo) * (1.0 - weight))
+    return float(lo + (hi - lo) * weight)

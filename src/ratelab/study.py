@@ -11,7 +11,6 @@ execution order and identical with or without a worker pool.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +26,7 @@ from .posterior import (DivergenceSummary, empirical_divergence_quantiles,
                         model_posterior)
 from .rate_bounds import rate_bound
 from .rng import stream
+from .special import median
 
 __all__ = [
     "TAG_DATA",
@@ -219,6 +219,9 @@ def run_rate_study(config: ExperimentConfig) -> StudyResult:
     cells = [(n, r) for n in config.n_grid for r in range(config.replicates)]
 
     if config.workers > 1:
+        # imported here: serial studies need not load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             futures = {cell: pool.submit(_run_cell, config, cell[0], cell[1],
                                          bounds_by_n[cell[0]])
@@ -233,7 +236,7 @@ def run_rate_study(config: ExperimentConfig) -> StudyResult:
     for n in config.n_grid:
         values = np.concatenate([results[(n, r)][0]
                                  for r in range(config.replicates)])
-        pooled.append(float(np.median(values)))
+        pooled.append(median(values))
         for r in range(config.replicates):
             rows.extend(results[(n, r)][1])
 

@@ -361,6 +361,25 @@ class TestBinMoments:
             assert got == pytest.approx(
                 _hellinger_closed_form(mu, self.LEVELS), rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("t", [-0.5, 2.0, -1e-9])
+    def test_stacked_levels_give_one_value_per_row(self, t):
+        # two rows, the trap where a (2, m) moment table broadcasts
+        # against (2, k, m) terms without error; -1e-9 takes the KL limit
+        rows = np.array([[0.0, 0.4, 0.7, 0.55], [0.35, 0.62, 0.48, 0.41]])
+        got = d_t_squared(TRIANGLE.density, RegressionDensity.piecewise(rows), t)
+        want = [d_t_squared(TRIANGLE.density, RegressionDensity.piecewise(row), t)
+                for row in rows]
+        assert got.shape == (2,)
+        assert got.tobytes() == np.array(want).tobytes()
+        if t > 0:  # a level of 0 against a positive moment
+            assert got[0] == math.inf
+
+    def test_levels_stack_at_most_two_deep(self):
+        mean = PiecewiseConstantMean(np.full((3, 5), 0.5))
+        assert mean.m == 5 and mean(np.array([0.1, 0.9])).shape == (3, 2)
+        with pytest.raises(ValueError):
+            PiecewiseConstantMean(np.full((2, 3, 5), 0.5))
+
     def test_tables_are_read_only_and_bounded(self):
         truth = TrueModel.constant(0.3)
         table = divergence._bin_moments(truth.mean, 4, -0.5)
@@ -387,6 +406,13 @@ def _reference_power_term(a, b, t):
                 out.append((np.array([x]) ** (1.0 + t)
                             * np.array([y]) ** (-t))[0])
     return np.array(out)
+
+
+class TestGaussLegendreNodes:
+    def test_literals_are_leggauss_32_to_the_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert divergence._GL_X.tobytes() == nodes.tobytes()
+        assert divergence._GL_W.tobytes() == weights.tobytes()
 
 
 class TestPowerTerm:

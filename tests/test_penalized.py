@@ -314,6 +314,16 @@ class TestGridEqualsLoop:
             penalized_value_at(LINEAR, spec, 2.0, 300, 3, 1.0 if
                                within.kind == "uniform" else 4.0)
 
+    def test_out_of_range_log_odds_delta_is_named_as_passed(self):
+        # a log-odds delta maps to the mean half-width delta / 4, and the
+        # message names the delta the caller passed
+        spec = PriorSpec(n=300, m_max=10,
+                         within=WithinModelPrior.log_odds("normal", 1.0))
+        with pytest.raises(ValueError) as err:
+            penalized_value_at(LINEAR, spec, 2.0, 300, 3, 4.0)
+        assert str(err.value).startswith("delta must lie in (0, 1) ")
+        assert str(err.value).endswith("got 4.0")
+
     def test_underflow_names_the_first_failing_candidate(self):
         # m = 1 puts its box around log odds 0; from m = 2 on, the level
         # 0.3 sits 42 prior scales out, where small boxes lose their mass

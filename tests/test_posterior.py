@@ -17,6 +17,7 @@ from ratelab import (
     TrueModel,
     WithinModelPrior,
     bin_counts,
+    d_t_squared,
     empirical_divergence_quantiles,
     exact_enumeration_oracle,
     log_evidence,
@@ -27,7 +28,8 @@ from ratelab import (
 )
 from ratelab.models import model_log_prior
 from ratelab.posterior import (_bin_posteriors, _log_odds_bin_loglik,
-                               _log_odds_quantiles, _model_bins)
+                               _log_odds_quantiles, _model_bins,
+                               _posterior_draws)
 from ratelab.rng import stream
 # the normalizer model_posterior applies: the bit-for-bit weight check below
 # must not depend on which log-sum-exp rule the installed scipy uses
@@ -381,6 +383,12 @@ class TestSampling:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+BATCH_PRIORS = {"uniform": WithinModelPrior.uniform_box(), "normal": NORMAL,
+                "laplace": LAPLACE}
+BATCH_TRUTHS = {"triangle": TrueModel.triangle(amplitude=0.22, peak=0.45),
+                "sparse": TrueModel.sparse([0.3, 0.7, 0.45])}
+
+
 class TestDivergenceQuantiles:
     def test_posterior_concentrates_on_step_truth(self):
         truth = TrueModel.sparse([0.3, 0.7, 0.45])
@@ -398,6 +406,47 @@ class TestDivergenceQuantiles:
         summary = empirical_divergence_quantiles(truth, state, 0.5, 1,
                                                  stream(6, 1))
         assert summary.min == summary.median == summary.q95 == summary.max
+
+    # every prior and truth at n = 500 and 4000; at n = 32000, where
+    # log-odds evidence takes seconds, the uniform prior and one log-odds case
+    @pytest.mark.parametrize("within, truth, n", [
+        *((w, t, n) for w in BATCH_PRIORS for t in BATCH_TRUTHS for n in (500, 4000)),
+        ("uniform", "triangle", 32000), ("uniform", "sparse", 32000),
+        ("laplace", "sparse", 32000)])
+    def test_batched_values_equal_per_draw_values(self, within, truth, n):
+        name, truth = truth, BATCH_TRUTHS[truth]
+        data = simulate_data(truth, n, seed=(41, n))
+        # a weak model prior, so that the draws spread over several sizes
+        state = model_posterior(data, PriorSpec(n=n, k_model=0.5,
+                                                within=BATCH_PRIORS[within]))
+        for u in (0.5, 1.0 / 3.0, 1e-9):  # 1e-9 takes the KL limit
+            got = empirical_divergence_quantiles(truth, state, u, 50,
+                                                 stream(42, n)).values
+            rng = stream(42, n)
+            want = np.array([d_t_squared(truth.density,
+                                         sample_posterior_density(state, rng), -u)
+                             for _ in range(50)])
+            assert got.tobytes() == want.tobytes()
+        if (name, n) == ("triangle", 4000):
+            # here the draws fall on several sizes under every prior
+            assert len(_posterior_draws(state, stream(42, n), 50)) > 1
+
+    @pytest.mark.parametrize("within", BATCH_PRIORS)
+    def test_two_draws_of_one_size_score_as_two_rows(self, within):
+        # a (2, m) moment table would broadcast against the (2, 2, m)
+        # terms of two draws without error, mixing their bins
+        truth = BATCH_TRUTHS["sparse"]
+        data = simulate_data(truth, 4000, seed=(43, 0))
+        state = model_posterior(data, PriorSpec(n=4000,
+                                                within=BATCH_PRIORS[within]))
+        (m, at, levels), = _posterior_draws(state, stream(44), 2)
+        assert at.tolist() == [0, 1] and levels.shape == (2, m)
+        got = empirical_divergence_quantiles(truth, state, 0.5, 2,
+                                             stream(44)).values
+        rng = stream(44)
+        want = [d_t_squared(truth.density, sample_posterior_density(state, rng),
+                            -0.5) for _ in range(2)]
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_validation(self):
         truth = TrueModel.constant(0.4)

@@ -134,9 +134,7 @@ def test_no_scipy_module_is_loaded(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_cli_import_loads_no_network_modules():
-    # the SVG writer's escape once came from xml.sax.saxutils, which
-    # pulls urllib.request, http.client, email and ssl into every start
+def _modules_loaded_by_cli_import() -> set:
     src = str(Path(ratelab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys, ratelab.cli; "
@@ -144,5 +142,31 @@ def test_cli_import_loads_no_network_modules():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert not loaded & {"urllib.request", "ssl", "xml.sax"}
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_import_loads_no_network_modules():
+    # the SVG writer's escape once came from xml.sax.saxutils, which
+    # pulls urllib.request, http.client, email and ssl into every start
+    assert not _modules_loaded_by_cli_import() & {"urllib.request", "ssl", "xml.sax"}
+
+
+def test_study_loads_no_masked_array_module():
+    # numpy's median and quantile import numpy.ma on first use; a study
+    # takes its order statistics from ratelab.special instead
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ratelab import parse_config_text, "
+         "run_rate_study; run_rate_study(parse_config_text(sys.argv[1])); "
+         "print('numpy.ma' in sys.modules)", _config_text("triangle", "normal")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_cli_import_loads_no_polynomial_or_thread_pool_modules():
+    # the quadrature nodes are literals, and only a study with workers > 1
+    # imports the thread pool
+    assert not _modules_loaded_by_cli_import() & {"numpy.polynomial",
+                                                  "concurrent.futures"}

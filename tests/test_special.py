@@ -2,7 +2,8 @@
 
 Each tolerance is a rounding bound in units of the double epsilon:
 EPS per correctly rounded step, and the argument's own rounding error
-times the function's condition number where that dominates.
+times the function's condition number where that dominates.  The
+median and quantile are checked against numpy's, bit for bit.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from ratelab.special import (_log_factorials, expit, log_beta_counts, logit,
-                             logsumexp, ndtr)
+                             logsumexp, median, ndtr, quantile)
 
 EPS = np.finfo(float).eps
 
@@ -130,3 +131,23 @@ class TestLogistic:
         assert abs(math.log(p / (1 - p)) - ref) > 1e-10 * ref
         assert abs(float(logit(p)) - ref) <= 4 * EPS * ref
         assert logit(0.5) == 0.0
+
+
+class TestOrderStatistics:
+    @pytest.mark.parametrize("q", [0.95, 0.5, 0.0, 1.0, 0.25])
+    def test_bit_for_bit_against_numpy(self, q):
+        # sizes 1 to 60, ties, +inf at the top, and a nan
+        rng = np.random.default_rng(17)
+        for size in range(1, 61):
+            for sample in (rng.random(size), np.round(rng.random(size), 1),
+                           rng.exponential(size=size) * 1e-3):
+                cases = [sample, np.where(sample == sample.max(), math.inf, sample)]
+                if size > 2:
+                    cases.append(np.where(sample == sample.min(), math.nan, sample))
+                for values in cases:
+                    with np.errstate(invalid="ignore"):
+                        want = np.quantile(values, q), np.median(values)
+                        got = quantile(values, q), median(values)
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), (
+                        q, values)
+                    assert all(isinstance(v, float) for v in got)

@@ -278,14 +278,13 @@ class TestWorkCounts:
         config = replace(parse_config_text(DENSE_SMALL),
                          truth=_counting_triangle(calls), k_model=0.5)
         triples = set()
-        sample = posterior.sample_posterior_density
+        divergence_of = posterior.d_t_squared
 
-        def recorded(state, rng):
-            draw = sample(state, rng)
-            triples.add((config.truth.mean, draw.mean.m, -config.u))
-            return draw
+        def recorded(p, q, t):
+            triples.add((p.mean, q.mean.m, t))
+            return divergence_of(p, q, t)
 
-        monkeypatch.setattr(posterior, "sample_posterior_density", recorded)
+        monkeypatch.setattr(posterior, "d_t_squared", recorded)
         misses = divergence._bin_moments.cache_info().misses
         start = misses
         for n in config.n_grid:
