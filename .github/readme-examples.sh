@@ -43,3 +43,4 @@ n_grid = 500, 1000
 CFG
 ratelab bound --config logodds.cfg
 ratelab simulate --config logodds.cfg
+ratelab complexity --config logodds.cfg

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexity import log_norm_complexity_analytic, norm_complexity_grid
+from .complexity import norm_complexity_grid
 from .config import ConfigError, ExperimentConfig, load_config
 from .divergence import DiscreteDensity, QuadratureError, d_t_squared
 from .plots import render_plots
@@ -111,14 +111,10 @@ def _cmd_complexity(args) -> int:
         spec = config.prior_for(n)
         log_mixture = log_mixture_norm_complexity(spec, config.u, n)
         for m in range(1, spec.m_max + 1):
-            log_analytic = log_norm_complexity_analytic(spec.within, m, config.u, n)
-            try:
-                log_grid = norm_complexity_grid(spec.within, m, config.u, n).log_lu_norm
-            except QuadratureError:
-                log_grid = float("nan")
+            summary = norm_complexity_grid(spec.within, m, config.u, n)
             lines.append(",".join([
-                str(m), _g17(config.u), str(n), _g17(log_grid),
-                _g17(log_analytic), _g17(log_mixture)]))
+                str(m), _g17(config.u), str(n), _g17(summary.log_lu_norm),
+                _g17(summary.log_analytic_bound), _g17(log_mixture)]))
     _emit(lines, args.out)
     return 0
 

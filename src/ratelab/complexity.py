@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import QuadratureError
 from .models import WithinModelPrior
 from .rate_bounds import _unit_fraction
 from .special import logsumexp
@@ -31,17 +30,14 @@ __all__ = [
     "log_norm_complexity_mixture",
 ]
 
-_TAIL_TOL = 1e-15
-
-
 @dataclass(frozen=True, eq=False)
 class CoverSummary:
     """Cell-sum complexity of one m-level working model.
 
     ``per_coordinate_sum`` is the sum S of cell-mass^u over one
-    coordinate's cells of width ``grid_spacing``; the complexity S^(m/u)
-    and its analytic bound are carried as natural logs, because both
-    overflow a float for large m.
+    coordinate's cells of width ``grid_spacing`` (past the cell cap, the
+    lower end of its enclosure); the complexity S^(m/u) and its analytic
+    bound are carried as natural logs, as both overflow a float for large m.
     """
 
     per_coordinate_sum: float
@@ -86,31 +82,43 @@ def _uniform_cell_sum(h: float, u: float) -> float:
     return q * h ** u + (r ** u if r > 0 else 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _symmetric_cell_sum(within: WithinModelPrior, h: float, u: float,
-                        max_cells: int) -> float:
-    """Cell-mass^u sum of a symmetric log-odds density over the grid
-    {[j*h, (j+1)*h): j integer}, truncated once a whole block of cells
-    contributes less than a 1e-15 fraction of the running sum; nan when
-    the cell budget runs out first.
+def _enclosure(within: WithinModelPrior, h: float, u: float):
+    """Ends of h^(u-1) (I -+ 2 h f(0)^u), I the integral of f^u, between
+    which the cell sum S of a density f decreasing away from 0 lies: a
+    cell's mass is between h f at its outer and at its inner edge."""
+    f0, u_integral = ((1.0, 1.0) if within.kind == "uniform" else
+                      (float(within.pdf(0.0)), within.u_norm_integral(u)))
+    spread = 2.0 * h * f0 ** u
+    return ((u_integral - spread) * h ** (u - 1.0),
+            (spread + u_integral) * h ** (u - 1.0))
 
-    Memoized, failures included, because it depends on (n, u) through h
-    but not on the model size m that callers loop over."""
+
+# a cap of 2^23 cells per side keeps normal(1.5), u = 1/2 exact to n = 1000
+_TAIL_TOL, _MAX_CELLS, _CELL_CHUNK = 1e-15, 1 << 23, 1 << 16
+
+
+@functools.lru_cache(maxsize=64)
+def _symmetric_cell_sum(within: WithinModelPrior, h: float, u: float) -> float:
+    """Cell-mass^u sum S of a symmetric log-odds density over the grid
+    {[j*h, (j+1)*h): j integer}, memoized for the callers' loop over m.
+    Beyond J h on both sides the cells add at most the enclosure's upper
+    end times e^(-u g(J h)), g(x) = x^2 / (2 s^2) (normal) or x / b
+    (laplace).  The first J cells per side are summed, J the least that
+    puts this below _TAIL_TOL of max(1, lower end) <= S (S is at least the
+    sum of the masses, 1), _CELL_CHUNK at a time; past _MAX_CELLS, S is
+    reported as the lower end."""
+    lower, upper = _enclosure(within, h, u)
+    decay = math.log(upper / (_TAIL_TOL * max(1.0, lower))) / u
+    reach = within.scale * (math.sqrt(2.0 * decay)
+                            if within.density == "normal" else decay)
+    cells = math.ceil(reach / h)
+    if cells > _MAX_CELLS:
+        return lower
     total = 0.0
-    j0 = 0
-    block = 4096
-    while True:
-        # the tails at the block's block + 1 cell edges, each computed once
-        tails = within.tail(np.arange(j0, j0 + block + 1, dtype=float) * h)
-        masses = tails[:-1] - tails[1:]
-        contr = float(np.sum(np.maximum(masses, 0.0) ** u))
-        total += contr
-        if j0 > 0 and contr <= _TAIL_TOL * total:
-            break
-        j0 += block
-        block = min(block * 2, 1 << 20)
-        if j0 >= max_cells // 2:
-            return math.nan
+    for start in range(0, cells, _CELL_CHUNK):
+        edges = np.arange(start, min(start + _CELL_CHUNK, cells) + 1, dtype=float)
+        tails = within.tail(edges * h)  # each cell edge's tail computed once
+        total += float(np.sum(np.maximum(tails[:-1] - tails[1:], 0.0) ** u))
     return 2.0 * total
 
 
@@ -127,31 +135,24 @@ def _validated_spacing(m: int, u: float, n: int):
     return m, u, n, 4.0 * n ** (-1.0 / u)
 
 
-def norm_complexity_grid(within: WithinModelPrior, m: int, u: float, n: int,
-                         max_cells: int = 2 ** 28) -> CoverSummary:
-    """Prior-weighted complexity of one m-level model from exact grid
-    cell sums, next to its closed-form analytic bound.
+def norm_complexity_grid(within: WithinModelPrior, m: int, u: float,
+                         n: int) -> CoverSummary:
+    """Prior-weighted complexity of one m-level model from grid cell sums,
+    next to its closed-form analytic bound.
 
     The per-coordinate sum S adds cell-mass^u over cells of width
     h = 4 * n^(-1/u); products over coordinates give S^m and the
-    complexity S^(m/u).  The analytic bound is
-    ``log_norm_complexity_analytic``.
+    complexity S^(m/u).  Past a cap of 2^23 cells per side, a log-odds S
+    is the lower end of its enclosure, whose upper end gives the analytic
+    bound ``log_norm_complexity_analytic``.
     """
     m, u, n, h = _validated_spacing(m, u, n)
-    if within.kind == "uniform":
-        per_coord = _uniform_cell_sum(h, u)
-    else:
-        per_coord = _symmetric_cell_sum(within, h, u, max_cells)
-        if math.isnan(per_coord):
-            raise QuadratureError(
-                f"cell budget {max_cells} exhausted before the tail converged")
-    log_norm = m * math.log(per_coord) / u
-    log_analytic = log_norm_complexity_analytic(within, m, u, n)
+    per_coord = (_uniform_cell_sum(h, u) if within.kind == "uniform"
+                 else _symmetric_cell_sum(within, h, u))
     return CoverSummary(
-        per_coordinate_sum=per_coord,
-        grid_spacing=h,
-        log_lu_norm=log_norm,
-        log_analytic_bound=log_analytic)
+        per_coordinate_sum=per_coord, grid_spacing=h,
+        log_lu_norm=m * math.log(per_coord) / u,
+        log_analytic_bound=log_norm_complexity_analytic(within, m, u, n))
 
 
 def log_norm_complexity_analytic(within: WithinModelPrior, m: int, u: float,
@@ -159,16 +160,9 @@ def log_norm_complexity_analytic(within: WithinModelPrior, m: int, u: float,
     """Log of the closed-form analytic complexity bound, which replaces
     the per-coordinate sum S by (2*h*f(0)^u + integral of f^u) * h^(u-1),
     valid for any symmetric density f decreasing away from the origin.
-    O(1) regardless of n, so usable where the exact grid would need more
-    cells than the budget allows."""
+    O(1) regardless of n."""
     m, u, n, h = _validated_spacing(m, u, n)
-    if within.kind == "uniform":
-        f0, u_integral = 1.0, 1.0
-    else:
-        f0 = float(within.pdf(0.0))
-        u_integral = within.u_norm_integral(u)
-    log_a = math.log((2.0 * h * f0 ** u + u_integral) * h ** (u - 1.0))
-    return m * log_a / u
+    return m * math.log(_enclosure(within, h, u)[1]) / u
 
 
 def log_cover_mixture(log_masses: Sequence[float],

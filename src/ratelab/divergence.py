@@ -29,6 +29,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .special import bisect
+
 __all__ = [
     "QuadratureError",
     "DiscreteDensity",
@@ -225,28 +227,19 @@ def _log_ratio_term(a, b, power):
     """a * ln(a/b)^power elementwise; 0 ln 0 = 0, +inf where b == 0 < a."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros(np.broadcast(a, b).shape)
-    a, b = np.broadcast_arrays(a, b)
-    pos = a > 0
-    bz = b == 0
-    bad = pos & bz
-    if np.any(bad):
-        out[bad] = math.inf
-    ok = pos & ~bz
-    out[ok] = a[ok] * np.log(a[ok] / b[ok]) ** power
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        val = np.where(b == 0, math.inf, a * np.log(a / b) ** power)
+    return np.where(a > 0, val, 0.0)
 
 
 def _binary_power_minus1(mu1, mu2, t):
     return _power_term(mu1, mu2, t) + _power_term(1.0 - mu1, 1.0 - mu2, t) - 1.0
 
 
-def _binary_kl(mu1, mu2):
-    return _log_ratio_term(mu1, mu2, 1) + _log_ratio_term(1.0 - mu1, 1.0 - mu2, 1)
-
-
-def _binary_kl2(mu1, mu2):
-    return _log_ratio_term(mu1, mu2, 2) + _log_ratio_term(1.0 - mu1, 1.0 - mu2, 2)
+def _binary_kl(mu1, mu2, power=1):
+    # the KL integrand, or with power 2 that of _kl_limit's second-order term
+    return (_log_ratio_term(mu1, mu2, power)
+            + _log_ratio_term(1.0 - mu1, 1.0 - mu2, power))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +464,8 @@ def _kl_limit(p, q, tv: float) -> float:
     if kind == "discrete":
         second = float(_log_ratio_term(p.mass, q.mass, 2).sum())
     else:
-        second = _covariate_integral(_binary_kl2, p.mean, q.mean)
+        second = _covariate_integral(lambda a, b: _binary_kl(a, b, 2),
+                                     p.mean, q.mean)
     if math.isinf(second):
         return math.inf
     return base + 0.5 * tv * second
@@ -500,17 +494,14 @@ def l1_distance(p, q) -> float:
 def _sign_change_cuts(diff, edges: np.ndarray) -> np.ndarray:
     """Panel edges augmented with the roots of diff, so that |diff| is
     smooth on every panel.  Every bracket of a sign change on a fine grid
-    is bisected at once, 64 times, which pins its root to the last bit."""
+    is bisected at once."""
     xs = np.linspace(0.0, 1.0, 2049)
     sign = np.sign(diff(xs))
     at = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
-    lo, hi = xs[at], xs[at + 1]
+    lo = xs[at]
     if at.size:
-        left = sign[at]
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            past = np.sign(diff(mid)) == left  # the root lies right of mid
-            lo, hi = np.where(past, mid, lo), np.where(past, hi, mid)
+        left = sign[at]  # the root lies right of mid where diff has this sign
+        lo, _ = bisect(lambda mid: np.sign(diff(mid)) == left, lo, xs[at + 1])
     return np.array(sorted(set(edges.tolist()) | set(lo.tolist())))
 
 

@@ -233,10 +233,8 @@ def render_plots(result: StudyResult, prefix: str) -> tuple:
     """Write the rates and exceedance plots; returns the file paths."""
     if not result.rows:
         raise ValueError("no rows to plot")
-    rates_path = f"{prefix}_rates.svg"
-    exceed_path = f"{prefix}_exceedance.svg"
-    with open(rates_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(rates_plot_svg(result))
-    with open(exceed_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(exceedance_plot_svg(result))
-    return rates_path, exceed_path
+    paths = f"{prefix}_rates.svg", f"{prefix}_exceedance.svg"
+    for path, plot in zip(paths, (rates_plot_svg, exceedance_plot_svg)):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(plot(result))
+    return paths

@@ -27,7 +27,8 @@ from .divergence import (DiscreteDensity, QuadratureError, RegressionDensity,
                          _composite_gl, d_t_squared)
 from .models import Dataset, PriorSpec, TrueModel, WithinModelPrior, log_odds_to_mean
 from .rate_bounds import posterior_mass_bound_rhs
-from .special import expit, log_beta_counts, logsumexp, median, quantile
+from .special import (bisect, expit, log_beta_counts, logsumexp, median,
+                      quantile)
 
 __all__ = [
     "BinnedCounts",
@@ -156,7 +157,7 @@ def _log_target(theta, s, f, within: WithinModelPrior):
 # sinh(_GRADE), v in [-1, 1]: uniform steps in v are 0.93 dv wide in z at
 # the mode and widen outward, where wide Laplace tails reach far out.
 _SPAN, _GRADE, _PANELS, _TABLE_POINTS = 1024.0, 10.0, (16, 32), 2049
-_MODE_BRACKET, _BISECTIONS, _CHUNK = 64.0, 64, 16
+_MODE_BRACKET, _CHUNK = 64.0, 16
 
 
 def _z_of_v(v):  # z and dz/dv
@@ -168,13 +169,13 @@ def _bin_frames(s, f, within: WithinModelPrior) -> np.ndarray:
     """Mode (row 0) and scale (row 1) of each bin's log-odds posterior, the
     mode by bisection on the sign of the concave target's slope over [-64,
     64], a Laplace kink included; an empty bin gets its prior's frame."""
-    lo, hi = np.full(s.shape, -_MODE_BRACKET), np.full(s.shape, _MODE_BRACKET)
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
+    def rising(mid):
         prior = (-mid / within.scale ** 2 if within.density == "normal"
                  else -np.sign(mid) / within.scale)  # 0 at the Laplace kink
-        rising = s * expit(-mid) - f * expit(mid) + prior > 0
-        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+        return s * expit(-mid) - f * expit(mid) + prior > 0
+
+    bracket = np.full(s.shape, _MODE_BRACKET)
+    lo, hi = bisect(rising, -bracket, bracket)
     mode = 0.5 * (lo + hi)
     curvature = ((s + f) * expit(mode) * expit(-mode)
                  + (within.scale ** -2 if within.density == "normal" else 0.0))

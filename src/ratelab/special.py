@@ -9,13 +9,12 @@ numpy.ma on first use, which holds about 1.3 MB of resident memory.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 __all__ = ["logsumexp", "log_beta_counts", "expit", "logit", "ndtr", "median",
-           "quantile"]
+           "quantile", "bisect"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -45,18 +44,26 @@ def logsumexp(a) -> float:
     return float(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _log_factorials(bits: int) -> np.ndarray:
-    # ln k! for k < 2**bits; the entries do not depend on the table size
-    table = np.array([math.lgamma(k + 1.0) for k in range(1 << bits)])
-    table.setflags(write=False)
+_LOG_FACTORIALS = np.zeros(0)  # ln k! for k below its size
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """The ln k! table, first replaced by a copy extended to the power of
+    two at or above size if it is shorter: never grown in place, as pool
+    threads read it.  An entry's bits do not depend on the length."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.size < size:
+        more = range(table.size, 1 << (size - 1).bit_length())
+        table = np.concatenate([table, [math.lgamma(k + 1.0) for k in more]])
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
     return table
 
 
 def log_beta_counts(s, f) -> np.ndarray:
     """ln B(1 + s, 1 + f) for nonnegative integer counts s and f, as
-    ln s! + ln f! - ln (s + f + 1)!, read off a table of ln k! built once
-    per power-of-two size, the first that holds s + f + 1."""
+    ln s! + ln f! - ln (s + f + 1)!, read off the one table of ln k!."""
     s = np.asarray(s, dtype=np.int64)
     f = np.asarray(f, dtype=np.int64)
     total = s + f + 1
@@ -64,7 +71,7 @@ def log_beta_counts(s, f) -> np.ndarray:
         return np.zeros(total.shape)
     if min(int(s.min()), int(f.min())) < 0:
         raise ValueError("counts must be nonnegative")
-    table = _log_factorials(int(total.max()).bit_length())
+    table = _log_factorials(int(total.max()) + 1)
     return table[s] + table[f] - table[total]
 
 
@@ -122,3 +129,14 @@ def quantile(a, q: float) -> float:
     if weight >= 0.5:
         return float(hi - (hi - lo) * (1.0 - weight))
     return float(lo + (hi - lo) * weight)
+
+
+def bisect(right_of, lo, hi):
+    """Every bracket [lo, hi] halved 64 times at once, which pins a root
+    to the last bit: each step keeps [mid, hi] where right_of(mid) holds,
+    [lo, mid] elsewhere.  Returns the final (lo, hi)."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        right = right_of(mid)
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return lo, hi

@@ -2,12 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import ratelab.complexity as complexity
 from ratelab import (
-    QuadratureError,
     WithinModelPrior,
     log_covering_number_uniform,
     log_norm_complexity_analytic,
@@ -18,6 +18,19 @@ from ratelab import (
 UNIFORM = WithinModelPrior.uniform_box()
 NORMAL = WithinModelPrior.log_odds("normal", 1.0)
 LAPLACE = WithinModelPrior.log_odds("laplace", 1.0)
+
+
+def _mp_cell_sum(within, h: float, u: float) -> float:
+    """2 sum_j (T(jh) - T((j+1)h))^u over the cells out to 160 prior
+    scales, T the prior's tail, at 40 digits."""
+    with mpmath.workdps(40):
+        s, hh, uu = (mpmath.mpf(v) for v in (within.scale, h, u))
+        if within.density == "normal":
+            tail = lambda x: mpmath.ncdf(-x / s)
+        else:
+            tail = lambda x: mpmath.exp(-x / s) / 2
+        edges = [tail(j * hh) for j in range(int(160 * within.scale / h) + 2)]
+        return float(2 * mpmath.fsum((a - b) ** uu for a, b in zip(edges, edges[1:])))
 
 
 class TestCoveringNumbers:
@@ -89,17 +102,6 @@ class TestLogOddsGridSums:
         fine = norm_complexity_grid(NORMAL, 1, 0.5, 4).per_coordinate_sum
         assert fine >= coarse - 1e-12
 
-    def test_cell_budget_exhaustion_raises(self):
-        with pytest.raises(QuadratureError):
-            norm_complexity_grid(NORMAL, 1, 0.5, 10_000, max_cells=4096)
-
-    def test_exhausted_budget_is_not_rerun_for_each_m(self):
-        complexity._symmetric_cell_sum.cache_clear()
-        for m in (1, 2, 3):
-            with pytest.raises(QuadratureError):
-                norm_complexity_grid(NORMAL, m, 0.5, 10_000, max_cells=4096)
-        assert complexity._symmetric_cell_sum.cache_info().misses == 1
-
     def test_analytic_helper_matches_grid_summary_field(self):
         for within in (UNIFORM, NORMAL, LAPLACE):
             for m, n in [(1, 3), (2, 4), (3, 2)]:
@@ -117,6 +119,42 @@ class TestLogOddsGridSums:
         direct = 2.0 * float(np.sum(np.sqrt(masses)))
         summary = norm_complexity_grid(LAPLACE, 1, 0.5, n)
         assert summary.per_coordinate_sum == pytest.approx(direct, rel=1e-9)
+
+
+class TestLogOddsEnclosure:
+    # at u = 1/3 and n = 500 the unit-scale priors need 5e8 (normal) and
+    # 4e9 (laplace) cells per side, past the cap, so narrower ones stand in
+    CASES = ([(w, u, n) for w in (NORMAL, LAPLACE) for u in (0.5, 1.0 / 3.0)
+              for n in (2, 3, 4)]
+             + [(NORMAL, 0.5, 500), (LAPLACE, 0.5, 500),
+                (WithinModelPrior.log_odds("normal", 0.01), 1.0 / 3.0, 500),
+                (WithinModelPrior.log_odds("laplace", 0.001), 1.0 / 3.0, 500)])
+
+    @pytest.mark.parametrize("within,u,n", CASES, ids=lambda v: (
+        f"{v.density}{v.scale:g}" if isinstance(v, WithinModelPrior) else f"{v:.3g}"))
+    def test_exact_sum_lies_inside_the_enclosure(self, within, u, n):
+        summary = norm_complexity_grid(within, 1, u, n)
+        h = summary.grid_spacing
+        spread = 2.0 * h * float(within.pdf(0.0)) ** u
+        integral = within.u_norm_integral(u)
+        total = summary.per_coordinate_sum
+        # strictly above the lower end, which is what the cap reports
+        assert (integral - spread) * h ** (u - 1.0) < total
+        assert total <= (integral + spread) * h ** (u - 1.0)
+        assert total <= math.exp(u * summary.log_analytic_bound)
+        if n <= 4:
+            assert total == pytest.approx(_mp_cell_sum(within, h, u), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [4000, 32000])
+    def test_laplace_sum_past_the_cap_below_its_geometric_closed_form(self, n):
+        # each Laplace cell holds 1/2 e^(-jh) (1 - e^(-h)), so S is a
+        # geometric series; its cut here needs over 10^8 cells per side
+        summary = norm_complexity_grid(LAPLACE, 1, 0.5, n)
+        h = summary.grid_spacing
+        geometric = 2.0 * (-0.5 * math.expm1(-h)) ** 0.5 / -math.expm1(-0.5 * h)
+        assert summary.per_coordinate_sum <= geometric
+        assert geometric <= math.exp(0.5 * summary.log_analytic_bound)
+        assert summary.per_coordinate_sum == pytest.approx(geometric, rel=1e-5)
 
 
 class TestMixtures:

@@ -94,6 +94,24 @@ def test_log_odds_simulate_at_largest_n(within, scale, tmp_path, capsys):
     assert len(out.splitlines()) == 2 + 3
 
 
+@pytest.mark.parametrize("scale", [0.1, 1.5, 1000, 3000])
+@pytest.mark.parametrize("within", ["normal", "laplace"])
+def test_log_odds_complexity_finishes(within, scale, tmp_path, capsys):
+    # exact cell sums where their cut fits the cell cap, the lower end of
+    # the enclosure past it; the README's largest n included
+    path = tmp_path / "complexity.cfg"
+    path.write_text(LARGE_N_TEXT.format(within=within, scale=scale).replace(
+        "n_grid = 32000", "n_grid = 500, 4000, 32000"), encoding="utf-8")
+    code = cli.main(["complexity", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 23 + 64 + 179
+    for *_, log_grid, log_analytic, log_mixture in rows:
+        assert all(map(math.isfinite, (log_grid, log_analytic, log_mixture)))
+        assert log_grid <= log_analytic
+
+
 # Runs in a fresh interpreter: every study path and CLI command, then the
 # names of the scipy modules it loaded.
 NO_SCIPY_SCRIPT = """

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import ratelab.special as special
 from ratelab.special import (_log_factorials, expit, log_beta_counts, logit,
                              logsumexp, median, ndtr, quantile)
 
@@ -76,8 +77,15 @@ class TestLogBetaCounts:
             scale = sum(float(mpmath.loggamma(k + 1)) for k in (a, b, a + b + 1))
             assert abs(value - float(ref)) <= 4 * EPS * scale + 1e-300, (a, b)
 
-    def test_table_entries_do_not_depend_on_its_size(self):
-        assert np.array_equal(_log_factorials(15)[:16], _log_factorials(4))
+    def test_table_entries_do_not_depend_on_its_size(self, monkeypatch):
+        monkeypatch.setattr(special, "_LOG_FACTORIALS", np.zeros(0))
+        short = _log_factorials(16)
+        long = _log_factorials(1 << 15)
+        assert short.size == 16 and long.size == 1 << 15
+        assert np.array_equal(long[:16], short)
+        assert _log_factorials(17) is long  # one table serves every count
+        assert not long.flags.writeable
+        assert np.array_equal(long, [math.lgamma(k + 1.0) for k in range(1 << 15)])
 
     def test_shapes_and_validation(self):
         assert log_beta_counts([], []).shape == (0,)
