@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The README's example commands, run from the working directory with the
-# installed `ratelab` script; they write study.cfg, logodds.cfg, rates.csv
-# and the SVGs.
+# installed `ratelab` script; they write study.cfg, logodds.cfg,
+# laplace.cfg, rates.csv and the SVGs.
 set -euo pipefail
 
 ratelab divergence --p 0.3,0.7 --q 0.5,0.5 --t=-0.5,0,1
@@ -44,3 +44,17 @@ CFG
 ratelab bound --config logodds.cfg
 ratelab simulate --config logodds.cfg
 ratelab complexity --config logodds.cfg
+cat > laplace.cfg <<'CFG'
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = laplace
+scale = 0.7
+
+[run]
+n_grid = 500, 4000, 32000
+CFG
+ratelab complexity --config laplace.cfg

@@ -253,9 +253,10 @@ def _build_within(reader: _Reader) -> WithinModelPrior:
             raise ConfigError("scale requires a log-odds prior", scale_line)
         return WithinModelPrior.uniform_box()
     if within in ("normal", "laplace"):
-        if scale <= 0:
-            raise ConfigError(f"scale must be positive, got {scale}", scale_line)
-        return WithinModelPrior.log_odds(density=within, scale=scale)
+        try:
+            return WithinModelPrior.log_odds(density=within, scale=scale)
+        except ValueError as exc:
+            raise ConfigError(str(exc), scale_line)
     raise ConfigError(
         f"within must be uniform|normal|laplace, got {within!r}", within_line)
 

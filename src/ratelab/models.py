@@ -5,7 +5,7 @@ X on [0, 1], with P(Z = 1 | X = x) = mu0(x).  Working models are
 piecewise-constant means on m equal bins; the model index m carries a
 geometric-in-log-n prior and each model carries a within-model prior
 on its bin levels, either uniform on [0, 1]^m or a product density on
-the log-odds scale.
+the log-odds scale, one class per prior owning that prior's formulas.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from .special import expit, logit, logsumexp, ndtr
 __all__ = [
     "TrueModel",
     "WithinModelPrior",
+    "UniformPrior",
+    "LogOddsPrior",
+    "NormalPrior",
+    "LaplacePrior",
     "PriorSpec",
     "Dataset",
     "BestApproximation",
@@ -155,63 +159,80 @@ def _best_approximation(truth: TrueModel, m: int) -> BestApproximation:
     return BestApproximation(levels, float(bound), log_odds)
 
 
-@dataclass(frozen=True)
 class WithinModelPrior:
-    """Prior on the m bin levels of a working model.
+    """Prior on the m bin levels of a working model, alike and independent
+    per bin: ``uniform_box()`` on [0, 1], or ``log_odds(density, scale)``,
+    a symmetric density f on the log-odds scale decreasing away from 0.
+    Each class owns the box masses, cell sums and posterior frame terms."""
 
-    kind "uniform": independent uniforms on [0, 1] per bin (mean scale).
-    kind "log_odds": independent draws of a symmetric decreasing density
-    per bin on the log-odds scale ("normal" or "laplace", with a scale).
-    """
+    @staticmethod
+    def uniform_box() -> "UniformPrior":
+        return UniformPrior()
 
-    kind: str
-    density: str = ""
+    @staticmethod
+    def log_odds(density: str = "normal", scale: float = 1.0) -> "LogOddsPrior":
+        prior = {"normal": NormalPrior, "laplace": LaplacePrior}.get(density)
+        if prior is None:
+            raise ValueError(f"unknown log-odds density {density!r}")
+        return prior(float(scale))
+
+
+@dataclass(frozen=True)
+class UniformPrior(WithinModelPrior):
+    """Independent uniforms on [0, 1] per bin, on the mean scale."""
+
+    name = "uniform"
+
+    def mean_half_width(self, delta):
+        return delta
+
+    def log_box_masses(self, deltas: np.ndarray, approx: BestApproximation):
+        """ln prior mass of the box of each half-width around approx.levels."""
+        lo, hi = approx.levels - deltas[:, None], approx.levels + deltas[:, None]
+        if np.any(lo < -1e-12) or np.any(hi > 1.0 + 1e-12):
+            raise ValueError("box escapes the within-model prior support [0, 1]")
+        return np.log(np.minimum(hi, 1.0) - np.maximum(lo, 0.0)).sum(axis=-1)
+
+    def cell_sum(self, h: float, u: float) -> float:
+        """Exact cell-mass^u sum over cells of width h, in closed form."""
+        if h >= 1.0:
+            return 1.0
+        q0 = int(math.floor(1.0 / h))
+        q = q0 + 1 if (q0 + 1) * h <= 1.0 + 1e-12 else q0
+        r = 1.0 - q * h  # a remainder below 1e-13 h is rounding
+        return q * h ** u + (r ** u if r >= 1e-13 * h else 0.0)
+
+    analytic_sum = cell_sum  # the closed form is exact
+
+
+@dataclass(frozen=True)
+class LogOddsPrior(WithinModelPrior):
+    """A symmetric density f per bin on the log-odds scale, decreasing away
+    from 0, with a positive finite scale."""
+
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "log_odds"):
-            raise ValueError(f"unknown within-model prior kind {self.kind!r}")
-        if self.kind == "log_odds":
-            if self.density not in ("normal", "laplace"):
-                raise ValueError(f"unknown log-odds density {self.density!r}")
-            if not self.scale > 0:
-                raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
-    @classmethod
-    def uniform_box(cls) -> "WithinModelPrior":
-        return cls("uniform")
+    def mean_half_width(self, delta):
+        # the logistic map is 1/4-Lipschitz, so a log-odds box of half-width
+        # delta maps into a mean box of half-width delta / 4
+        return delta / 4.0
 
-    @classmethod
-    def log_odds(cls, density: str = "normal", scale: float = 1.0) -> "WithinModelPrior":
-        return cls("log_odds", density, float(scale))
-
-    def _require_log_odds(self):
-        if self.kind != "log_odds":
-            raise ValueError("operation needs a log-odds within-model prior")
-
-    def pdf(self, w):
-        self._require_log_odds()
-        w = np.asarray(w, dtype=float)
-        if self.density == "normal":
-            return np.exp(-0.5 * (w / self.scale) ** 2) / (self.scale * math.sqrt(2.0 * math.pi))
-        return np.exp(-np.abs(w) / self.scale) / (2.0 * self.scale)
-
-    def log_pdf(self, w):
-        self._require_log_odds()
-        w = np.asarray(w, dtype=float)
-        if self.density == "normal":
-            return -0.5 * (w / self.scale) ** 2 - math.log(self.scale) - 0.5 * math.log(2.0 * math.pi)
-        return -np.abs(w) / self.scale - math.log(2.0 * self.scale)
-
-    def tail(self, w):
-        """P(W > w) for w >= 0, computed without cancellation."""
-        self._require_log_odds()
-        w = np.asarray(w, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("tail is defined for nonnegative arguments")
-        if self.density == "normal":
-            return ndtr(-w / self.scale)
-        return 0.5 * np.exp(-w / self.scale)
+    def log_box_masses(self, deltas: np.ndarray, approx: BestApproximation):
+        """ln prior mass of the box of each half-width around approx.log_odds."""
+        lo, hi = approx.log_odds - deltas[:, None], approx.log_odds + deltas[:, None]
+        log_masses = self.log_interval_mass(lo, hi)
+        if np.isneginf(log_masses).any():
+            # the first underflowing box in (delta, bin) order
+            i, j = np.argwhere(np.isneginf(log_masses))[0]
+            raise FloatingPointError(
+                f"prior mass of bin {j}'s log-odds box [{lo[i, j]:.6g}, {hi[i, j]:.6g}] "
+                f"underflows float64 at m={approx.log_odds.size}, delta={deltas[i]:.6g} "
+                f"({self.name} prior, scale={self.scale:g})")
+        return log_masses.sum(axis=-1)
 
     def log_interval_mass(self, lo, hi):
         """ln P(lo < W < hi) for lo <= hi, from the tails alone.
@@ -222,25 +243,111 @@ class WithinModelPrior:
         box whose near tail is subnormal, with too few digits to trust (a
         normal box beyond about 37.5 scales).
         """
-        self._require_log_odds()
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         left = hi <= 0
-        near = self.tail(np.abs(np.where(left, hi, lo)))
-        far = self.tail(np.abs(np.where(left, lo, hi)))
+        near = self._tail(np.abs(np.where(left, hi, lo)))
+        far = self._tail(np.abs(np.where(left, lo, hi)))
         one_sided = np.where(near < np.finfo(float).tiny, 0.0, near - far)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where((lo < 0) & (hi > 0), np.log1p(-near - far),
                             np.log(one_sided))
 
+    def enclosure(self, h: float, u: float) -> tuple:
+        """Ends of h^(u-1) (I -+ 2 h f(0)^u), I the integral of f^u, around the
+        cell sum S: a cell's mass is between h f at its outer and inner edge."""
+        spread = 2.0 * h * self.peak ** u
+        u_integral = self.u_norm_integral(u)
+        return ((u_integral - spread) * h ** (u - 1.0),
+                (spread + u_integral) * h ** (u - 1.0))
+
+    def analytic_sum(self, h: float, u: float) -> float:
+        return self.enclosure(h, u)[1]
+
     def u_norm_integral(self, u: float) -> float:
-        """Closed form of the integral of pdf^u over the real line."""
-        self._require_log_odds()
+        """Closed form of the integral of f^u over the real line."""
         if not 0.0 < u < 1.0:
             raise ValueError(f"u must lie in (0, 1), got {u}")
+        return self._u_norm_integral(u)
+
+
+# a cap of 2^23 cells per side keeps normal(1.5), u = 1/2 exact to n = 1000
+_TAIL_TOL, _MAX_CELLS, _CELL_CHUNK = 1e-15, 1 << 23, 1 << 16
+
+
+@dataclass(frozen=True)
+class NormalPrior(LogOddsPrior):
+    """Normal log-odds density with standard deviation s = ``scale``."""
+
+    name, kinked = "normal", False
+
+    @property
+    def peak(self) -> float:
+        return 1.0 / (self.scale * math.sqrt(2.0 * math.pi))
+
+    @property
+    def curvature(self) -> float:
+        return self.scale ** -2
+
+    def log_pdf(self, w):
+        w = np.asarray(w, dtype=float)
+        return -0.5 * (w / self.scale) ** 2 - math.log(self.scale) - 0.5 * math.log(2.0 * math.pi)
+
+    def slope(self, theta):
+        return -theta / self.scale ** 2
+
+    def _tail(self, w):  # P(W > w)
+        return ndtr(-np.asarray(w, dtype=float) / self.scale)
+
+    def _u_norm_integral(self, u: float) -> float:
         s = self.scale
-        if self.density == "normal":
-            return (2.0 * math.pi * s * s) ** (0.5 * (1.0 - u)) / math.sqrt(u)
-        return 2.0 ** (1.0 - u) * s ** (1.0 - u) / u
+        return (2.0 * math.pi * s * s) ** (0.5 * (1.0 - u)) / math.sqrt(u)
+
+    @functools.lru_cache(maxsize=64)
+    def cell_sum(self, h: float, u: float) -> float:
+        """Cell-mass^u sum S over the cells [j*h, (j+1)*h), memoized for the
+        callers' loop over m: the first J cells per side, J the least that puts
+        the rest, at most the upper end times e^(-u (J h)^2 / (2 s^2)), below
+        _TAIL_TOL of max(1, lower end) <= S; past _MAX_CELLS, the lower end."""
+        lower, upper = self.enclosure(h, u)
+        decay = math.log(upper / (_TAIL_TOL * max(1.0, lower))) / u
+        cells = math.ceil(self.scale * math.sqrt(2.0 * decay) / h)
+        if cells > _MAX_CELLS:
+            return lower
+        total = 0.0
+        for start in range(0, cells, _CELL_CHUNK):
+            edges = np.arange(start, min(start + _CELL_CHUNK, cells) + 1, dtype=float)
+            tails = self._tail(edges * h)  # each cell edge's tail computed once
+            total += float(np.sum(np.maximum(tails[:-1] - tails[1:], 0.0) ** u))
+        return 2.0 * total
+
+
+@dataclass(frozen=True)
+class LaplacePrior(LogOddsPrior):
+    """Laplace log-odds density with scale b, kinked at 0."""
+
+    name, kinked, curvature = "laplace", True, 0.0
+
+    @property
+    def peak(self) -> float:
+        return 1.0 / (2.0 * self.scale)
+
+    def log_pdf(self, w):
+        return -np.abs(np.asarray(w, dtype=float)) / self.scale - math.log(2.0 * self.scale)
+
+    def slope(self, theta):
+        return -np.sign(theta) / self.scale  # 0 at the kink
+
+    def _tail(self, w):  # P(W > w) for w >= 0
+        return 0.5 * np.exp(-np.asarray(w, dtype=float) / self.scale)
+
+    def _u_norm_integral(self, u: float) -> float:
+        return 2.0 ** (1.0 - u) * self.scale ** (1.0 - u) / u
+
+    def cell_sum(self, h: float, u: float) -> float:
+        """Exact cell-mass^u sum over the cells [j*h, (j+1)*h), a geometric
+        series: cell j >= 0 holds e^(-j h / b) (1 - e^(-h / b)) / 2."""
+        b = self.scale
+        return 2.0 * (-0.5 * math.expm1(-h / b)) ** u / -math.expm1(-u * h / b)
 
 
 @dataclass(frozen=True)

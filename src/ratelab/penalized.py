@@ -17,12 +17,10 @@ import numpy as np
 
 from .divergence import _bin_moments, _moment_terms
 from .models import (BestApproximation, PriorSpec, TrueModel, best_approximation,
-                     mean_to_log_odds, model_log_prior)
+                     model_log_prior)
 
 __all__ = [
     "PenalizedDivergenceResult",
-    "sup_divergence_over_box",
-    "box_prior_log_mass",
     "penalized_value_at",
     "penalized_divergence_upper",
     "default_m_grid",
@@ -43,24 +41,10 @@ class PenalizedDivergenceResult:
     model_term: float
 
 
-def sup_divergence_over_box(truth: TrueModel, m: int, delta: float,
-                            t: float = 1.0) -> float:
-    """Upper bound on sup of d_t^2(p0, q) over levels within delta of the
-    best approximation.
-
-    t = 1 uses the closed form (err + delta)^2 / ((margin - delta) *
-    (1 - margin + delta)); other positive orders take a per-bin
-    supremum (the box objective separates over bins, and each bin's
-    integral is convex in its level for t > 0, so the supremum sits at
-    one of the two box endpoints), read off the truth's bin moments.
-    """
-    half_widths = np.array([float(delta)])
-    return float(_box_sups(truth, best_approximation(truth, m), half_widths, t)[0])
-
-
 def _box_sups(truth: TrueModel, approx: BestApproximation,
               half_widths: np.ndarray, t: float) -> np.ndarray:
-    # the box supremum at each mean half-width around one approximation
+    # sup of d_t^2(p0, q) over each mean half-width's box: a closed form at
+    # t = 1, else per bin the worse box end (its integral is convex in level)
     outside = ~((0.0 < half_widths) & (half_widths < truth.margin))
     if outside.any():
         raise ValueError(f"delta must lie in (0, margin={truth.margin}), "
@@ -76,53 +60,6 @@ def _box_sups(truth: TrueModel, approx: BestApproximation,
     worst = np.maximum(_moment_terms(moments, approx.levels - ends, t),
                        _moment_terms(moments, approx.levels + ends, t))
     return (worst.sum(axis=-1) - 1.0) / t
-
-
-def _within_box_log_mass(spec: PriorSpec, deltas: np.ndarray, centers: np.ndarray,
-                         log_odds: np.ndarray) -> np.ndarray:
-    """Log within-model prior mass of the product box of each half-width
-    around ``centers`` (on the mean scale), or under a log-odds prior
-    around their log odds ``log_odds``."""
-    within = spec.within
-    mids = centers if within.kind == "uniform" else log_odds
-    lo, hi = mids - deltas[:, None], mids + deltas[:, None]
-    if within.kind == "uniform":
-        if np.any(lo < -1e-12) or np.any(hi > 1.0 + 1e-12):
-            raise ValueError("box escapes the within-model prior support [0, 1]")
-        return np.log(np.minimum(hi, 1.0) - np.maximum(lo, 0.0)).sum(axis=-1)
-    log_masses = within.log_interval_mass(lo, hi)
-    if np.isneginf(log_masses).any():
-        # the first underflowing box in (delta, bin) order
-        i, j = np.argwhere(np.isneginf(log_masses))[0]
-        raise FloatingPointError(
-            f"prior mass of bin {j}'s log-odds box [{lo[i, j]:.6g}, {hi[i, j]:.6g}] "
-            f"underflows float64 at m={log_odds.size}, delta={deltas[i]:.6g} "
-            f"({within.density} prior, scale={within.scale:g})")
-    return log_masses.sum(axis=-1)
-
-
-def box_prior_log_mass(spec: PriorSpec, m: int, delta: float,
-                       centers: Optional[Sequence[float]] = None) -> float:
-    """Log joint prior mass ln(pi_m * pi(box | m)) of the level box.
-
-    For the uniform within-model prior the within part is m * ln(2*delta)
-    whenever the box stays inside [0, 1]^m; for log-odds priors ``delta``
-    is a log-odds half-width around the centers' log odds.
-    """
-    m = int(m)
-    delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if centers is None:
-        if spec.within.kind != "uniform":
-            raise ValueError("log-odds box mass needs explicit centers")
-        centers = np.full(m, 0.5)
-    centers = np.asarray(centers, dtype=float)
-    if centers.size != m:
-        raise ValueError(f"need {m} centers, got {centers.size}")
-    model_part = float(model_log_prior(spec)[m - 1])
-    return model_part + float(_within_box_log_mass(
-        spec, np.array([delta]), centers, mean_to_log_odds(centers))[0])
 
 
 def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float, n: int,
@@ -144,14 +81,13 @@ def _best_box(truth: TrueModel, spec: PriorSpec, t: float, n: int, m: int,
     inside = _fits_margin(truth, spec, deltas)
     if not inside.all():
         # name the caller's delta, not the mean half-width it maps to
-        top = truth.margin / _mean_half_width(spec, 1.0)
+        top = truth.margin / spec.within.mean_half_width(1.0)
         raise ValueError(f"delta must lie in (0, {top:g}) (margin={truth.margin}, "
-                         f"{spec.within.kind} within prior), "
+                         f"{spec.within.name} within prior), "
                          f"got {float(deltas[~inside][0])}")
     approx = best_approximation(truth, m)
-    approx_terms = _box_sups(truth, approx, _mean_half_width(spec, deltas), t)
-    box_terms = -_within_box_log_mass(spec, deltas, approx.levels,
-                                      approx.log_odds) / n
+    approx_terms = _box_sups(truth, approx, spec.within.mean_half_width(deltas), t)
+    box_terms = -spec.within.log_box_masses(deltas, approx) / n
     model_term = -float(model_log_prior(spec)[m - 1]) / n
     values = approx_terms + box_terms + model_term
     j = int(np.argmin(values))
@@ -161,15 +97,9 @@ def _best_box(truth: TrueModel, spec: PriorSpec, t: float, n: int, m: int,
         model_term=model_term)
 
 
-def _mean_half_width(spec: PriorSpec, delta):
-    # the logistic map is 1/4-Lipschitz, so a log-odds box of half-width
-    # delta maps into a mean box of half-width delta / 4
-    return delta if spec.within.kind == "uniform" else delta / 4.0
-
-
 def _fits_margin(truth: TrueModel, spec: PriorSpec, deltas: np.ndarray) -> np.ndarray:
     # whether each half-width's mean box stays inside the truth's margin
-    half_widths = _mean_half_width(spec, deltas)
+    half_widths = spec.within.mean_half_width(deltas)
     return (0.0 < half_widths) & (half_widths < truth.margin)
 
 

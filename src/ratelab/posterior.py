@@ -5,12 +5,13 @@ m independent Bernoulli problems (the bins of every model size are
 tallied together, in one flat pass over the sorted data), so the
 uniform within-model prior has Beta-function evidence in closed form
 and conjugate Beta bin posteriors.  Under a log-odds within-model prior
-every bin gets one frame, its posterior mode and the scale
-1/sqrt(curvature) there, for all bins at once: the evidence is
-Gauss-Legendre quadrature on the framed bin, certified per bin, and
-the draws of one model size read their bins' quantiles off one table
-per bin on the same frame.  The draws of one size are scored against
-the truth together, as one stack of levels.  A small exact enumeration
+every bin gets one frame from the prior's slope and curvature, its
+posterior mode and the scale 1/sqrt(curvature) there, for all bins at
+once: the evidence is Gauss-Legendre quadrature on the framed bin,
+split at the prior's kink if it has one, certified per bin, and the
+draws of one model size read their bins' quantiles off one table per
+bin on the same frame.  The draws of one size are scored against the
+truth together, as one stack of levels.  A small exact enumeration
 oracle checks the posterior-mass bound on finite spaces by brute force.
 """
 
@@ -25,7 +26,8 @@ import numpy as np
 
 from .divergence import (DiscreteDensity, QuadratureError, RegressionDensity,
                          _composite_gl, d_t_squared)
-from .models import Dataset, PriorSpec, TrueModel, WithinModelPrior, log_odds_to_mean
+from .models import (Dataset, PriorSpec, TrueModel, UniformPrior, WithinModelPrior,
+                     log_odds_to_mean)
 from .rate_bounds import posterior_mass_bound_rhs
 from .special import (bisect, expit, log_beta_counts, logsumexp, median,
                       quantile)
@@ -122,7 +124,7 @@ def _bin_posteriors(trials: np.ndarray, successes: np.ndarray,
                     within: WithinModelPrior):
     """Per-bin log evidence, and per-bin frames under a log-odds prior."""
     s, f = successes, trials - successes
-    if within.kind == "uniform":
+    if isinstance(within, UniformPrior):
         return log_beta_counts(s, f), None
     frames = _bin_frames(s, f, within)
     log_ev = np.zeros(s.shape)  # an empty bin's evidence is 1, its log 0
@@ -170,15 +172,12 @@ def _bin_frames(s, f, within: WithinModelPrior) -> np.ndarray:
     mode by bisection on the sign of the concave target's slope over [-64,
     64], a Laplace kink included; an empty bin gets its prior's frame."""
     def rising(mid):
-        prior = (-mid / within.scale ** 2 if within.density == "normal"
-                 else -np.sign(mid) / within.scale)  # 0 at the Laplace kink
-        return s * expit(-mid) - f * expit(mid) + prior > 0
+        return s * expit(-mid) - f * expit(mid) + within.slope(mid) > 0
 
     bracket = np.full(s.shape, _MODE_BRACKET)
     lo, hi = bisect(rising, -bracket, bracket)
     mode = 0.5 * (lo + hi)
-    curvature = ((s + f) * expit(mode) * expit(-mode)
-                 + (within.scale ** -2 if within.density == "normal" else 0.0))
+    curvature = (s + f) * expit(mode) * expit(-mode) + within.curvature
     empty = s + f == 0
     curvature = np.where(empty, within.scale ** -2.0, curvature)
     return np.stack([np.where(empty, 0.0, mode), curvature ** -0.5])
@@ -194,7 +193,7 @@ def _framed_log_evidence(s, f, within: WithinModelPrior, mode,
     of the integral."""
     peak = _log_target(mode, s, f, within)
     kink = np.arcsinh(-mode / scale * math.sinh(_GRADE) / _SPAN) / _GRADE
-    cut = np.where((within.density == "laplace") & (np.abs(kink) < 1.0), kink, 0.0)
+    cut = np.where(within.kinked & (np.abs(kink) < 1.0), kink, 0.0)
     lo = np.stack([np.full_like(cut, -1.0), cut])
     width = np.stack([cut + 1.0, 1.0 - cut])
 
@@ -326,7 +325,6 @@ def _posterior_draws(state: PosteriorState, rng, draws: int) -> list:
     the levels: Beta(1 + s, 1 + f) variates, or under a log-odds prior m
     uniforms, read as bin posterior quantiles off one table per bin for
     all draws of that size."""
-    within = state.spec.within
     sizes = np.empty(draws, dtype=np.int64)
     rows, params = {}, {}  # per size: the draws' variates, the Beta parameters
     for i in range(draws):
@@ -335,14 +333,14 @@ def _posterior_draws(state: PosteriorState, rng, draws: int) -> list:
         if m not in rows:
             params[m] = tuple(1.0 + c for c in _model_counts(state, m))
             rows[m] = []
-        rows[m].append(rng.beta(*params[m]) if within.kind == "uniform"
+        rows[m].append(rng.beta(*params[m]) if state.frames is None
                        else rng.random(m))
     groups = []
     for m in sorted(rows):
         levels = np.array(rows[m])
-        if within.kind != "uniform":
-            theta = _log_odds_quantiles(*_model_counts(state, m), within, levels,
-                                        state.frames[:, _model_bins(m)])
+        if state.frames is not None:
+            theta = _log_odds_quantiles(*_model_counts(state, m), state.spec.within,
+                                        levels, state.frames[:, _model_bins(m)])
             levels = log_odds_to_mean(theta)
         groups.append((m, np.flatnonzero(sizes == m), levels))
     return groups

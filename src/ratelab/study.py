@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+# imported unused: bench/layers.py wraps norm_complexity_grid in this namespace
 from .complexity import (log_cover_mixture, log_covering_number_uniform,
                          log_norm_complexity_analytic,
                          log_norm_complexity_mixture, norm_complexity_grid)
@@ -115,17 +116,11 @@ class StudyResult:
 def log_mixture_norm_complexity(spec: PriorSpec, u: float, n: int) -> float:
     """ln of the mixture norm complexity of the prior at one n.
 
-    Per-model norm complexities are exact grid sums for the uniform
-    within prior and the analytic envelope for unbounded log-odds priors
-    (a valid upper bound that stays cheap at large n).
+    Per-model norm complexities are the prior's analytic ones: the exact
+    sum under the uniform prior, a cheap upper bound under log-odds priors.
     """
-    sizes = range(1, spec.m_max + 1)
-    if spec.within.kind == "uniform":
-        log_norms = [norm_complexity_grid(spec.within, m, u, n).log_lu_norm
-                     for m in sizes]
-    else:
-        log_norms = [log_norm_complexity_analytic(spec.within, m, u, n)
-                     for m in sizes]
+    log_norms = [log_norm_complexity_analytic(spec.within, m, u, n)
+                 for m in range(1, spec.m_max + 1)]
     return log_norm_complexity_mixture(model_log_prior(spec), log_norms, u)
 
 

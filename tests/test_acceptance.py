@@ -298,8 +298,7 @@ def test_11_mixture_bound_no_worse_than_single_model_candidates(capsys):
         for m in default_m_grid(truth, spec, n):
             per_model = math.inf
             for delta in default_delta_grid(truth, n):
-                mean_delta = (delta if spec.within.kind == "uniform"
-                              else delta / 4.0)
+                mean_delta = spec.within.mean_half_width(delta)
                 if not 0.0 < mean_delta < truth.margin:
                     continue
                 result = penalized_value_at(truth, spec, order, n, m, delta)

@@ -7,9 +7,9 @@ import subprocess
 import pytest
 
 import ratelab.cli as cli
-import ratelab.complexity as complexity
 import ratelab.study as study
 from ratelab import QuadratureError, load_config, variant_bounds_for_n
+from ratelab.models import NormalPrior
 
 CONFIG = """
 [truth]
@@ -241,17 +241,17 @@ class TestComplexity:
     def test_log_odds_cell_sum_computed_once_per_n(self, tmp_path, capsys):
         path = tmp_path / "normal.cfg"
         path.write_text(NORMAL_TRIANGLE, encoding="utf-8")
-        complexity._symmetric_cell_sum.cache_clear()
+        NormalPrior.cell_sum.cache_clear()
         code, out, err = _run(["complexity", "--config", str(path)], capsys)
         assert code == 0, err
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 23 + 32
-        assert complexity._symmetric_cell_sum.cache_info().misses == 2
+        assert NormalPrior.cell_sum.cache_info().misses == 2
         # the m = 1 rows against the uncached sum, S^(1/u)
         within = load_config(str(path)).prior_for(500).within
         for row in (rows[0], rows[23]):
             n = int(row[2])
-            per_coord = complexity._symmetric_cell_sum.__wrapped__(
+            per_coord = NormalPrior.cell_sum.__wrapped__(
                 within, 4.0 * n ** -2.0, 0.5)
             assert float(row[3]) == pytest.approx(2.0 * math.log(per_coord),
                                                   rel=1e-12)

@@ -25,7 +25,7 @@ def _mp_cell_sum(within, h: float, u: float) -> float:
     scales, T the prior's tail, at 40 digits."""
     with mpmath.workdps(40):
         s, hh, uu = (mpmath.mpf(v) for v in (within.scale, h, u))
-        if within.density == "normal":
+        if within.name == "normal":
             tail = lambda x: mpmath.ncdf(-x / s)
         else:
             tail = lambda x: mpmath.exp(-x / s) / 2
@@ -122,8 +122,9 @@ class TestLogOddsGridSums:
 
 
 class TestLogOddsEnclosure:
-    # at u = 1/3 and n = 500 the unit-scale priors need 5e8 (normal) and
-    # 4e9 (laplace) cells per side, past the cap, so narrower ones stand in
+    # at u = 1/3 and n = 500 the unit-scale normal prior needs 5e8 cells per
+    # side, past its cap, so a narrower one stands in; the Laplace sum is
+    # a closed form, checked at the same narrow scale as before
     CASES = ([(w, u, n) for w in (NORMAL, LAPLACE) for u in (0.5, 1.0 / 3.0)
               for n in (2, 3, 4)]
              + [(NORMAL, 0.5, 500), (LAPLACE, 0.5, 500),
@@ -131,30 +132,46 @@ class TestLogOddsEnclosure:
                 (WithinModelPrior.log_odds("laplace", 0.001), 1.0 / 3.0, 500)])
 
     @pytest.mark.parametrize("within,u,n", CASES, ids=lambda v: (
-        f"{v.density}{v.scale:g}" if isinstance(v, WithinModelPrior) else f"{v:.3g}"))
+        f"{v.name}{v.scale:g}" if isinstance(v, WithinModelPrior) else f"{v:.3g}"))
     def test_exact_sum_lies_inside_the_enclosure(self, within, u, n):
         summary = norm_complexity_grid(within, 1, u, n)
         h = summary.grid_spacing
-        spread = 2.0 * h * float(within.pdf(0.0)) ** u
+        spread = 2.0 * h * within.peak ** u
         integral = within.u_norm_integral(u)
         total = summary.per_coordinate_sum
-        # strictly above the lower end, which is what the cap reports
+        # strictly above the lower end, which is what the normal cap reports
         assert (integral - spread) * h ** (u - 1.0) < total
         assert total <= (integral + spread) * h ** (u - 1.0)
         assert total <= math.exp(u * summary.log_analytic_bound)
         if n <= 4:
             assert total == pytest.approx(_mp_cell_sum(within, h, u), rel=1e-13)
 
-    @pytest.mark.parametrize("n", [4000, 32000])
-    def test_laplace_sum_past_the_cap_below_its_geometric_closed_form(self, n):
-        # each Laplace cell holds 1/2 e^(-jh) (1 - e^(-h)), so S is a
-        # geometric series; its cut here needs over 10^8 cells per side
-        summary = norm_complexity_grid(LAPLACE, 1, 0.5, n)
-        h = summary.grid_spacing
-        geometric = 2.0 * (-0.5 * math.expm1(-h)) ** 0.5 / -math.expm1(-0.5 * h)
-        assert summary.per_coordinate_sum <= geometric
-        assert geometric <= math.exp(0.5 * summary.log_analytic_bound)
-        assert summary.per_coordinate_sum == pytest.approx(geometric, rel=1e-5)
+
+
+class TestLaplaceClosedForm:
+    @pytest.mark.parametrize("n", [2, 3, 4, 500, 4000, 32000])
+    @pytest.mark.parametrize("u", [0.5, 1.0 / 3.0], ids=["u2", "u3"])
+    @pytest.mark.parametrize("scale", [0.001, 0.7, 1.5, 1000.0])
+    def test_sum_against_mpmath(self, scale, u, n):
+        # the cells j >= 0 hold masses T(jh) - T((j+1)h), T(x) = e^(-x/b) / 2,
+        # whose u-th powers fall by one ratio r per cell: at 60 digits, from
+        # the tails, S = 2 (T(0) - T(h))^u / (1 - r)
+        within = WithinModelPrior.log_odds("laplace", scale)
+        summary = norm_complexity_grid(within, 1, u, n)
+        h, total = summary.grid_spacing, summary.per_coordinate_sum
+        with mpmath.workdps(60):
+            b, hh, uu = (mpmath.mpf(v) for v in (scale, h, u))
+            tail = lambda x: mpmath.exp(-x / b) / 2
+            first, second = tail(0) - tail(hh), tail(hh) - tail(2 * hh)
+            ref = 2 * first ** uu / (1 - (second / first) ** uu)
+        assert total == pytest.approx(float(ref), rel=1e-14)
+        lower, upper = within.enclosure(h, u)
+        assert total <= upper
+        assert total <= math.exp(u * summary.log_analytic_bound)
+        # where the spread 2 h f(0)^u is lost to rounding (b = 1000, u = 1/3,
+        # n = 32000) the two float ends coincide, 2.2e-15 above S
+        if upper > lower:
+            assert lower < float(ref)
 
 
 class TestMixtures:

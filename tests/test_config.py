@@ -2,7 +2,9 @@
 
 import pytest
 
-from ratelab import ConfigError, load_config, parse_config_text
+import ratelab.cli as cli
+from ratelab import (ConfigError, WithinModelPrior, load_config,
+                     parse_config_text)
 
 MINIMAL = """
 [truth]
@@ -18,7 +20,7 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config_text(MINIMAL)
     assert cfg.truth.kind == "smooth"
     assert cfg.truth.margin == 0.25
-    assert cfg.within.kind == "uniform"
+    assert cfg.within == WithinModelPrior.uniform_box()
     assert cfg.k_model == 3.0
     assert cfg.m_max == 0
     assert cfg.n_grid == (10, 20, 40)
@@ -68,9 +70,7 @@ plot = yes
     assert cfg.truth.kind == "sparse"
     assert cfg.truth.m0 == 3
     assert cfg.truth.margin == 0.2
-    assert cfg.within.kind == "log_odds"
-    assert cfg.within.density == "normal"
-    assert cfg.within.scale == 0.8
+    assert cfg.within == WithinModelPrior.log_odds("normal", 0.8)
     assert cfg.k_model == 1.5
     assert cfg.m_max == 12
     assert cfg.u == pytest.approx(1.0 / 3.0)
@@ -220,7 +220,7 @@ def test_d_bound_override_on_smooth_truth():
     assert cfg.truth.mean.breakpoints == (0.45,)
 
 
-def test_prior_section_validation():
+def test_prior_section_validation(tmp_path):
     head = "[truth]\nkind = constant\nlevel = 0.4\n\n[prior]\n"
     tail = "\n[run]\nn_grid = 10, 20\n"
     assert "scale requires a log-odds prior" in str(
@@ -229,6 +229,15 @@ def test_prior_section_validation():
         _error(head + "within = cauchy" + tail))
     assert "scale must be positive" in str(
         _error(head + "within = normal\nscale = -1" + tail))
+    # a scale that is not a finite positive number names its own line, 6,
+    # and the CLI exits with the validation code 1
+    for scale in ("nan", "inf"):
+        text = head + f"scale = {scale}\nwithin = laplace" + tail
+        err = _error(text)
+        assert err.line == 6 and "scale must be positive" in str(err)
+        path = tmp_path / f"{scale}.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["bound", "--config", str(path)]) == 1
     assert "k_model must be positive" in str(
         _error(head + "k_model = 0" + tail))
     assert "m_max must be >= 0" in str(_error(head + "m_max = -1" + tail))

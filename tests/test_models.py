@@ -112,8 +112,10 @@ class TestModelPrior:
 
 class TestWithinModelPrior:
     def test_uniform_rejects_log_odds_operations(self):
-        with pytest.raises(ValueError):
-            WithinModelPrior.uniform_box().pdf(0.0)
+        with pytest.raises(AttributeError):
+            WithinModelPrior.uniform_box().log_pdf(0.0)
+        with pytest.raises(AttributeError):
+            WithinModelPrior.uniform_box().log_interval_mass(0.0, 1.0)
 
     @pytest.mark.parametrize("density,scale", [("normal", 1.0), ("normal", 2.5),
                                                ("laplace", 1.0), ("laplace", 0.7)])
@@ -122,7 +124,7 @@ class TestWithinModelPrior:
         for u in (0.5, 1.0 / 3.0):
             # integrate one symmetric half; the truncation at 100 scales
             # is below 1e-14 relative for both densities at these orders
-            half, err = quad(lambda w: within.pdf(w) ** u,
+            half, err = quad(lambda w: math.exp(u * float(within.log_pdf(w))),
                              0.0, 100.0 * scale, limit=200)
             assert err < 1e-7
             assert within.u_norm_integral(u) == pytest.approx(
@@ -195,10 +197,24 @@ class TestWithinModelPrior:
                               within.log_interval_mass(-hi, -lo))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        # a prior is built by its factory or its class, never from a kind
+        with pytest.raises(TypeError):
             WithinModelPrior("beta")
         with pytest.raises(ValueError):
             WithinModelPrior.log_odds("cauchy")
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        for density in ("normal", "laplace"):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                WithinModelPrior.log_odds(density, scale)
+
+    @pytest.mark.parametrize("scale", [0.02, 1.5])
+    def test_peak_is_the_density_at_0(self, scale):
+        for density in ("normal", "laplace"):
+            within = WithinModelPrior.log_odds(density, scale)
+            assert within.peak == pytest.approx(math.exp(within.log_pdf(0.0)),
+                                                rel=1e-15)
 
 
 class TestSimulation:

@@ -8,47 +8,64 @@ from scipy.integrate import quad
 
 import ratelab.divergence as divergence
 from ratelab import (
+    BestApproximation,
     PiecewiseConstantMean,
     PriorSpec,
     TrueModel,
     WithinModelPrior,
     best_approximation,
-    box_prior_log_mass,
     default_delta_grid,
     default_m_grid,
+    mean_to_log_odds,
     model_log_prior,
     penalized_divergence_upper,
     penalized_value_at,
-    sup_divergence_over_box,
 )
+from ratelab.penalized import _box_sups
 
 LINEAR = TrueModel.linear(intercept=0.3, slope=0.4)
+
+
+def box_sup(truth, m, delta, t=1.0):
+    """The box supremum of one (m, delta), read off the array path."""
+    return float(_box_sups(truth, best_approximation(truth, m),
+                           np.array([float(delta)]), t)[0])
+
+
+def box_log_mass(spec, m, delta, centers=None):
+    """ln(pi_m * pi(box | m)) of the box of half-width delta around the
+    centers (default 1/2 each), or under a log-odds prior around their
+    log odds."""
+    centers = np.full(m, 0.5) if centers is None else np.asarray(centers, dtype=float)
+    approx = BestApproximation(centers, 0.0, mean_to_log_odds(centers))
+    return float(model_log_prior(spec)[m - 1]
+                 + spec.within.log_box_masses(np.array([float(delta)]), approx)[0])
 
 
 class TestBoxSupremum:
     def test_chi_squared_closed_form(self):
         # (sup_error + delta)^2 / ((margin - delta)(1 - margin + delta))
         # with sup_error = 0.4/4 and the default margin 0.25
-        val = sup_divergence_over_box(LINEAR, m=4, delta=0.05, t=1.0)
+        val = box_sup(LINEAR, m=4, delta=0.05, t=1.0)
         assert val == pytest.approx(0.15 ** 2 / (0.2 * 0.8), abs=1e-15)
         assert val == pytest.approx(0.140625, abs=1e-15)
 
     def test_delta_must_stay_inside_margin(self):
         with pytest.raises(ValueError):
-            sup_divergence_over_box(LINEAR, m=4, delta=0.25)
+            box_sup(LINEAR, m=4, delta=0.25)
         with pytest.raises(ValueError):
-            sup_divergence_over_box(LINEAR, m=4, delta=0.0)
+            box_sup(LINEAR, m=4, delta=0.0)
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
-            sup_divergence_over_box(LINEAR, m=4, delta=0.05, t=0.0)
+            box_sup(LINEAR, m=4, delta=0.05, t=0.0)
 
     def test_general_order_attained_at_box_corner(self):
         # the per-bin integrand is convex in the level, so the numeric
         # scan must agree with the worse of the two box endpoints
         truth = TrueModel.sparse([0.4, 0.6])
         delta, t = 0.08, 2.0
-        got = sup_divergence_over_box(truth, m=2, delta=delta, t=t)
+        got = box_sup(truth, m=2, delta=delta, t=t)
         total = 0.0
         for level in (0.4, 0.6):
             corner = -math.inf
@@ -70,7 +87,7 @@ class TestBoxSupremum:
 
         expected = max(0.5 * (g(0.4, theta) + g(0.6, theta)) / t
                        for theta in (0.4 - delta, 0.4 + delta))
-        got = sup_divergence_over_box(truth, m=1, delta=delta, t=t)
+        got = box_sup(truth, m=1, delta=delta, t=t)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_general_order_on_a_kinked_truth(self):
@@ -82,7 +99,7 @@ class TestBoxSupremum:
         cube = (0.28 + 0.72) * (0.28 ** 2 + 0.72 ** 2) / 4.0
         corners = [cube / theta ** 2 + cube / (1.0 - theta) ** 2 - 1.0
                    for theta in (0.28 - delta, 0.28 + delta)]
-        got = sup_divergence_over_box(truth, m=1, delta=delta, t=t)
+        got = box_sup(truth, m=1, delta=delta, t=t)
         assert got == pytest.approx(max(corners) / t, rel=1e-13)
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
@@ -99,7 +116,7 @@ class TestBoxSupremum:
             # log-uniform over the default delta grids for n up to 32000
             delta = math.exp(rng.uniform(math.log(1 / 32000),
                                          math.log(truth.margin / 2)))
-            got = sup_divergence_over_box(truth, m, delta, t)
+            got = box_sup(truth, m, delta, t)
             levels = best_approximation(truth, m).levels
             # the full integrand over each bin at both box ends; both sums
             # cancel terms of size 1 down to the result, so they agree to
@@ -126,7 +143,7 @@ class TestBoxSupremum:
             assert inside / t <= got <= inside / t * (1 + 1e-5)
 
     def test_monotone_in_delta(self):
-        vals = [sup_divergence_over_box(LINEAR, 4, d) for d in (0.02, 0.08, 0.2)]
+        vals = [box_sup(LINEAR, 4, d) for d in (0.02, 0.08, 0.2)]
         assert vals[0] < vals[1] < vals[2]
 
 
@@ -134,26 +151,27 @@ class TestBoxPriorMass:
     def test_uniform_interior_box(self):
         spec = PriorSpec(n=64, k_model=2.0, m_max=6)
         delta, m = 0.1, 3
-        got = box_prior_log_mass(spec, m, delta)
+        got = box_log_mass(spec, m, delta)
         expected = float(model_log_prior(spec)[m - 1]) + m * math.log(2 * delta)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_uniform_box_may_not_escape_support(self):
         spec = PriorSpec(n=64, m_max=4)
         with pytest.raises(ValueError):
-            box_prior_log_mass(spec, 2, 0.2, centers=[0.1, 0.5])
+            box_log_mass(spec, 2, 0.2, centers=[0.1, 0.5])
 
-    def test_log_odds_box_needs_centers(self):
+    def test_log_odds_box_around_even_odds(self):
+        # the normal(1) mass of (-0.1, 0.1) is 2 ndtr(0.1) - 1 per bin
         spec = PriorSpec(n=64, m_max=4,
                          within=WithinModelPrior.log_odds("normal", 1.0))
-        with pytest.raises(ValueError):
-            box_prior_log_mass(spec, 2, 0.1)
-        val = box_prior_log_mass(spec, 2, 0.1, centers=[0.5, 0.5])
-        assert val < 0.0
+        val = box_log_mass(spec, 2, 0.1, centers=[0.5, 0.5])
+        expected = (float(model_log_prior(spec)[1])
+                    + 2 * math.log(math.erf(0.1 / math.sqrt(2.0))))
+        assert val == pytest.approx(expected, rel=1e-12)
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
-            box_prior_log_mass(PriorSpec(n=64, m_max=4), 2, 0.0)
+            penalized_value_at(LINEAR, PriorSpec(n=64, m_max=4), 1.0, 64, 2, 0.0)
 
 
 class TestPenalizedValue:
@@ -166,7 +184,7 @@ class TestPenalizedValue:
         assert res.model_term == pytest.approx(
             -float(model_log_prior(spec)[4]) / 500, abs=1e-12)
         assert res.approx_term == pytest.approx(
-            sup_divergence_over_box(LINEAR, 5, 0.03), abs=1e-15)
+            box_sup(LINEAR, 5, 0.03), abs=1e-15)
 
     def test_log_odds_delta_shrinks_on_mean_scale(self):
         spec = PriorSpec(n=500, m_max=20,
@@ -175,7 +193,7 @@ class TestPenalizedValue:
         # the logistic map is 1/4-Lipschitz: log-odds half-width 0.4 maps
         # into a mean box of half-width at most 0.1
         assert res.approx_term == pytest.approx(
-            sup_divergence_over_box(LINEAR, 5, 0.1), abs=1e-15)
+            box_sup(LINEAR, 5, 0.1), abs=1e-15)
 
     def test_model_index_bounds(self):
         spec = PriorSpec(n=100, m_max=4)
@@ -245,7 +263,7 @@ def _loop_minimum(truth, spec, t, n, m_grid, delta_grid):
     best = None
     for m in sorted(set(m_grid)):
         for delta in sorted(set(delta_grid)):
-            half = delta if spec.within.kind == "uniform" else delta / 4.0
+            half = spec.within.mean_half_width(delta)
             if not 0.0 < half < truth.margin:
                 continue
             cand = penalized_value_at(truth, spec, t, n, m, delta)
@@ -311,8 +329,8 @@ class TestGridEqualsLoop:
         want = _loop_minimum(LINEAR, spec, 2.0, 300, m_grid, delta_grid)
         assert _fields(got) == _fields(want)
         with pytest.raises(ValueError, match="delta must lie in"):
-            penalized_value_at(LINEAR, spec, 2.0, 300, 3, 1.0 if
-                               within.kind == "uniform" else 4.0)
+            penalized_value_at(LINEAR, spec, 2.0, 300, 3,
+                               1.0 / within.mean_half_width(1.0))
 
     def test_out_of_range_log_odds_delta_is_named_as_passed(self):
         # a log-odds delta maps to the mean half-width delta / 4, and the
@@ -346,4 +364,4 @@ class TestGridEqualsLoop:
         spec = PriorSpec(n=64, m_max=4)
         with pytest.raises(ValueError, match=r"^box escapes the within-model "
                            r"prior support \[0, 1\]$"):
-            box_prior_log_mass(spec, 2, 0.2, centers=[0.5, 0.9])
+            box_log_mass(spec, 2, 0.2, centers=[0.5, 0.9])
