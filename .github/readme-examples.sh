@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The README's example commands, run from the working directory with the
 # installed `ratelab` script; they write study.cfg, logodds.cfg,
-# laplace.cfg, rates.csv and the SVGs.
+# laplace.cfg, normal.cfg, rates.csv, normal.csv and the SVGs.
 set -euo pipefail
 
 ratelab divergence --p 0.3,0.7 --q 0.5,0.5 --t=-0.5,0,1
@@ -58,3 +58,19 @@ scale = 0.7
 n_grid = 500, 4000, 32000
 CFG
 ratelab complexity --config laplace.cfg
+cat > normal.cfg <<'CFG'
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = normal
+scale = 1.5
+
+[run]
+n_grid = 500, 1000, 2000, 4000, 8000, 16000, 32000
+draws = 50
+variants = prop7, remark10
+CFG
+ratelab rate-study --config normal.cfg --out normal.csv

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -83,11 +84,13 @@ class TrueModel:
         if not 0.0 < peak < 1.0:
             raise ValueError(f"peak must lie in (0, 1), got {peak}")
 
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            up = center - amplitude + 2.0 * amplitude * (x / peak)
-            down = center + amplitude - 2.0 * amplitude * (x - peak) / (1.0 - peak)
-            return np.where(x < peak, up, down)
+        def fn(x):  # in place, with the bits of c - a + 2a (x / peak) and, as
+            x = np.asarray(x, dtype=float)  # -y is exact, c + a - 2a (x - peak) / (1 - peak)
+            up = np.asarray(x / peak); up *= 2.0 * amplitude; up += center - amplitude
+            down = np.asarray(x - peak); down *= -2.0 * amplitude; down /= 1.0 - peak
+            down += center + amplitude
+            np.copyto(down, up, where=x < peak)
+            return down
 
         d_bound = 2.0 * abs(amplitude) / min(peak, 1.0 - peak)
         return cls.smooth(fn, d_bound, margin, breakpoints=(peak,))
@@ -213,8 +216,9 @@ class LogOddsPrior(WithinModelPrior):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not sys.float_info.min <= self.scale < math.inf:  # a subnormal one
+            # overflows the density's peak, 1/(2b) or 1/(b sqrt(2 pi))
+            raise ValueError(f"scale must be positive, finite, not subnormal: {self.scale}")
 
     def mean_half_width(self, delta):
         # the logistic map is 1/4-Lipschitz, so a log-odds box of half-width
@@ -235,22 +239,14 @@ class LogOddsPrior(WithinModelPrior):
         return log_masses.sum(axis=-1)
 
     def log_interval_mass(self, lo, hi):
-        """ln P(lo < W < hi) for lo <= hi, from the tails alone.
-
-        A box on one side of 0 takes the difference of the tails at its
-        ends' distances from 0, so a mirrored box gives the same bits; a
-        box across 0 takes ln(1 - both outer tails).  -inf for a one-sided
-        box whose near tail is subnormal, with too few digits to trust (a
-        normal box beyond about 37.5 scales).
-        """
+        """ln P(lo < W < hi) for lo <= hi, from each prior's _log_masses of the
+        ends' distances from 0, so a mirrored box gives the same bits."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         left = hi <= 0
-        near = self._tail(np.abs(np.where(left, hi, lo)))
-        far = self._tail(np.abs(np.where(left, lo, hi)))
-        one_sided = np.where(near < np.finfo(float).tiny, 0.0, near - far)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where((lo < 0) & (hi > 0), np.log1p(-near - far),
-                            np.log(one_sided))
+        near, far = np.abs(np.where(left, hi, lo)), np.abs(np.where(left, lo, hi))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            across, one_sided = self._log_masses(near, far)
+        return np.where((lo < 0) & (hi > 0), across, one_sided)
 
     def enclosure(self, h: float, u: float) -> tuple:
         """Ends of h^(u-1) (I -+ 2 h f(0)^u), I the integral of f^u, around the
@@ -298,6 +294,12 @@ class NormalPrior(LogOddsPrior):
     def _tail(self, w):  # P(W > w)
         return ndtr(-np.asarray(w, dtype=float) / self.scale)
 
+    def _log_masses(self, near, far):
+        """Across 0, ln(1 - both tails); one side, -inf once the near tail is subnormal."""
+        near, far = self._tail(near), self._tail(far)
+        return (np.log1p(-near - far),
+                np.log(np.where(near < np.finfo(float).tiny, 0.0, near - far)))
+
     def _u_norm_integral(self, u: float) -> float:
         s = self.scale
         return (2.0 * math.pi * s * s) ** (0.5 * (1.0 - u)) / math.sqrt(u)
@@ -339,6 +341,12 @@ class LaplacePrior(LogOddsPrior):
 
     def _tail(self, w):  # P(W > w) for w >= 0
         return 0.5 * np.exp(-np.asarray(w, dtype=float) / self.scale)
+
+    def _log_masses(self, near, far):
+        """As normal's across 0; one side, ln 1/2 - near/b + ln(-expm1(-(far - near)/b))."""
+        return (np.log1p(-self._tail(near) - self._tail(far)),
+                math.log(0.5) - near / self.scale
+                + np.log(-np.expm1(-(far - near) / self.scale)))
 
     def _u_norm_integral(self, u: float) -> float:
         return 2.0 ** (1.0 - u) * self.scale ** (1.0 - u) / u

@@ -2,21 +2,23 @@
 
 Binning the covariate into m equal cells reduces each working model to
 m independent Bernoulli problems (the bins of every model size are
-tallied together, in one flat pass over the sorted data), so the
-uniform within-model prior has Beta-function evidence in closed form
-and conjugate Beta bin posteriors.  Under a log-odds within-model prior
-every bin gets one frame from the prior's slope and curvature, its
-posterior mode and the scale 1/sqrt(curvature) there, for all bins at
-once: the evidence is Gauss-Legendre quadrature on the framed bin,
-split at the prior's kink if it has one, certified per bin, and the
-draws of one model size read their bins' quantiles off one table per
-bin on the same frame.  The draws of one size are scored against the
-truth together, as one stack of levels.  A small exact enumeration
-oracle checks the posterior-mass bound on finite spaces by brute force.
+tallied together), so the uniform within-model prior has Beta-function
+evidence in closed form and conjugate Beta bin posteriors.  A certified
+screen leaves out the models that cannot carry weight; only the others'
+bins get their evidence.  Under a log-odds within-model prior each such
+bin gets one frame from the prior's slope and curvature, its posterior
+mode and the scale 1/sqrt(curvature) there: the evidence is
+Gauss-Legendre quadrature on the framed bin, split at the prior's kink
+if it has one, certified per bin, and the draws of one model size read
+their bins' quantiles off one table per bin on the same frame.  The
+draws of one size are scored against the truth together, as one stack
+of levels.  A small exact enumeration oracle checks the posterior-mass
+bound on finite spaces by brute force.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ import numpy as np
 from .divergence import (DiscreteDensity, QuadratureError, RegressionDensity,
                          _composite_gl, d_t_squared)
 from .models import (Dataset, PriorSpec, TrueModel, UniformPrior, WithinModelPrior,
-                     log_odds_to_mean)
+                     log_odds_to_mean, model_log_prior)
 from .rate_bounds import posterior_mass_bound_rhs
 from .special import (bisect, expit, log_beta_counts, logsumexp, median,
                       quantile)
@@ -46,7 +48,7 @@ __all__ = [
     "random_oracle_config",
 ]
 
-_EVIDENCE_TOL = 1e-10
+_EVIDENCE_TOL, _SCREEN = 1e-10, 750.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,42 +84,48 @@ def bin_counts(data: Dataset, m: int) -> BinnedCounts:
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    trials, successes = _flat_counts(data, np.array([m]))
+    trials, successes, _ = _flat_counts(data, m, m)
     return BinnedCounts(m=m, trials=trials, successes=successes)
 
 
-def _flat_counts(data: Dataset, sizes: np.ndarray):
-    """Trials and successes of every bin of every model size in sizes,
-    one size after another, from one sort of x and a prefix sum of z.
-
-    Bin j of m holds the points with j - 1 <= x * m < j, which is the
-    floor(x * m) rule, with x = 1 in bin m.
-    """
-    first = np.cumsum(sizes) - sizes  # flat index of each size's first bin
+@functools.lru_cache(maxsize=64)
+def _bin_cuts(lo: int, hi: int) -> tuple:
+    """The upper cuts of the bins of model sizes lo..hi, sorted without
+    repeats, each flat bin's int32 index into them, and each size's first
+    flat bin; read-only, so pool threads share them.  Bin j of m holds the
+    x with j - 1 <= x * m < j, the floor(x * m) rule, and x = 1 joins bin m."""
+    sizes = np.arange(lo, hi + 1)
+    first = np.cumsum(sizes) - sizes
     m = np.repeat(sizes, sizes)
     j = np.arange(m.size) - np.repeat(first, sizes) + 1
     # bins 1..j hold the x with x * m < j, and x * m is monotone in x, so
     # they are the x below the least double c with c * m >= j, which lies
-    # within one ulp of j / m
+    # within one ulp of j / m; bin m holds every x up to 1
     cut = j / m
     cut = np.where(cut * m < j, np.nextafter(cut, 2.0), cut)
     below = np.nextafter(cut, -1.0)
     cut = np.where(below * m >= j, below, cut)
-    last = j == m  # bin m also holds x = 1
-    # at large n the arrays of the tally show in peak memory: each is
-    # dropped as soon as it is used, and the cuts come before the sort
-    del m, j, below
-    order = np.argsort(data.x)
-    xs = data.x[order]
-    z_prefix = np.zeros(xs.size + 1, dtype=np.int64)
-    np.cumsum(data.z[order], out=z_prefix[1:])
-    del order
-    upper = np.searchsorted(xs, cut)
-    del xs, cut
-    upper[last] = z_prefix.size - 1
-    lower = np.concatenate(([0], upper[:-1]))
-    lower[first] = 0
-    return upper - lower, z_prefix[upper] - z_prefix[lower]
+    cut[j == m] = np.inf
+    cuts, at = np.unique(cut, return_inverse=True)
+    at = at.astype(np.int32)
+    for array in (cuts, at, first):
+        array.setflags(write=False)
+    return cuts, at, first
+
+
+def _flat_counts(data: Dataset, lo: int, hi: int):
+    """Trials and successes of every bin of model sizes lo..hi, one size after
+    another, by sorted searches, and the flat index of each size's first bin."""
+    cuts, at, first = _bin_cuts(lo, hi)
+
+    def tally(xs):  # points of sorted xs in each flat bin
+        upper = np.searchsorted(xs, cuts)[at]
+        lower = np.concatenate(([0], upper[:-1]))
+        lower[first] = 0
+        return upper - lower
+
+    trials = tally(np.sort(data.x))  # before x with z = 1 is taken: less memory
+    return trials, tally(np.sort(data.x[data.z != 0])), first
 
 
 def _bin_posteriors(trials: np.ndarray, successes: np.ndarray,
@@ -129,8 +137,15 @@ def _bin_posteriors(trials: np.ndarray, successes: np.ndarray,
     frames = _bin_frames(s, f, within)
     log_ev = np.zeros(s.shape)  # an empty bin's evidence is 1, its log 0
     live = np.flatnonzero(trials)
-    for at in np.split(live, np.arange(_CHUNK, live.size, _CHUNK)):  # caps memory
+    for at in np.split(live, np.arange(_CHUNK, live.size, _CHUNK)):
         log_ev[at] = _framed_log_evidence(s[at], f[at], within, *frames[:, at])
+    missed = np.flatnonzero(np.isnan(log_ev))  # the uncertified bins
+    if missed.size:
+        j = int(missed[0])
+        error = QuadratureError(f"log-odds evidence of the bin with {s[j]:g} successes"
+                                f" and {f[j]:g} failures missed tolerance {_EVIDENCE_TOL}")
+        error.bin = j  # its index in trials
+        raise error
     return log_ev, frames
 
 
@@ -159,7 +174,11 @@ def _log_target(theta, s, f, within: WithinModelPrior):
 # sinh(_GRADE), v in [-1, 1]: uniform steps in v are 0.93 dv wide in z at
 # the mode and widen outward, where wide Laplace tails reach far out.
 _SPAN, _GRADE, _PANELS, _TABLE_POINTS = 1024.0, 10.0, (16, 32), 2049
-_MODE_BRACKET, _CHUNK = 64.0, 16
+# a chunk of bins integrates as (2 pieces, _CHUNK bins, 32 x 32 nodes)
+# float64 temporaries, 16 KiB per bin: at 6 bins they stay well below
+# glibc malloc's default 128 KiB mmap and trim thresholds, so the chunks
+# reuse heap pages instead of faulting in fresh ones
+_MODE_BRACKET, _CHUNK = 64.0, 6
 
 
 def _z_of_v(v):  # z and dz/dv
@@ -188,9 +207,9 @@ def _framed_log_evidence(s, f, within: WithinModelPrior, mode,
     """Log evidence of nonempty bins from their frames: exp(target - peak)
     integrated over z on two pieces, split at the mode, or at theta = 0
     when a Laplace kink lies inside the span, with 16 and 32 Gauss-Legendre
-    panels per piece, uniform in v.  The two must agree to _EVIDENCE_TOL
-    relative, and the mass beyond each end must stay below _EVIDENCE_TOL
-    of the integral."""
+    panels per piece, uniform in v.  A bin is certified when the two agree
+    to _EVIDENCE_TOL relative and the mass beyond each end stays below
+    _EVIDENCE_TOL of the integral; an uncertified bin gets nan."""
     peak = _log_target(mode, s, f, within)
     kink = np.arcsinh(-mode / scale * math.sinh(_GRADE) / _SPAN) / _GRADE
     cut = np.where(within.kinked & (np.abs(kink) < 1.0), kink, 0.0)
@@ -211,13 +230,9 @@ def _framed_log_evidence(s, f, within: WithinModelPrior, mode,
                    - peak for z in (_SPAN, _SPAN - 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         tails = np.where(inside > end, np.exp(end) / (inside - end), np.inf).sum(axis=0)
-    certified = (np.abs(fine - coarse) <= _EVIDENCE_TOL * fine) & (
-        tails <= _EVIDENCE_TOL * fine)
-    if not certified.all():
-        j = int(np.argmin(certified))
-        raise QuadratureError(f"log-odds evidence of the bin with {s[j]:g} successes"
-                              f" and {f[j]:g} failures missed tolerance {_EVIDENCE_TOL}")
-    return peak + np.log(scale) + np.log(fine)
+        certified = (np.abs(fine - coarse) <= _EVIDENCE_TOL * fine) & (
+            tails <= _EVIDENCE_TOL * fine)
+        return np.where(certified, peak + np.log(scale) + np.log(fine), np.nan)
 
 
 _TABLE_Z = _z_of_v(np.linspace(-1.0, 1.0, _TABLE_POINTS))[0]
@@ -250,7 +265,8 @@ class PosteriorState:
     Bin-level posteriors are conjugate Beta(1 + s, 1 + f) under the
     uniform prior.  Under a log-odds prior ``frames`` holds every bin's
     posterior mode (row 0) and scale (row 1) in the same flat order, read
-    by the evidence and by every draw; it is None under the uniform prior.
+    by the evidence and by every draw (nan for models the screen left
+    out, which no draw picks); it is None under the uniform prior.
     ``cdf`` is the cumulative sum of the weights, scaled to end at 1, from
     which every draw picks its model size.
     """
@@ -292,17 +308,47 @@ def _model_counts(state: PosteriorState, m: int) -> tuple:
 
 def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
     """Posterior model weights w_m proportional to pi_m * evidence_m,
-    accumulated in log space.  The bins of every model are tallied and
-    their evidence computed in one flat pass; each model's log evidence
-    is the sum over its own bins, as log_evidence takes it.  An empty
-    dataset reproduces the prior."""
-    from .models import model_log_prior
-
+    accumulated in log space, with the weights' bits of every model's
+    exact log evidence.  The bins of every model are tallied in one flat
+    pass.  A screen skips the models whose mass np.exp takes to 0; each
+    other model's log evidence is the sum over its own bins, as
+    log_evidence takes it.  An empty dataset reproduces the prior."""
     sizes = np.arange(1, spec.m_max + 1)
-    trials, successes = _flat_counts(data, sizes)
-    per_bin, frames = _bin_posteriors(trials, successes, spec.within)
-    log_ev = np.array([np.sum(per_bin[_model_bins(m)]) for m in sizes.tolist()])
-    log_post = model_log_prior(spec) + log_ev
+    trials, successes, first = _flat_counts(data, 1, spec.m_max)
+    log_prior = model_log_prior(spec)
+    # The screen: a bin's evidence under a proper prior is at most its best
+    # likelihood, s ln(s/N) + f ln(f/N), so bound >= each model's log mass.
+    # A model whose bound is 750 below an exact mass has a normalized log
+    # weight below -749.99, and np.exp takes anything below -745.14 to 0:
+    # skipping it (log mass -inf) leaves logsumexp, the weights and the CDF
+    # bit for bit.  The gap to 750 covers the bound sums' rounding, < 1e-9.
+    bound = log_prior.copy()
+    for k, sign in ((successes, 1.0), (trials - successes, 1.0), (trials, -1.0)):
+        bound += sign * np.add.reduceat(k * np.log(np.maximum(k, 1)), first)
+    log_post = np.full(spec.m_max, -np.inf)
+    per_bin = np.zeros(trials.size)
+    frames = (None if isinstance(spec.within, UniformPrior)
+              else np.full((2, trials.size), np.nan))  # nan: a skipped bin
+
+    def evaluate(models):  # the exact log masses of the models flagged
+        bins = np.repeat(models, sizes)
+        try:
+            per_bin[bins], bin_frames = _bin_posteriors(trials[bins], successes[bins],
+                                                        spec.within)
+        except QuadratureError as error:  # name the bin's model size and index
+            at = int(np.flatnonzero(bins)[error.bin])
+            m = int(np.searchsorted(first, at, side="right"))
+            error.args = (f"model size m={m}, bin {at - first[m - 1] + 1}: {error}",)
+            raise
+        if frames is not None:
+            frames[:, bins] = bin_frames
+        for m in np.flatnonzero(models).tolist():
+            log_post[m] = log_prior[m] + np.sum(per_bin[_model_bins(m + 1)])
+
+    best = sizes == np.argmax(bound) + 1
+    evaluate(best)
+    evaluate((bound >= log_post.max() - _SCREEN) & ~best)
+
     log_post = log_post - logsumexp(log_post)
     weights = np.exp(log_post)
     weights = weights / weights.sum()

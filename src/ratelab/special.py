@@ -55,7 +55,8 @@ def _log_factorials(size: int) -> np.ndarray:
     table = _LOG_FACTORIALS
     if table.size < size:
         more = range(table.size, 1 << (size - 1).bit_length())
-        table = np.concatenate([table, [math.lgamma(k + 1.0) for k in more]])
+        table = np.concatenate([table, np.fromiter(  # no list of floats
+            (math.lgamma(k + 1.0) for k in more), dtype=float, count=len(more))])
         table.setflags(write=False)
         _LOG_FACTORIALS = table
     return table

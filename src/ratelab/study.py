@@ -21,6 +21,7 @@ from .complexity import (log_cover_mixture, log_covering_number_uniform,
                          log_norm_complexity_analytic,
                          log_norm_complexity_mixture, norm_complexity_grid)
 from .config import ExperimentConfig
+from .divergence import QuadratureError
 from .models import PriorSpec, model_log_prior, simulate_data
 from .penalized import penalized_divergence_upper
 from .posterior import (DivergenceSummary, empirical_divergence_quantiles,
@@ -182,14 +183,17 @@ def fit_slope(points: Sequence) -> SlopeFit:
 
 def cell_divergences(config: ExperimentConfig, n: int,
                      replicate: int) -> DivergenceSummary:
-    """Posterior divergence draws of one (n, replicate) cell: simulate
-    the data, build the exact posterior, draw from it."""
-    data = simulate_data(config.truth, n,
-                         seed=(config.seed, TAG_DATA, n, replicate))
-    state = model_posterior(data, config.prior_for(n))
-    rng = stream(config.seed, TAG_DRAW, n, replicate)
-    return empirical_divergence_quantiles(
-        config.truth, state, config.u, config.draws, rng)
+    """Posterior divergence draws of one (n, replicate) cell: simulate the
+    data, build the exact posterior, draw from it; failures name the cell."""
+    try:
+        data = simulate_data(config.truth, n,
+                             seed=(config.seed, TAG_DATA, n, replicate))
+        state = model_posterior(data, config.prior_for(n))
+        rng = stream(config.seed, TAG_DRAW, n, replicate)
+        return empirical_divergence_quantiles(
+            config.truth, state, config.u, config.draws, rng)
+    except (QuadratureError, FloatingPointError) as error:
+        raise type(error)(f"n={n}, replicate={replicate}, {error}") from error
 
 
 def _run_cell(config: ExperimentConfig, n: int, replicate: int,

@@ -47,6 +47,26 @@ replicates = 5
 seed = 1
 """
 
+# the dense truth under a normal log-odds prior: framed quadrature evidence
+# for the models the screen keeps, tabulated log-odds draws
+LOGODDS_STUDY = """
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = normal
+scale = 1.5
+
+[run]
+n_grid = 500, 1000, 2000, 4000, 8000, 16000, 32000
+draws = 50
+replicates = 5
+seed = 1
+variants = prop3, prop7, remark8, remark10
+"""
+
 
 def _report(capsys, index, ok, detail):
     verdict = "PASS" if ok else "FAIL"
@@ -310,3 +330,16 @@ def test_11_mixture_bound_no_worse_than_single_model_candidates(capsys):
     ok = worst_gap <= 1e-12
     _report(capsys, 11, ok, f"worst mixture minus best single-model candidate "
                     f"{worst_gap:.2e} over 50 random configurations")
+
+
+def test_12_normal_prior_contraction_rate(capsys):
+    # the bands of the dense check, under the normal(1.5) log-odds prior
+    start = time.perf_counter()
+    result = run_rate_study(parse_config_text(LOGODDS_STUDY))
+    elapsed = time.perf_counter() - start
+    fit = result.summary.fit
+    worst_exceed = max(row.exceedance for row in result.rows)
+    ok = (-0.9 <= fit.slope <= -0.45 and fit.r_squared >= 0.9
+          and worst_exceed <= 0.05 and elapsed < 600.0)
+    _report(capsys, 12, ok, f"slope {fit.slope:.4f}, r2 {fit.r_squared:.4f}, "
+                    f"max exceedance {worst_exceed:.3f}, {elapsed:.1f}s")

@@ -83,6 +83,24 @@ csv = rates.csv
 """
 
 
+# a prior so wide that a one-success bin cannot be certified
+WIDE_LAPLACE = """
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = laplace
+scale = 3000
+
+[run]
+n_grid = 2, 3, 4
+replicates = 2
+draws = 5
+"""
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "study.cfg"
@@ -267,6 +285,15 @@ class TestComplexity:
                                 (500, 1000, 2000, 4000, 8000, 16000, 32000))
         assert not any(math.isinf(float(field)) for row in rows for field in row)
 
+    def test_subnormal_scale_exits_one(self, tmp_path, capsys):
+        # the peak 1/(2b) of a subnormal Laplace scale overflows to inf
+        path = tmp_path / "subnormal.cfg"
+        path.write_text(WIDE_LAPLACE.replace("3000", "1e-310"), encoding="utf-8")
+        code, out, err = _run(["complexity", "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 9: scale must be positive")
+        assert "not subnormal: 1e-310" in err
+
     def test_deterministic(self, config_path, capsys):
         first = _run(["complexity", "--config", config_path], capsys)[1]
         second = _run(["complexity", "--config", config_path], capsys)[1]
@@ -293,6 +320,21 @@ class TestSimulate:
                      capsys)[1]
         assert base == same
         assert base != other
+
+
+    def test_uncertified_bin_names_its_cell(self, tmp_path, capsys):
+        # under a Laplace prior of scale 3000 a bin with one success has
+        # mass beyond the span the evidence certifies; at n = 2 the model
+        # of two bins carries weight and holds such a bin
+        path = tmp_path / "wide.cfg"
+        path.write_text(WIDE_LAPLACE, encoding="utf-8")
+        for command in ("simulate", "rate-study"):
+            code, _, err = _run([command, "--config", str(path),
+                                 "--out", str(tmp_path / "out.csv")], capsys)
+            assert code == 2
+            assert err == ("numerical failure: n=2, replicate=0, model size m=2, "
+                           "bin 1: log-odds evidence of the bin with 1 successes "
+                           "and 0 failures missed tolerance 1e-10\n")
 
 
 class TestVerifyProp2:

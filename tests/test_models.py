@@ -1,6 +1,7 @@
 """True means, best approximations, priors, and data simulation."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -187,6 +188,19 @@ class TestWithinModelPrior:
         else:
             assert got.tolist() == [-math.inf, -math.inf]
 
+    # a narrow box against a wide Laplace prior: both tails round near 1/2,
+    # and their difference would cancel (0.11 too large at scale 1e13)
+    @pytest.mark.parametrize("scale", [0.7, 1e6, 1e10, 1e13])
+    def test_narrow_laplace_box_against_mpmath(self, scale):
+        lo, hi = 0.942462, 0.946462
+        with mpmath.workdps(50):
+            b = mpmath.mpf(scale)
+            tail = lambda w: mpmath.exp(-mpmath.mpf(w) / b) / 2
+            log_ref = float(mpmath.log(tail(lo) - tail(hi)))
+        within = WithinModelPrior.log_odds("laplace", scale)
+        got = within.log_interval_mass(np.array([lo, -hi]), np.array([hi, -lo]))
+        assert got == pytest.approx([log_ref, log_ref], rel=1e-13)
+
     @pytest.mark.parametrize("density,scale", [("normal", 0.1), ("normal", 1.5),
                                                ("laplace", 0.01), ("laplace", 100.0)])
     def test_mirrored_boxes_give_equal_bits(self, density, scale):
@@ -208,6 +222,14 @@ class TestWithinModelPrior:
         for density in ("normal", "laplace"):
             with pytest.raises(ValueError, match="scale must be positive"):
                 WithinModelPrior.log_odds(density, scale)
+
+    def test_subnormal_scale_is_refused(self):
+        # the peak 1/(2b) of a subnormal scale overflows float64
+        for density in ("normal", "laplace"):
+            with pytest.raises(ValueError, match="not subnormal"):
+                WithinModelPrior.log_odds(density, 1e-310)
+            smallest = WithinModelPrior.log_odds(density, sys.float_info.min)
+            assert math.isfinite(smallest.peak)
 
     @pytest.mark.parametrize("scale", [0.02, 1.5])
     def test_peak_is_the_density_at_0(self, scale):

@@ -1,6 +1,9 @@
 """Binned posterior, its samplers, and the enumeration oracle."""
 
+import functools
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from ratelab import (
     sample_posterior_density,
     simulate_data,
 )
+from ratelab import posterior
 from ratelab.models import model_log_prior
 from ratelab.posterior import (_bin_posteriors, _log_odds_bin_loglik,
                                _log_odds_quantiles, _model_bins,
@@ -149,6 +153,91 @@ class TestOnePassBinning:
             assert counts.m == m
             assert counts.trials.tolist() == trials.tolist()
             assert counts.successes.tolist() == successes.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _unscreened(within, n):
+    # every bin of every model size, tallied directly, with its evidence
+    # and frames: the posterior as it was before any model was screened out
+    data = simulate_data(TrueModel.triangle(amplitude=0.22, peak=0.45), n,
+                         seed=(17, n))
+    counts = [_reference_counts(data, m)
+              for m in range(1, math.ceil(math.sqrt(n)) + 1)]
+    trials = np.concatenate([t for t, _ in counts])
+    successes = np.concatenate([s for _, s in counts])
+    return (data, trials, successes) + _bin_posteriors(trials, successes, within)
+
+
+# log-odds priors at n = 32000 leave out k_model = 0.5, which keeps nearly
+# every bin: it is the unscreened case, at 3 s a posterior
+SCREENED = [(within, n, k_model)
+            for within in (WithinModelPrior.uniform_box(),
+                           WithinModelPrior.log_odds("normal", 1.5), LAPLACE)
+            for n in (500, 4000, 32000) for k_model in (0.5, 1.0, 3.0)
+            if (n, k_model) != (32000, 0.5) or within.name == "uniform"]
+
+
+class TestModelScreen:
+    @pytest.mark.parametrize("within,n,k_model", SCREENED, ids=[
+        f"{within.name}-{n}-{k_model}" for within, n, k_model in SCREENED])
+    def test_screened_posterior_matches_unscreened_bits(self, within, n, k_model,
+                                                        monkeypatch):
+        data, trials, successes, per_bin, frames = _unscreened(within, n)
+        spec = PriorSpec(n=n, k_model=k_model, within=within)
+        log_post = model_log_prior(spec) + np.array([
+            np.sum(per_bin[_model_bins(m)]) for m in range(1, spec.m_max + 1)])
+        log_post = log_post - logsumexp(log_post)
+        weights = np.exp(log_post)
+        weights = weights / weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+
+        evaluated = []
+        def counting(trials, successes, within):
+            evaluated.append(trials.size)
+            return _bin_posteriors(trials, successes, within)
+
+        monkeypatch.setattr(posterior, "_bin_posteriors", counting)
+        state = model_posterior(data, spec)
+        for got, want in ((state.trials, trials), (state.successes, successes),
+                          (state.weights, weights), (state.cdf, cdf)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # frames are read only by draws, which pick models of nonzero weight
+        drawable = np.repeat(weights > 0, np.arange(1, spec.m_max + 1))
+        if frames is None:
+            assert state.frames is None
+        else:
+            assert (state.frames[:, drawable].tobytes()
+                    == frames[:, drawable].tobytes())
+        if k_model == 3.0 and n == 32000:
+            assert sum(evaluated) < trials.size / 10
+
+    def test_memoized_cuts_shared_by_threads(self):
+        # eight threads, two per model-size range, build and read the cut
+        # tables at once under a short switch interval; every count and
+        # weight matches the serial posterior
+        data = simulate_data(TrueModel.triangle(), 4000, seed=(18, 0))
+        specs = [PriorSpec(n=4000, m_max=m) for m in (40, 63, 64, 90)] * 2
+        serial = [model_posterior(data, spec) for spec in specs]
+        posterior._bin_cuts.cache_clear()
+        results, interval = [None] * len(specs), sys.getswitchinterval()
+
+        def run(i):
+            results[i] = model_posterior(data, specs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            for name in ("trials", "successes", "weights", "cdf"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestLogEvidence:
