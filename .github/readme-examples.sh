@@ -58,6 +58,7 @@ scale = 0.7
 n_grid = 500, 4000, 32000
 CFG
 ratelab complexity --config laplace.cfg
+ratelab simulate --config laplace.cfg
 cat > normal.cfg <<'CFG'
 [truth]
 kind = triangle

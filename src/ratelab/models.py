@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .divergence import (MEAN_CLAMP, PiecewiseConstantMean, RegressionDensity,
-                         SmoothMean, _union_edges)
+from .divergence import (_GL_W, _GL_X, MEAN_CLAMP, PiecewiseConstantMean,
+                         RegressionDensity, SmoothMean, _union_edges)
 from .rng import stream
 from .special import expit, logit, logsumexp, ndtr
 
@@ -295,10 +295,18 @@ class NormalPrior(LogOddsPrior):
         return ndtr(-np.asarray(w, dtype=float) / self.scale)
 
     def _log_masses(self, near, far):
-        """Across 0, ln(1 - both tails); one side, -inf once the near tail is subnormal."""
-        near, far = self._tail(near), self._tail(far)
-        return (np.log1p(-near - far),
-                np.log(np.where(near < np.finfo(float).tiny, 0.0, near - far)))
+        """Across 0, ln(1 - both tails).  One side, -inf once the near tail is
+        subnormal; else ln of the tails' difference, or, for a box no wider
+        than the scale, where that difference cancels, ln of 32-node
+        Gauss-Legendre on the pdf over the box, taken relative to the pdf at near."""
+        near_tail, far_tail = self._tail(near), self._tail(far)
+        half = 0.5 * (far - near)
+        step = half[..., None] * (1.0 + _GL_X)  # each node's distance from near
+        rel = np.exp(-step * (step + 2.0 * near[..., None]) / (2.0 * self.scale ** 2))
+        narrow = self.log_pdf(near) + np.log(half * (rel * _GL_W).sum(axis=-1))
+        one_sided = np.where(far - near <= self.scale, narrow, np.log(near_tail - far_tail))
+        return (np.log1p(-near_tail - far_tail),
+                np.where(near_tail < np.finfo(float).tiny, -np.inf, one_sided))
 
     def _u_norm_integral(self, u: float) -> float:
         s = self.scale

@@ -9,11 +9,11 @@ bins get their evidence.  Under a log-odds within-model prior each such
 bin gets one frame from the prior's slope and curvature, its posterior
 mode and the scale 1/sqrt(curvature) there: the evidence is
 Gauss-Legendre quadrature on the framed bin, split at the prior's kink
-if it has one, certified per bin, and the draws of one model size read
-their bins' quantiles off one table per bin on the same frame.  The
-draws of one size are scored against the truth together, as one stack
-of levels.  A small exact enumeration oracle checks the posterior-mass
-bound on finite spaces by brute force.
+if it has one, certified per bin, and a draw's quantiles invert the same
+panel masses, by Newton steps inside the panel that holds each unit.
+The draws of one size are scored against the truth together, as one
+stack of levels.  A small exact enumeration oracle checks the
+posterior-mass bound on finite spaces by brute force.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import (DiscreteDensity, QuadratureError, RegressionDensity,
-                         _composite_gl, d_t_squared)
+from .divergence import (_GL_W, _GL_X, DiscreteDensity, QuadratureError,
+                         RegressionDensity, _composite_gl, d_t_squared)
 from .models import (Dataset, PriorSpec, TrueModel, UniformPrior, WithinModelPrior,
                      log_odds_to_mean, model_log_prior)
 from .rate_bounds import posterior_mass_bound_rhs
@@ -129,16 +129,26 @@ def _flat_counts(data: Dataset, lo: int, hi: int):
 
 
 def _bin_posteriors(trials: np.ndarray, successes: np.ndarray,
-                    within: WithinModelPrior):
-    """Per-bin log evidence, and per-bin frames under a log-odds prior."""
+                    within: WithinModelPrior) -> np.ndarray:
+    """Per-bin log evidence.  Under a log-odds prior a nonempty bin's is the
+    sum of its 32-panel masses, certified when its 16-panel sum and its tail
+    bound stay within _EVIDENCE_TOL of it."""
     s, f = successes, trials - successes
     if isinstance(within, UniformPrior):
-        return log_beta_counts(s, f), None
-    frames = _bin_frames(s, f, within)
+        return log_beta_counts(s, f)
     log_ev = np.zeros(s.shape)  # an empty bin's evidence is 1, its log 0
     live = np.flatnonzero(trials)
-    for at in np.split(live, np.arange(_CHUNK, live.size, _CHUNK)):
-        log_ev[at] = _framed_log_evidence(s[at], f[at], within, *frames[:, at])
+    (mode, scale, peak), _, width, masses, _ = _bin_panels(s[live], f[live], within)
+    coarse, fine = ((width * panels.sum(axis=-1)).sum(axis=0) for panels in masses)
+    # beyond each end the concave target falls at least as fast as over the
+    # last unit of z inside, so the mass out there is below e^end / drop
+    end, inside = (_log_target(mode + scale * np.array([[-z], [z]]), s[live], f[live],
+                               within) - peak for z in (_SPAN, _SPAN - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tails = np.where(inside > end, np.exp(end) / (inside - end), np.inf).sum(axis=0)
+        certified = (np.abs(fine - coarse) <= _EVIDENCE_TOL * fine) & (
+            tails <= _EVIDENCE_TOL * fine)
+        log_ev[live] = np.where(certified, peak + np.log(scale) + np.log(fine), np.nan)
     missed = np.flatnonzero(np.isnan(log_ev))  # the uncertified bins
     if missed.size:
         j = int(missed[0])
@@ -146,15 +156,14 @@ def _bin_posteriors(trials: np.ndarray, successes: np.ndarray,
                                 f" and {f[j]:g} failures missed tolerance {_EVIDENCE_TOL}")
         error.bin = j  # its index in trials
         raise error
-    return log_ev, frames
+    return log_ev
 
 
 def log_evidence(counts: BinnedCounts, within: WithinModelPrior) -> float:
     """Log marginal likelihood of one model's binned counts: the sum of
     ln B(1 + s_j, 1 + f_j) under the uniform within-model prior, of
     certified framed quadratures under log-odds priors."""
-    return float(np.sum(_bin_posteriors(counts.trials, counts.successes,
-                                        within)[0]))
+    return float(np.sum(_bin_posteriors(counts.trials, counts.successes, within)))
 
 
 def _log_odds_bin_loglik(theta, s, f):
@@ -169,16 +178,17 @@ def _log_target(theta, s, f, within: WithinModelPrior):
 
 
 # A bin's frame is its log-odds posterior's mode and the scale
-# 1/sqrt(curvature) there; z = (theta - mode) / scale.  Evidence panels and
-# sampling tables cover z in [-_SPAN, _SPAN] as z = _SPAN sinh(_GRADE v) /
-# sinh(_GRADE), v in [-1, 1]: uniform steps in v are 0.93 dv wide in z at
-# the mode and widen outward, where wide Laplace tails reach far out.
-_SPAN, _GRADE, _PANELS, _TABLE_POINTS = 1024.0, 10.0, (16, 32), 2049
+# 1/sqrt(curvature) there; z = (theta - mode) / scale.  The evidence's
+# panels, which the draws invert, cover z in [-_SPAN, _SPAN] as z = _SPAN
+# sinh(_GRADE v) / sinh(_GRADE), v in [-1, 1]: uniform steps in v are 0.93
+# dv wide in z at the mode and widen outward, where wide Laplace tails reach.
+_SPAN, _GRADE, _PANELS = 1024.0, 10.0, (16, 32)
 # a chunk of bins integrates as (2 pieces, _CHUNK bins, 32 x 32 nodes)
-# float64 temporaries, 16 KiB per bin: at 6 bins they stay well below
-# glibc malloc's default 128 KiB mmap and trim thresholds, so the chunks
-# reuse heap pages instead of faulting in fresh ones
-_MODE_BRACKET, _CHUNK = 64.0, 6
+# float64 temporaries, 16 KiB per bin: at 6 bins they stay below glibc
+# malloc's 128 KiB mmap and trim thresholds, so chunks reuse heap pages;
+# a block of quantiles takes (_BLOCK, 33) temporaries
+_MODE_BRACKET, _CHUNK, _BLOCK = 64.0, 6, 4096
+_QUANTILE_TOL, _NEWTON_STEPS = 1e-12, 50
 
 
 def _z_of_v(v):  # z and dz/dv
@@ -186,10 +196,14 @@ def _z_of_v(v):  # z and dz/dv
     return unit * np.sinh(_GRADE * v), unit * _GRADE * np.cosh(_GRADE * v)
 
 
-def _bin_frames(s, f, within: WithinModelPrior) -> np.ndarray:
-    """Mode (row 0) and scale (row 1) of each bin's log-odds posterior, the
-    mode by bisection on the sign of the concave target's slope over [-64,
-    64], a Laplace kink included; an empty bin gets its prior's frame."""
+def _bin_panels(s, f, within: WithinModelPrior):
+    """Per bin with s successes and f failures: its frame (mode, scale and
+    peak, the log target at the mode, as rows), the mode by bisection on the
+    concave target's slope over [-64, 64], an empty bin's the prior's; its
+    two pieces in v, split at the mode or at a Laplace kink in the span
+    (start, width rows); per count in _PANELS the panel masses of its framed
+    density per unit width, uniform in v, as (piece, bin, panel), integrated
+    _CHUNK bins at a time; and that density of the bins at, at v."""
     def rising(mid):
         return s * expit(-mid) - f * expit(mid) + within.slope(mid) > 0
 
@@ -198,63 +212,71 @@ def _bin_frames(s, f, within: WithinModelPrior) -> np.ndarray:
     mode = 0.5 * (lo + hi)
     curvature = (s + f) * expit(mode) * expit(-mode) + within.curvature
     empty = s + f == 0
-    curvature = np.where(empty, within.scale ** -2.0, curvature)
-    return np.stack([np.where(empty, 0.0, mode), curvature ** -0.5])
-
-
-def _framed_log_evidence(s, f, within: WithinModelPrior, mode,
-                         scale) -> np.ndarray:
-    """Log evidence of nonempty bins from their frames: exp(target - peak)
-    integrated over z on two pieces, split at the mode, or at theta = 0
-    when a Laplace kink lies inside the span, with 16 and 32 Gauss-Legendre
-    panels per piece, uniform in v.  A bin is certified when the two agree
-    to _EVIDENCE_TOL relative and the mass beyond each end stays below
-    _EVIDENCE_TOL of the integral; an uncertified bin gets nan."""
+    scale = np.where(empty, within.scale ** -2.0, curvature) ** -0.5
+    mode = np.where(empty, 0.0, mode)
     peak = _log_target(mode, s, f, within)
     kink = np.arcsinh(-mode / scale * math.sinh(_GRADE) / _SPAN) / _GRADE
     cut = np.where(within.kinked & (np.abs(kink) < 1.0), kink, 0.0)
-    lo = np.stack([np.full_like(cut, -1.0), cut])
+    start = np.stack([np.full_like(cut, -1.0), cut])
     width = np.stack([cut + 1.0, 1.0 - cut])
 
-    def integrand(u):  # u runs over [0, 1] along each piece
-        z, dz_dv = _z_of_v(lo[..., None] + width[..., None] * u)
-        target = _log_target(mode[:, None] + scale[:, None] * z, s[:, None],
-                             f[:, None], within)
-        return dz_dv * np.exp(target - peak[:, None])
+    def density(v, at):  # exp(target - peak) dz/dv of the bins at
+        z, dz_dv = _z_of_v(v)
+        theta = mode[at, None] + scale[at, None] * z
+        return dz_dv * np.exp(_log_target(theta, s[at, None], f[at, None], within)
+                              - peak[at, None])
 
-    coarse, fine = ((width * _composite_gl(integrand, np.linspace(0.0, 1.0, p + 1))
-                     .sum(axis=-1)).sum(axis=0) for p in _PANELS)
-    # beyond each end the concave target falls at least as fast as over the
-    # last unit of z inside, so the mass out there is below e^end / drop
-    end, inside = (_log_target(mode + scale * np.array([[-z], [z]]), s, f, within)
-                   - peak for z in (_SPAN, _SPAN - 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tails = np.where(inside > end, np.exp(end) / (inside - end), np.inf).sum(axis=0)
-        certified = (np.abs(fine - coarse) <= _EVIDENCE_TOL * fine) & (
-            tails <= _EVIDENCE_TOL * fine)
-        return np.where(certified, peak + np.log(scale) + np.log(fine), np.nan)
+    chunks = np.split(np.arange(s.size), np.arange(_CHUNK, s.size, _CHUNK))
+    masses = [np.concatenate([_composite_gl(  # u runs over [0, 1] along each piece
+        lambda u: density(start[:, at, None] + width[:, at, None] * u, at),
+        np.linspace(0.0, 1.0, p + 1)) for at in chunks], axis=1) for p in _PANELS]
+    return np.stack([mode, scale, peak]), start, width, masses, density
 
 
-_TABLE_Z = _z_of_v(np.linspace(-1.0, 1.0, _TABLE_POINTS))[0]
-
-
-def _log_odds_quantiles(s, f, within: WithinModelPrior, units,
-                        frames: Optional[np.ndarray] = None) -> np.ndarray:
-    """Log-odds quantiles at units (units[..., j] for bin j) of bins with s
-    successes and f failures: the trapezoid rule on each bin's frame (by
-    default _bin_frames) at _TABLE_Z, inverted by linear interpolation."""
+def _log_odds_quantiles(s, f, within: WithinModelPrior, units) -> np.ndarray:
+    """Log-odds quantiles at units (units[..., j] for bin j) of the m bins of
+    one model.  In the panel that holds a unit's share of the running sum of
+    32-panel masses, safeguarded Newton steps on v (partial masses by 32-node
+    Gauss-Legendre, the framed density as slope, bisection where a step
+    leaves the bracket) solve to _QUANTILE_TOL of the bin's mass."""
     s, f = np.atleast_1d(s), np.atleast_1d(f)
-    mode, scale = _bin_frames(s, f, within) if frames is None else frames
-    theta = mode[:, None] + scale[:, None] * _TABLE_Z
-    logp = _log_target(theta, s[:, None], f[:, None], within)
-    dens = np.exp(logp - logp.max(axis=1, keepdims=True))
-    cdf = np.zeros(theta.shape)
-    np.cumsum(0.5 * (dens[:, 1:] + dens[:, :-1]) * np.diff(_TABLE_Z), axis=1,
-              out=cdf[:, 1:])
-    # one interpolation for every bin: bin j's CDF is lifted to [2j, 2j + 1]
-    lift = 2.0 * np.arange(s.size)
-    cdf = cdf / cdf[:, -1:] + lift[:, None]
-    return np.interp(units + lift, cdf.ravel(), theta.ravel())
+    frame, start, width, (_, fine), density = _bin_panels(s, f, within)
+    mass = (width[..., None] * fine).transpose(1, 0, 2).reshape(s.size, -1)
+    cdf = np.cumsum(mass, axis=1)  # panels of the first piece, then the second
+    units = np.broadcast_to(units, np.broadcast_shapes(np.shape(units), s.shape))
+    bins = np.broadcast_to(np.arange(s.size), units.shape).ravel()
+    theta = np.empty(bins.size)
+    for block in np.split(np.arange(bins.size), np.arange(_BLOCK, bins.size, _BLOCK)):
+        j = bins[block]
+        want = units.flat[block] * cdf[j, -1]
+        panel = np.minimum((cdf[j] <= want[:, None]).sum(axis=-1), cdf.shape[1] - 1)
+        rest = want - np.where(panel > 0, cdf[j, panel - 1], 0.0)
+        piece, k = np.divmod(panel, fine.shape[-1])
+        lo = start[piece, j] + width[piece, j] * (k / fine.shape[-1])  # panel start
+        bracket = np.stack([lo, lo + width[piece, j] / fine.shape[-1]])
+        v = lo + (bracket[1] - lo) * rest / mass[j, panel]
+        at = np.arange(block.size)  # the unsolved
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                half = 0.5 * (v[at] - lo[at])
+                nodes = np.concatenate([lo[at, None] + half[:, None] * (1.0 + _GL_X),
+                                        v[at, None]], axis=1)
+                g = density(nodes, j[at])
+                miss = half * (g[:, :-1] * _GL_W).sum(axis=-1) - rest[at]
+                bracket[np.where(miss < 0, 0, 1), at] = v[at]
+                step = v[at] - miss / g[:, -1]
+                inside = (bracket[0, at] < step) & (step < bracket[1, at])
+                go = np.abs(miss) > _QUANTILE_TOL * cdf[j[at], -1]
+                v[at[go]] = np.where(inside, step, bracket[:, at].mean(axis=0))[go]
+                at = at[go]
+                if not at.size:
+                    break
+        if at.size:
+            raise QuadratureError(f"model size m={s.size}, bin {j[at[0]] + 1}: log-odds"
+                                  f" quantile missed tolerance {_QUANTILE_TOL:g} in"
+                                  f" {_NEWTON_STEPS} Newton steps")
+        theta[block] = frame[0, j] + frame[1, j] * _z_of_v(v)[0]
+    return theta.reshape(units.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,12 +285,8 @@ class PosteriorState:
     flat: the m bins of model m sit at [m(m-1)/2, m(m+1)/2).
 
     Bin-level posteriors are conjugate Beta(1 + s, 1 + f) under the
-    uniform prior.  Under a log-odds prior ``frames`` holds every bin's
-    posterior mode (row 0) and scale (row 1) in the same flat order, read
-    by the evidence and by every draw (nan for models the screen left
-    out, which no draw picks); it is None under the uniform prior.
-    ``cdf`` is the cumulative sum of the weights, scaled to end at 1, from
-    which every draw picks its model size.
+    uniform prior.  ``cdf`` is the cumulative sum of the weights, scaled
+    to end at 1, from which every draw picks its model size.
     """
 
     spec: PriorSpec
@@ -276,7 +294,6 @@ class PosteriorState:
     cdf: np.ndarray
     trials: np.ndarray
     successes: np.ndarray
-    frames: Optional[np.ndarray] = None
 
     @property
     def model_sizes(self) -> np.ndarray:
@@ -327,21 +344,16 @@ def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
         bound += sign * np.add.reduceat(k * np.log(np.maximum(k, 1)), first)
     log_post = np.full(spec.m_max, -np.inf)
     per_bin = np.zeros(trials.size)
-    frames = (None if isinstance(spec.within, UniformPrior)
-              else np.full((2, trials.size), np.nan))  # nan: a skipped bin
 
     def evaluate(models):  # the exact log masses of the models flagged
         bins = np.repeat(models, sizes)
         try:
-            per_bin[bins], bin_frames = _bin_posteriors(trials[bins], successes[bins],
-                                                        spec.within)
+            per_bin[bins] = _bin_posteriors(trials[bins], successes[bins], spec.within)
         except QuadratureError as error:  # name the bin's model size and index
             at = int(np.flatnonzero(bins)[error.bin])
             m = int(np.searchsorted(first, at, side="right"))
             error.args = (f"model size m={m}, bin {at - first[m - 1] + 1}: {error}",)
             raise
-        if frames is not None:
-            frames[:, bins] = bin_frames
         for m in np.flatnonzero(models).tolist():
             log_post[m] = log_prior[m] + np.sum(per_bin[_model_bins(m + 1)])
 
@@ -356,11 +368,10 @@ def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
         raise RuntimeError("posterior weights failed to normalize")
     cdf = weights.cumsum()
     cdf /= cdf[-1]
-    for array in (weights, cdf, trials, successes, frames):
-        if array is not None:
-            array.setflags(write=False)
+    for array in (weights, cdf, trials, successes):
+        array.setflags(write=False)
     return PosteriorState(spec=spec, weights=weights, cdf=cdf, trials=trials,
-                          successes=successes, frames=frames)
+                          successes=successes)
 
 
 def _posterior_draws(state: PosteriorState, rng, draws: int) -> list:
@@ -368,9 +379,9 @@ def _posterior_draws(state: PosteriorState, rng, draws: int) -> list:
     indices of its draws, their levels as a (k, m) stack) per size drawn,
     in increasing m.  Per draw the stream gives the size, as
     Generator.choice draws it from p = weights, off the stored CDF, then
-    the levels: Beta(1 + s, 1 + f) variates, or under a log-odds prior m
-    uniforms, read as bin posterior quantiles off one table per bin for
-    all draws of that size."""
+    the levels: Beta(1 + s, 1 + f) variates under the uniform prior, else
+    m uniforms, bin posterior quantiles for all draws of the size at once."""
+    conjugate = isinstance(state.spec.within, UniformPrior)
     sizes = np.empty(draws, dtype=np.int64)
     rows, params = {}, {}  # per size: the draws' variates, the Beta parameters
     for i in range(draws):
@@ -379,15 +390,13 @@ def _posterior_draws(state: PosteriorState, rng, draws: int) -> list:
         if m not in rows:
             params[m] = tuple(1.0 + c for c in _model_counts(state, m))
             rows[m] = []
-        rows[m].append(rng.beta(*params[m]) if state.frames is None
-                       else rng.random(m))
+        rows[m].append(rng.beta(*params[m]) if conjugate else rng.random(m))
     groups = []
     for m in sorted(rows):
         levels = np.array(rows[m])
-        if state.frames is not None:
-            theta = _log_odds_quantiles(*_model_counts(state, m), state.spec.within,
-                                        levels, state.frames[:, _model_bins(m)])
-            levels = log_odds_to_mean(theta)
+        if not conjugate:
+            levels = log_odds_to_mean(_log_odds_quantiles(
+                *_model_counts(state, m), state.spec.within, levels))
         groups.append((m, np.flatnonzero(sizes == m), levels))
     return groups
 

@@ -48,7 +48,7 @@ seed = 1
 """
 
 # the dense truth under a normal log-odds prior: framed quadrature evidence
-# for the models the screen keeps, tabulated log-odds draws
+# for the models the screen keeps, draws that invert its panels
 LOGODDS_STUDY = """
 [truth]
 kind = triangle

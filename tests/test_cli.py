@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 import ratelab.cli as cli
+import ratelab.posterior as posterior
 import ratelab.study as study
 from ratelab import QuadratureError, load_config, variant_bounds_for_n
 from ratelab.models import NormalPrior
@@ -335,6 +336,17 @@ class TestSimulate:
             assert err == ("numerical failure: n=2, replicate=0, model size m=2, "
                            "bin 1: log-odds evidence of the bin with 1 successes "
                            "and 0 failures missed tolerance 1e-10\n")
+
+    def test_unsolved_quantile_names_its_cell(self, tmp_path, monkeypatch, capsys):
+        # one Newton step leaves a draw's bin quantile short of 1e-12
+        path = tmp_path / "laplace.cfg"
+        path.write_text(WIDE_LAPLACE.replace("scale = 3000", "scale = 0.7\nk_model = 0.5")
+                        .replace("n_grid = 2, 3, 4", "n_grid = 4000"), encoding="utf-8")
+        monkeypatch.setattr(posterior, "_NEWTON_STEPS", 1)
+        code, _, err = _run(["simulate", "--config", str(path)], capsys)
+        assert code == 2
+        assert err == ("numerical failure: n=4000, replicate=0, model size m=5, bin 1: "
+                       "log-odds quantile missed tolerance 1e-12 in 1 Newton steps\n")
 
 
 class TestVerifyProp2:

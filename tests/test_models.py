@@ -188,16 +188,19 @@ class TestWithinModelPrior:
         else:
             assert got.tolist() == [-math.inf, -math.inf]
 
-    # a narrow box against a wide Laplace prior: both tails round near 1/2,
-    # and their difference would cancel (0.11 too large at scale 1e13)
+    # a narrow box against a wide prior: both tails round near 1/2, and their
+    # difference would cancel (0.11 too large at scale 1e13 under laplace,
+    # 8e-6 relative at 1e10 under normal)
+    @pytest.mark.parametrize("density", ["laplace", "normal"])
     @pytest.mark.parametrize("scale", [0.7, 1e6, 1e10, 1e13])
-    def test_narrow_laplace_box_against_mpmath(self, scale):
+    def test_narrow_laplace_box_against_mpmath(self, density, scale):
         lo, hi = 0.942462, 0.946462
         with mpmath.workdps(50):
             b = mpmath.mpf(scale)
-            tail = lambda w: mpmath.exp(-mpmath.mpf(w) / b) / 2
+            tail = ((lambda w: mpmath.exp(-mpmath.mpf(w) / b) / 2) if density == "laplace"
+                    else (lambda w: mpmath.erfc(mpmath.mpf(w) / (b * mpmath.sqrt(2))) / 2))
             log_ref = float(mpmath.log(tail(lo) - tail(hi)))
-        within = WithinModelPrior.log_odds("laplace", scale)
+        within = WithinModelPrior.log_odds(density, scale)
         got = within.log_interval_mass(np.array([lo, -hi]), np.array([hi, -lo]))
         assert got == pytest.approx([log_ref, log_ref], rel=1e-13)
 
