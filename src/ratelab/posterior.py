@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -380,17 +381,22 @@ def _posterior_draws(state: PosteriorState, rng, draws: int) -> list:
     in increasing m.  Per draw the stream gives the size, as
     Generator.choice draws it from p = weights, off the stored CDF, then
     the levels: Beta(1 + s, 1 + f) variates under the uniform prior, else
-    m uniforms, bin posterior quantiles for all draws of the size at once."""
+    m uniforms, bin posterior quantiles for all draws of the size at once.
+    The Beta variates are scalar calls, one per bin in bin order: numpy's
+    array call runs the same sampler per bin in order, so the bits are the
+    same, but spends 11-17 us checking its arrays against about 1 us a call."""
     conjugate = isinstance(state.spec.within, UniformPrior)
+    cdf, beta = state.cdf.tolist(), rng.beta
     sizes = np.empty(draws, dtype=np.int64)
-    rows, params = {}, {}  # per size: the draws' variates, the Beta parameters
+    rows, params = {}, {}  # per size: the draws' variates, the (a, b) per bin
     for i in range(draws):
-        m = int(state.cdf.searchsorted(rng.random(), side="right")) + 1
-        sizes[i] = m
+        m = sizes[i] = bisect_right(cdf, rng.random()) + 1  # searchsorted(side="right")
         if m not in rows:
-            params[m] = tuple(1.0 + c for c in _model_counts(state, m))
             rows[m] = []
-        rows[m].append(rng.beta(*params[m]) if conjugate else rng.random(m))
+            if conjugate:
+                a, b = (1.0 + c for c in _model_counts(state, m))
+                params[m] = list(zip(a.tolist(), b.tolist()))
+        rows[m].append([beta(a, b) for a, b in params[m]] if conjugate else rng.random(m))
     groups = []
     for m in sorted(rows):
         levels = np.array(rows[m])

@@ -464,20 +464,41 @@ class TestSampling:
             w = float(state.weights[m - 1])
             assert abs(freq - w) <= 4.0 * math.sqrt(w * (1 - w) / sizes.size) + 1e-9
 
-    def test_model_size_draw_matches_generator_choice(self):
+    @pytest.mark.parametrize("spread", ["m_max6", "k_model", "flat"])
+    def test_model_size_draw_matches_generator_choice(self, spread):
         # reference: the size drawn by rng.choice(p=weights), then the Beta
-        # levels, from a second copy of the same stream
-        data = simulate_data(TrueModel.sparse([0.3, 0.7, 0.45]), 60, seed=(9, 0))
-        state = model_posterior(data, PriorSpec(n=60, m_max=6))
+        # levels by one array call, from a second copy of the same stream;
+        # the draws make one scalar call per bin.  "k_model" spreads the
+        # draws over several sizes; "flat" weighs sizes 1..40 alike on 100
+        # points, so that many bins are empty (numpy's Johnk branch) or
+        # one-sided
+        if spread == "m_max6":
+            data = simulate_data(TrueModel.sparse([0.3, 0.7, 0.45]), 60, seed=(9, 0))
+            state = model_posterior(data, PriorSpec(n=60, m_max=6))
+        elif spread == "k_model":
+            data = simulate_data(BATCH_TRUTHS["triangle"], 4000, seed=(41, 4000))
+            state = model_posterior(data, PriorSpec(n=4000, k_model=0.5))
+        else:
+            data = simulate_data(BATCH_TRUTHS["sparse"], 100, seed=(45, 0))
+            state = model_posterior(data, PriorSpec(n=100, m_max=40))
+            weights = np.full(40, 1.0 / 40)
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]  # as model_posterior and Generator.choice make it
+            state = replace(state, weights=weights, cdf=cdf)
+            counts = state.trials[_model_bins(40)], state.successes[_model_bins(40)]
+            assert (counts[0] == 0).any() and (counts[1] == 0).any()
         rng, ref = stream(15, 4), stream(15, 4)
+        sizes = set()
         for _ in range(3000):
             m = int(ref.choice(state.weights.size, p=state.weights)) + 1
             s = state.successes[_model_bins(m)]
             f = state.trials[_model_bins(m)] - s
             levels = ref.beta(1.0 + s, 1.0 + f)
             draw = sample_posterior_density(state, rng).mean.levels
-            assert np.array_equal(draw, levels)
+            assert draw.tobytes() == levels.tobytes()
+            sizes.add(m)
         assert rng.random() == ref.random()
+        assert len(sizes) > 1 or spread == "m_max6"  # that posterior draws m = 1 alone
 
     def test_quantile_sampler_matches_quadrature_median(self):
         sampled = _log_odds_quantiles(3, 1, NORMAL, 0.5)
