@@ -74,4 +74,6 @@ n_grid = 500, 1000, 2000, 4000, 8000, 16000, 32000
 draws = 50
 variants = prop7, remark10
 CFG
+ratelab bound --config normal.cfg
+ratelab complexity --config normal.cfg
 ratelab rate-study --config normal.cfg --out normal.csv

@@ -22,7 +22,7 @@ from .plots import render_plots
 from .posterior import exact_enumeration_oracle, random_oracle_config
 from .rate_bounds import VARIANTS
 from .rng import stream
-from .study import (cell_divergences, log_mixture_norm_complexity,
+from .study import (cell_divergences, log_mixture_norm_complexity, naming,
                     run_rate_study, variant_bounds_for_n, write_study_csv)
 
 __all__ = ["main"]
@@ -109,12 +109,14 @@ def _cmd_complexity(args) -> int:
     lines = ["m,u,n,log_grid_sum,log_analytic_bound,log_mixture_total"]
     for n in config.n_grid:
         spec = config.prior_for(n)
-        log_mixture = log_mixture_norm_complexity(spec, config.u, n)
-        for m in range(1, spec.m_max + 1):
-            summary = norm_complexity_grid(spec.within, m, config.u, n)
-            lines.append(",".join([
-                str(m), _g17(config.u), str(n), _g17(summary.log_lu_norm),
-                _g17(summary.log_analytic_bound), _g17(log_mixture)]))
+        with naming(n=n):
+            log_mixture = log_mixture_norm_complexity(spec, config.u, n)
+            for m in range(1, spec.m_max + 1):
+                with naming(m=m):
+                    summary = norm_complexity_grid(spec.within, m, config.u, n)
+                lines.append(",".join([
+                    str(m), _g17(config.u), str(n), _g17(summary.log_lu_norm),
+                    _g17(summary.log_analytic_bound), _g17(log_mixture)]))
     _emit(lines, args.out)
     return 0
 

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .divergence import (_GL_W, _GL_X, MEAN_CLAMP, PiecewiseConstantMean,
-                         RegressionDensity, SmoothMean, _union_edges)
+from .divergence import (MEAN_CLAMP, PiecewiseConstantMean, RegressionDensity,
+                         SmoothMean, _union_edges)
 from .rng import stream
 from .special import expit, logit, logsumexp, ndtr
 
@@ -208,6 +208,17 @@ class UniformPrior(WithinModelPrior):
     analytic_sum = cell_sum  # the closed form is exact
 
 
+# a cap of 2^23 cells per side keeps normal(1.5), u = 1/2 exact to n = 1000; an
+# interval across which ln f falls by at most _NARROW_DROP nats is narrow
+_TAIL_TOL, _MAX_CELLS, _CELL_CHUNK, _NARROW_DROP = 1e-15, 1 << 23, 1 << 16, 1.0
+# narrow ones take leggauss(10): its positive nodes and weights, mirrored as divergence._GL_X is
+_GL10_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+                    0.8650633666889845, 0.9739065285171717])
+_GL10_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+                    0.1494513491505804, 0.06667134430868814])
+_GL10_X, _GL10_W = np.r_[-_GL10_X[::-1], _GL10_X], np.r_[_GL10_W[::-1], _GL10_W]
+
+
 @dataclass(frozen=True)
 class LogOddsPrior(WithinModelPrior):
     """A symmetric density f per bin on the log-odds scale, decreasing away
@@ -239,14 +250,30 @@ class LogOddsPrior(WithinModelPrior):
         return log_masses.sum(axis=-1)
 
     def log_interval_mass(self, lo, hi):
-        """ln P(lo < W < hi) for lo <= hi, from each prior's _log_masses of the
-        ends' distances from 0, so a mirrored box gives the same bits."""
+        """ln P(lo < W < hi), lo <= hi, from the ends' distances a, b from 0, so mirrored
+        intervals match bit for bit.  Narrow: Gauss-Legendre on f / f(nearest 0) per side
+        of 0.  Wide: log tails, which cancel by at most 2e/(e - 1) as tail(far)/tail(near)
+        <= f(far)/f(near); one side of 0 is -inf where its near tail is below tail_floor."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        left = hi <= 0
-        near, far = np.abs(np.where(left, hi, lo)), np.abs(np.where(left, lo, hi))
+        across, left = (lo < 0) & (hi > 0), hi <= 0
+        a, b = np.abs(np.where(left, hi, lo)), np.abs(np.where(left, lo, hi))
+        near, far = np.where(across, 0.0, a), np.maximum(a, b)
+        narrow = self.log_ratio(near, far - near) >= -_NARROW_DROP
+        out, one, two, wide = np.empty(a.shape), narrow & ~across, narrow & across, ~narrow
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            across, one_sided = self._log_masses(near, far)
-        return np.where((lo < 0) & (hi > 0), across, one_sided)
+            out[one] = self._narrow(a[one], b[one])
+            out[two] = np.logaddexp(self._narrow(0.0, a[two]), self._narrow(0.0, b[two]))
+            if wide.any():  # a is the near end of a one-sided interval
+                tail_a, tail_b = self.log_tail(a[wide]), self.log_tail(b[wide])
+                out[wide] = np.where(across[wide], np.log1p(-np.exp(tail_a) - np.exp(tail_b)),
+                                     tail_a + np.log(-np.expm1(tail_b - tail_a)))
+                out[wide] = np.where(~across[wide] & (tail_a < self.tail_floor), -np.inf, out[wide])
+        return out[()]
+
+    def _narrow(self, near, far):
+        half = 0.5 * (far - near)  # node x lies half (1 + x) from near; nodes lead
+        rel = np.exp(self.log_ratio(near, np.multiply.outer(1.0 + _GL10_X, half)))
+        return self.log_pdf(near) + np.log(half * np.einsum("k,k...", _GL10_W, rel))
 
     def enclosure(self, h: float, u: float) -> tuple:
         """Ends of h^(u-1) (I -+ 2 h f(0)^u), I the integral of f^u, around the
@@ -266,15 +293,11 @@ class LogOddsPrior(WithinModelPrior):
         return self._u_norm_integral(u)
 
 
-# a cap of 2^23 cells per side keeps normal(1.5), u = 1/2 exact to n = 1000
-_TAIL_TOL, _MAX_CELLS, _CELL_CHUNK = 1e-15, 1 << 23, 1 << 16
-
-
 @dataclass(frozen=True)
 class NormalPrior(LogOddsPrior):
     """Normal log-odds density with standard deviation s = ``scale``."""
 
-    name, kinked = "normal", False
+    name, kinked, tail_floor = "normal", False, math.log(sys.float_info.min)
 
     @property
     def peak(self) -> float:
@@ -291,22 +314,11 @@ class NormalPrior(LogOddsPrior):
     def slope(self, theta):
         return -theta / self.scale ** 2
 
-    def _tail(self, w):  # P(W > w)
-        return ndtr(-np.asarray(w, dtype=float) / self.scale)
+    def log_tail(self, w):  # ln P(W > w), with too few digits below tail_floor
+        return np.log(ndtr(-w / self.scale))
 
-    def _log_masses(self, near, far):
-        """Across 0, ln(1 - both tails).  One side, -inf once the near tail is
-        subnormal; else ln of the tails' difference, or, for a box no wider
-        than the scale, where that difference cancels, ln of 32-node
-        Gauss-Legendre on the pdf over the box, taken relative to the pdf at near."""
-        near_tail, far_tail = self._tail(near), self._tail(far)
-        half = 0.5 * (far - near)
-        step = half[..., None] * (1.0 + _GL_X)  # each node's distance from near
-        rel = np.exp(-step * (step + 2.0 * near[..., None]) / (2.0 * self.scale ** 2))
-        narrow = self.log_pdf(near) + np.log(half * (rel * _GL_W).sum(axis=-1))
-        one_sided = np.where(far - near <= self.scale, narrow, np.log(near_tail - far_tail))
-        return (np.log1p(-near_tail - far_tail),
-                np.where(near_tail < np.finfo(float).tiny, -np.inf, one_sided))
+    def log_ratio(self, near, x):  # ln f(near + x) - ln f(near)
+        return x * (x + 2.0 * near) * (-0.5 / self.scale ** 2)
 
     def _u_norm_integral(self, u: float) -> float:
         s = self.scale
@@ -323,19 +335,17 @@ class NormalPrior(LogOddsPrior):
         cells = math.ceil(self.scale * math.sqrt(2.0 * decay) / h)
         if cells > _MAX_CELLS:
             return lower
-        total = 0.0
-        for start in range(0, cells, _CELL_CHUNK):
-            edges = np.arange(start, min(start + _CELL_CHUNK, cells) + 1, dtype=float)
-            tails = self._tail(edges * h)  # each cell edge's tail computed once
-            total += float(np.sum(np.maximum(tails[:-1] - tails[1:], 0.0) ** u))
-        return 2.0 * total
+        chunks = (np.arange(start, min(start + _CELL_CHUNK, cells) + 1, dtype=float) * h
+                  for start in range(0, cells, _CELL_CHUNK))
+        return 2.0 * sum(float(np.exp(u * self.log_interval_mass(edges[:-1], edges[1:])).sum())
+                         for edges in chunks)
 
 
 @dataclass(frozen=True)
 class LaplacePrior(LogOddsPrior):
     """Laplace log-odds density with scale b, kinked at 0."""
 
-    name, kinked, curvature = "laplace", True, 0.0
+    name, kinked, curvature, tail_floor = "laplace", True, 0.0, -math.inf
 
     @property
     def peak(self) -> float:
@@ -347,14 +357,11 @@ class LaplacePrior(LogOddsPrior):
     def slope(self, theta):
         return -np.sign(theta) / self.scale  # 0 at the kink
 
-    def _tail(self, w):  # P(W > w) for w >= 0
-        return 0.5 * np.exp(-np.asarray(w, dtype=float) / self.scale)
+    def log_tail(self, w):  # ln P(W > w) for w >= 0
+        return math.log(0.5) - w / self.scale
 
-    def _log_masses(self, near, far):
-        """As normal's across 0; one side, ln 1/2 - near/b + ln(-expm1(-(far - near)/b))."""
-        return (np.log1p(-self._tail(near) - self._tail(far)),
-                math.log(0.5) - near / self.scale
-                + np.log(-np.expm1(-(far - near) / self.scale)))
+    def log_ratio(self, near, x):  # ln f(near + x) - ln f(near), x >= 0
+        return -x / self.scale
 
     def _u_norm_integral(self, u: float) -> float:
         return 2.0 ** (1.0 - u) * self.scale ** (1.0 - u) / u

@@ -297,10 +297,6 @@ class PosteriorState:
     successes: np.ndarray
 
     @property
-    def model_sizes(self) -> np.ndarray:
-        return np.arange(1, self.spec.m_max + 1)
-
-    @property
     def mode(self) -> int:
         return int(np.argmax(self.weights)) + 1
 

@@ -10,6 +10,7 @@ execution order and identical with or without a worker pool.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -100,12 +101,6 @@ class StudySummary:
     max_exceedance: tuple
     burn_in_n: int
 
-    def exceedance_for(self, variant: str) -> float:
-        for name, value in self.max_exceedance:
-            if name == variant:
-                return value
-        raise KeyError(variant)
-
 
 @dataclass(frozen=True, slots=True)
 class StudyResult:
@@ -114,14 +109,23 @@ class StudyResult:
     config: ExperimentConfig
 
 
-def log_mixture_norm_complexity(spec: PriorSpec, u: float, n: int) -> float:
-    """ln of the mixture norm complexity of the prior at one n.
+@contextlib.contextmanager
+def naming(**cell):
+    """Prefix a numerical failure inside the block with the cell it hit."""
+    try:
+        yield
+    except (QuadratureError, ArithmeticError) as error:
+        where = ", ".join(f"{key}={value}" for key, value in cell.items())
+        raise type(error)(f"{where}, {error}") from error
 
-    Per-model norm complexities are the prior's analytic ones: the exact
-    sum under the uniform prior, a cheap upper bound under log-odds priors.
-    """
-    log_norms = [log_norm_complexity_analytic(spec.within, m, u, n)
-                 for m in range(1, spec.m_max + 1)]
+
+def log_mixture_norm_complexity(spec: PriorSpec, u: float, n: int) -> float:
+    """ln of the mixture norm complexity at one n, from each model's analytic
+    one: the exact sum under the uniform prior, an upper bound under log-odds."""
+    log_norms = []
+    for m in range(1, spec.m_max + 1):
+        with naming(m=m):
+            log_norms.append(log_norm_complexity_analytic(spec.within, m, u, n))
     return log_norm_complexity_mixture(model_log_prior(spec), log_norms, u)
 
 
@@ -140,20 +144,21 @@ def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
 
     variants = set(config.variants)
     log_richness = {}
-    if variants & {"prop3", "prop7"}:
-        log_covers = np.array([log_covering_number_uniform(m, n, u)
-                               for m in range(1, spec.m_max + 1)])
-        if "prop3" in variants:
-            log_richness["prop3"] = log_cover_mixture(
-                np.zeros_like(log_covers), log_covers, u)
-        if "prop7" in variants:
-            log_richness["prop7"] = log_cover_mixture(
-                model_log_prior(spec), log_covers, u)
-    if variants & {"remark8", "remark10"}:
-        log_norm = log_mixture_norm_complexity(spec, u, n)
-        log_richness.update(remark8=log_norm, remark10=log_norm)
-    return tuple(rate_bound(variant, u, config.t, n, pen, log_richness[variant])
-                 for variant in config.variants)
+    with naming(n=n):  # the penalized bound names its own m and delta
+        if variants & {"prop3", "prop7"}:
+            log_covers = np.array([log_covering_number_uniform(m, n, u)
+                                   for m in range(1, spec.m_max + 1)])
+            if "prop3" in variants:
+                log_richness["prop3"] = log_cover_mixture(
+                    np.zeros_like(log_covers), log_covers, u)
+            if "prop7" in variants:
+                log_richness["prop7"] = log_cover_mixture(
+                    model_log_prior(spec), log_covers, u)
+        if variants & {"remark8", "remark10"}:
+            log_norm = log_mixture_norm_complexity(spec, u, n)
+            log_richness.update(remark8=log_norm, remark10=log_norm)
+        return tuple(rate_bound(variant, u, config.t, n, pen, log_richness[variant])
+                     for variant in config.variants)
 
 
 def fit_slope(points: Sequence) -> SlopeFit:

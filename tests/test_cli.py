@@ -348,6 +348,28 @@ class TestSimulate:
         assert err == ("numerical failure: n=4000, replicate=0, model size m=5, bin 1: "
                        "log-odds quantile missed tolerance 1e-12 in 1 Newton steps\n")
 
+    def test_bounds_failure_names_n_and_m(self, tmp_path, monkeypatch, capsys):
+        # model m = 3's norm complexity fails by force: in the mixture that
+        # `bound` and `complexity` read, then in `complexity`'s grid rows
+        def failing_at_3(complexity):
+            def patched(within, m, u, n):
+                if m == 3:
+                    raise ZeroDivisionError("float division by zero")
+                return complexity(within, m, u, n)
+            return patched
+
+        path = tmp_path / "uniform.cfg"
+        path.write_text(UNIFORM_TRIANGLE, encoding="utf-8")
+        message = "numerical failure: n=500, m=3, float division by zero\n"
+        with monkeypatch.context() as patch:
+            patch.setattr(study, "log_norm_complexity_analytic",
+                          failing_at_3(study.log_norm_complexity_analytic))
+            for command in ("bound", "complexity"):
+                assert _run([command, "--config", str(path)], capsys) == (2, "", message)
+        monkeypatch.setattr(cli, "norm_complexity_grid",
+                            failing_at_3(cli.norm_complexity_grid))
+        assert _run(["complexity", "--config", str(path)], capsys) == (2, "", message)
+
 
 class TestVerifyProp2:
     def test_all_configs_hold(self, capsys):

@@ -19,6 +19,8 @@ from ratelab import (
     model_log_prior,
     simulate_data,
 )
+from ratelab import models
+from ratelab.special import ndtr
 
 
 class TestBestApproximation:
@@ -141,17 +143,21 @@ class TestWithinModelPrior:
 
     # ln P(lo < W < hi) against the closed-form tails at 40 digits: far
     # out in a tail, where a CDF difference cancels to 0, from 0, and
-    # across 0, where the mass is near 1 and the log keeps the tails
-    @pytest.mark.parametrize("density,scale,lo,hi", [
-        pytest.param("normal", 0.1, 0.815, 1.065, id="normal-far-tail"),
-        pytest.param("laplace", 0.01, 1.0, 1.125, id="laplace-far-tail"),
-        pytest.param("laplace", 1.3, 0.0, 2.1, id="laplace-from-0"),
-        pytest.param("normal", 1.5, -0.3, 0.7, id="normal-across-0"),
-        pytest.param("laplace", 1.3, -2.1, 0.4, id="laplace-across-0"),
-        pytest.param("normal", 0.1, -1.0, 1.0, id="normal-near-1"),
-        pytest.param("laplace", 0.1, -5.0, 4.0, id="laplace-near-1"),
+    # across 0, where the mass is near 1 and the log keeps the tails; the
+    # narrow boxes across 0 under a wide prior have both tails near 1/2,
+    # and ln(1 - both tails) read them 9.6e-9 and 7.3e-10 relative too large
+    @pytest.mark.parametrize("density,scale,lo,hi,rel", [
+        pytest.param("normal", 0.1, 0.815, 1.065, 1e-13, id="normal-far-tail"),
+        pytest.param("laplace", 0.01, 1.0, 1.125, 1e-13, id="laplace-far-tail"),
+        pytest.param("laplace", 1.3, 0.0, 2.1, 1e-13, id="laplace-from-0"),
+        pytest.param("normal", 1.5, -0.3, 0.7, 1e-13, id="normal-across-0"),
+        pytest.param("laplace", 1.3, -2.1, 0.4, 1e-13, id="laplace-across-0"),
+        pytest.param("normal", 0.1, -1.0, 1.0, 1e-13, id="normal-near-1"),
+        pytest.param("laplace", 0.1, -5.0, 4.0, 1e-13, id="laplace-near-1"),
+        pytest.param("laplace", 1e6, -1e-3, 2e-3, 1e-14, id="laplace-narrow-across-0"),
+        pytest.param("normal", 4e5, -0.05, 0.07, 1e-14, id="normal-narrow-across-0"),
     ])
-    def test_log_interval_mass_against_mpmath(self, density, scale, lo, hi):
+    def test_log_interval_mass_against_mpmath(self, density, scale, lo, hi, rel):
         with mpmath.workdps(40):
             s = mpmath.mpf(scale)
             if density == "normal":
@@ -164,8 +170,8 @@ class TestWithinModelPrior:
             mass = float(mass)
         got = float(WithinModelPrior.log_odds(density, scale)
                     .log_interval_mass(lo, hi))
-        assert got == pytest.approx(log_ref, rel=1e-13)
-        assert math.exp(got) == pytest.approx(mass, rel=1e-13)
+        assert got == pytest.approx(log_ref, rel=rel)
+        assert math.exp(got) == pytest.approx(mass, rel=rel)
 
     # the near tail of a normal box at 37.4 scales is still a normal
     # float; at 37.6 and 38.1 it is subnormal, and at 38.1 its mass is
@@ -188,6 +194,21 @@ class TestWithinModelPrior:
         else:
             assert got.tolist() == [-math.inf, -math.inf]
 
+    # 38.1 scales out the near tail is subnormal, but ln f falls by only
+    # 0.78 nats across a box of width 5e-4, so its mass is a quadrature
+    def test_narrow_box_past_the_subnormal_tail_gets_its_mass(self):
+        scale = 0.0247
+        lo = 38.1 * scale
+        hi = lo + 5e-4
+        within = WithinModelPrior.log_odds("normal", scale)
+        got = within.log_interval_mass(np.array([lo, -hi]), np.array([hi, -lo]))
+        with mpmath.workdps(40):
+            tail = lambda w: mpmath.erfc(w / (scale * mpmath.sqrt(2))) / 2
+            near = tail(mpmath.mpf(lo))
+            log_ref = float(mpmath.log(near - tail(mpmath.mpf(hi))))
+        assert float(near) < np.finfo(float).tiny
+        assert got == pytest.approx([log_ref, log_ref], rel=1e-13)
+
     # a narrow box against a wide prior: both tails round near 1/2, and their
     # difference would cancel (0.11 too large at scale 1e13 under laplace,
     # 8e-6 relative at 1e10 under normal)
@@ -203,6 +224,27 @@ class TestWithinModelPrior:
         within = WithinModelPrior.log_odds(density, scale)
         got = within.log_interval_mass(np.array([lo, -hi]), np.array([hi, -lo]))
         assert got == pytest.approx([log_ref, log_ref], rel=1e-13)
+
+    def test_literals_are_leggauss_10_to_the_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert models._GL10_X.tobytes() == nodes.tobytes()
+        assert models._GL10_W.tobytes() == weights.tobytes()
+
+    def test_narrow_intervals_never_call_ndtr(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return ndtr(x)
+
+        monkeypatch.setattr(models, "ndtr", counted)
+        within = WithinModelPrior.log_odds("normal", 1.5)
+        within.cell_sum.cache_clear()
+        assert within.cell_sum(4.0 * 1000 ** -2.0, 0.5) > 0.0  # 4.4 M cells a side
+        assert math.isfinite(within.log_interval_mass(0.9, 1.9))
+        assert calls == []
+        within.log_interval_mass(np.array([-0.9, 0.9]), np.array([3.1, 4.1]))
+        assert calls == [2, 2]  # the wide intervals' two ends, once each
 
     @pytest.mark.parametrize("density,scale", [("normal", 0.1), ("normal", 1.5),
                                                ("laplace", 0.01), ("laplace", 100.0)])

@@ -152,10 +152,8 @@ class TestSummary:
 
     def test_exceedance_lookup(self, result):
         for variant in result.config.variants:
-            value = result.summary.exceedance_for(variant)
+            value = dict(result.summary.max_exceedance)[variant]
             assert 0.0 <= value <= 1.0
-        with pytest.raises(KeyError):
-            result.summary.exceedance_for("nope")
 
     def test_exceedance_matches_row_maximum(self, result):
         burn_n = result.summary.burn_in_n
@@ -163,7 +161,7 @@ class TestSummary:
         for variant in result.config.variants:
             worst = max(row.exceedance for row in result.rows
                         if row.variant == variant and row.n >= burn_n)
-            assert result.summary.exceedance_for(variant) == worst
+            assert dict(result.summary.max_exceedance)[variant] == worst
 
     def test_burn_in_drops_leading_grid_points(self):
         cfg = parse_config_text(STUDY + "burn_in = 2\n")
@@ -172,7 +170,7 @@ class TestSummary:
         for variant in cfg.variants:
             worst = max(row.exceedance for row in res.rows
                         if row.variant == variant and row.n >= 800)
-            assert res.summary.exceedance_for(variant) == worst
+            assert dict(res.summary.max_exceedance)[variant] == worst
 
     def test_short_grid_yields_nan_fit(self):
         cfg = parse_config_text("""
