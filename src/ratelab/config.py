@@ -220,10 +220,6 @@ def _build_truth(reader: _Reader) -> TrueModel:
         truth = TrueModel.constant(level=level, margin=margin)
     elif kind == "sparse":
         levels, levels_line = reader.float_list("levels")
-        m0, m0_line = reader.intv("m0", 0)
-        if m0 and m0 != len(levels):
-            raise ConfigError(
-                f"m0 = {m0} disagrees with {len(levels)} levels", m0_line)
         try:
             truth = TrueModel.sparse(levels, margin=margin)
         except ValueError as exc:

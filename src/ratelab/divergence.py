@@ -46,7 +46,7 @@ __all__ = [
 MEAN_CLAMP = 1e-12
 _SMALL_T = 1e-8
 _VALIDATION_GRID = 10_001
-_QUAD_TOL = 1e-10
+_QUAD_TOL, _MAX_REFINE = 1e-10, 12
 
 
 class QuadratureError(RuntimeError):
@@ -289,29 +289,29 @@ def _group_sums(panels: np.ndarray, starts):
     return np.add.reduceat(panels, starts, axis=-1)
 
 
-def _integrate_adaptive(fn, edges, tol: float = _QUAD_TOL, max_refine: int = 12,
-                        starts=None):
+def _integrate_adaptive(fn, edges, starts=None):
     """Composite 32-node Gauss-Legendre over the given sorted, distinct
-    panel edges, bisecting every panel until successive estimates agree
-    to within tol.  With ``starts``, the indices of panels that begin a
-    group, the integral over each group, every one held to tol."""
+    panel edges, bisecting every panel, at most _MAX_REFINE times, until
+    successive estimates agree to within _QUAD_TOL.  With ``starts``, the
+    indices of panels that begin a group, the integral over each group,
+    every one held to _QUAD_TOL."""
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         raise ValueError("need at least one panel")
     est = _group_sums(_composite_gl(fn, edges), starts)
     if np.isinf(est).any():
         return est
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
         if starts is not None:
             starts = 2 * starts  # panel i is now panels 2i and 2i + 1
         new = _group_sums(_composite_gl(fn, edges), starts)
         if np.isinf(new).any():
             return new
-        if np.all(np.abs(new - est) < tol):
+        if np.all(np.abs(new - est) < _QUAD_TOL):
             return new
         est = new
-    raise QuadratureError(f"integral did not stabilize below {tol}")
+    raise QuadratureError(f"integral did not stabilize below {_QUAD_TOL}")
 
 
 def _union_edges(*means: MeanFunction, min_panels: int = 8) -> np.ndarray:

@@ -64,43 +64,9 @@ def _box_sups(truth: TrueModel, approx: BestApproximation,
 
 def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float, n: int,
                        m: int, delta: float) -> PenalizedDivergenceResult:
-    """Penalized-divergence upper bound of the single box candidate
-    (m, delta), decomposed into approximation, box and model terms."""
-    return _best_box(truth, spec, t, n, m, np.array([float(delta)]))
-
-
-def _best_box(truth: TrueModel, spec: PriorSpec, t: float, n: int, m: int,
-              deltas: np.ndarray) -> PenalizedDivergenceResult:
-    # every candidate (m, delta) of one m in one pass; the first minimum wins
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = int(m)
-    if not 1 <= m <= spec.m_max:
-        raise ValueError(f"model index must lie in [1, {spec.m_max}], got {m}")
-    inside = _fits_margin(truth, spec, deltas)
-    if not inside.all():
-        # name the caller's delta, not the mean half-width it maps to
-        top = truth.margin / spec.within.mean_half_width(1.0)
-        raise ValueError(f"delta must lie in (0, {top:g}) (margin={truth.margin}, "
-                         f"{spec.within.name} within prior), "
-                         f"got {float(deltas[~inside][0])}")
-    approx = best_approximation(truth, m)
-    approx_terms = _box_sups(truth, approx, spec.within.mean_half_width(deltas), t)
-    box_terms = -spec.within.log_box_masses(deltas, approx) / n
-    model_term = -float(model_log_prior(spec)[m - 1]) / n
-    values = approx_terms + box_terms + model_term
-    j = int(np.argmin(values))
-    return PenalizedDivergenceResult(
-        value=float(values[j]), m=m, delta=float(deltas[j]),
-        approx_term=float(approx_terms[j]), box_term=float(box_terms[j]),
-        model_term=model_term)
-
-
-def _fits_margin(truth: TrueModel, spec: PriorSpec, deltas: np.ndarray) -> np.ndarray:
-    # whether each half-width's mean box stays inside the truth's margin
-    half_widths = spec.within.mean_half_width(deltas)
-    return (0.0 < half_widths) & (half_widths < truth.margin)
+    """The bound of the single box candidate (m, delta): the grid scorer on
+    a one-point grid."""
+    return penalized_divergence_upper(truth, spec, t, n, (m,), (delta,))
 
 
 def default_m_grid(truth: TrueModel, spec: PriorSpec, n: int) -> tuple:
@@ -111,12 +77,12 @@ def default_m_grid(truth: TrueModel, spec: PriorSpec, n: int) -> tuple:
     return tuple(sorted(grid))
 
 
-def default_delta_grid(truth: TrueModel, n: int, points: int = 20) -> tuple:
+def default_delta_grid(truth: TrueModel, n: int) -> tuple:
     lo = 1.0 / n
     hi = truth.margin / 2.0
     if lo >= hi:
         return (hi / 2.0,)
-    return tuple(np.geomspace(lo, hi, points))
+    return tuple(np.geomspace(lo, hi, 20))
 
 
 def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
@@ -129,20 +95,43 @@ def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
     The result is an upper bound on the penalized divergence of the
     mixture prior: any single candidate set is admissible in the
     defining infimum.  Each m scores its whole delta grid as arrays;
-    ties prefer the smallest m, then the smallest delta (the first
-    minimum of each m, replaced across m only on strict improvement).
+    deltas whose mean box leaves the truth's margin are skipped, and a
+    grid with none left raises.  Ties prefer the smallest m, then the
+    smallest delta (the first minimum of each m, replaced across m only
+    on strict improvement).
     """
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if m_grid is None:
         m_grid = default_m_grid(truth, spec, n)
     if delta_grid is None:
         delta_grid = default_delta_grid(truth, n)
+    ms = sorted(set(int(m) for m in m_grid))
     deltas = np.array(sorted(set(float(d) for d in delta_grid)))
-    deltas = deltas[_fits_margin(truth, spec, deltas)]
+    if not ms or not deltas.size:
+        raise ValueError("no (m, delta) candidate in the supplied grids")
+    bad = [m for m in ms if not 1 <= m <= spec.m_max]
+    if bad:
+        raise ValueError(f"model index must lie in [1, {spec.m_max}], got {bad[0]}")
+    half_widths = spec.within.mean_half_width(deltas)
+    fits = (0.0 < half_widths) & (half_widths < truth.margin)
+    if not fits.any():
+        # name the caller's delta, not the mean half-width it maps to
+        top = truth.margin / spec.within.mean_half_width(1.0)
+        raise ValueError(f"delta must lie in (0, {top:g}) (margin={truth.margin}, "
+                         f"{spec.within.name} within prior), got {float(deltas[0])}")
+    deltas, half_widths = deltas[fits], half_widths[fits]
+    log_prior = model_log_prior(spec)
     best = None
-    for m in sorted(set(int(m) for m in m_grid)) if deltas.size else ():
-        cand = _best_box(truth, spec, t, n, m, deltas)
-        if best is None or cand.value < best.value:
-            best = cand
-    if best is None:
-        raise ValueError("no feasible (m, delta) candidate in the supplied grids")
-    return best
+    for m in ms:
+        approx = best_approximation(truth, m)
+        approx_terms = _box_sups(truth, approx, half_widths, t)
+        box_terms = -spec.within.log_box_masses(deltas, approx) / n
+        model_term = -float(log_prior[m - 1]) / n
+        values = approx_terms + box_terms + model_term
+        j = int(np.argmin(values))
+        if best is None or values[j] < best[0]:
+            best = (float(values[j]), m, float(deltas[j]), float(approx_terms[j]),
+                    float(box_terms[j]), model_term)
+    return PenalizedDivergenceResult(*best)

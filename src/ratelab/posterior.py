@@ -36,11 +36,9 @@ from .special import (bisect, expit, log_beta_counts, logsumexp, median,
                       quantile)
 
 __all__ = [
-    "BinnedCounts",
     "PosteriorState",
     "DivergenceSummary",
     "OracleResult",
-    "bin_counts",
     "log_evidence",
     "model_posterior",
     "sample_posterior_density",
@@ -50,43 +48,6 @@ __all__ = [
 ]
 
 _EVIDENCE_TOL, _SCREEN = 1e-10, 750.0
-
-
-@dataclass(frozen=True, eq=False)
-class BinnedCounts:
-    """Per-bin trial and success counts for one model size."""
-
-    m: int
-    trials: np.ndarray
-    successes: np.ndarray
-
-    def __post_init__(self):
-        trials = np.asarray(self.trials, dtype=np.int64)
-        succ = np.asarray(self.successes, dtype=np.int64)
-        if trials.shape != (self.m,) or succ.shape != (self.m,):
-            raise ValueError("counts must be 1-d arrays of length m")
-        if np.any(succ < 0) or np.any(succ > trials):
-            raise ValueError("successes must lie in [0, trials] per bin")
-        trials = trials.copy(); trials.setflags(write=False)
-        succ = succ.copy(); succ.setflags(write=False)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "successes", succ)
-
-    @property
-    def n(self) -> int:
-        return int(self.trials.sum())
-
-
-def bin_counts(data: Dataset, m: int) -> BinnedCounts:
-    """Tally the dataset into m equal covariate bins.
-
-    Bins are right-open [(j-1)/m, j/m); the point x = 1 joins bin m.
-    """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    trials, successes, _ = _flat_counts(data, m, m)
-    return BinnedCounts(m=m, trials=trials, successes=successes)
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,8 +100,9 @@ def _bin_posteriors(trials: np.ndarray, successes: np.ndarray,
         return log_beta_counts(s, f)
     log_ev = np.zeros(s.shape)  # an empty bin's evidence is 1, its log 0
     live = np.flatnonzero(trials)
-    (mode, scale, peak), _, width, masses, _ = _bin_panels(s[live], f[live], within)
-    coarse, fine = ((width * panels.sum(axis=-1)).sum(axis=0) for panels in masses)
+    (mode, scale, peak), start, width, density = _bin_panels(s[live], f[live], within)
+    coarse, fine = ((width * _panel_masses(start, width, density, p).sum(axis=-1)).sum(axis=0)
+                    for p in _PANELS)
     # beyond each end the concave target falls at least as fast as over the
     # last unit of z inside, so the mass out there is below e^end / drop
     end, inside = (_log_target(mode + scale * np.array([[-z], [z]]), s[live], f[live],
@@ -160,11 +122,11 @@ def _bin_posteriors(trials: np.ndarray, successes: np.ndarray,
     return log_ev
 
 
-def log_evidence(counts: BinnedCounts, within: WithinModelPrior) -> float:
-    """Log marginal likelihood of one model's binned counts: the sum of
-    ln B(1 + s_j, 1 + f_j) under the uniform within-model prior, of
-    certified framed quadratures under log-odds priors."""
-    return float(np.sum(_bin_posteriors(counts.trials, counts.successes, within)))
+def log_evidence(trials: np.ndarray, successes: np.ndarray,
+                 within: WithinModelPrior) -> float:
+    """Log marginal likelihood of one model's bins, from their trial and
+    success counts: the sum of the per-bin log evidence."""
+    return float(np.sum(_bin_posteriors(trials, successes, within)))
 
 
 def _log_odds_bin_loglik(theta, s, f):
@@ -202,9 +164,8 @@ def _bin_panels(s, f, within: WithinModelPrior):
     peak, the log target at the mode, as rows), the mode by bisection on the
     concave target's slope over [-64, 64], an empty bin's the prior's; its
     two pieces in v, split at the mode or at a Laplace kink in the span
-    (start, width rows); per count in _PANELS the panel masses of its framed
-    density per unit width, uniform in v, as (piece, bin, panel), integrated
-    _CHUNK bins at a time; and that density of the bins at, at v."""
+    (start, width rows); and its framed density per unit width, as
+    density(v, at) of the bins at, at v."""
     def rising(mid):
         return s * expit(-mid) - f * expit(mid) + within.slope(mid) > 0
 
@@ -227,11 +188,17 @@ def _bin_panels(s, f, within: WithinModelPrior):
         return dz_dv * np.exp(_log_target(theta, s[at, None], f[at, None], within)
                               - peak[at, None])
 
-    chunks = np.split(np.arange(s.size), np.arange(_CHUNK, s.size, _CHUNK))
-    masses = [np.concatenate([_composite_gl(  # u runs over [0, 1] along each piece
+    return np.stack([mode, scale, peak]), start, width, density
+
+
+def _panel_masses(start, width, density, panels: int) -> np.ndarray:
+    """The masses of `panels` equal panels in v per piece of the framed
+    density per unit width of _bin_panels, as (piece, bin, panel),
+    integrated _CHUNK bins at a time."""
+    chunks = np.split(np.arange(start.shape[1]), np.arange(_CHUNK, start.shape[1], _CHUNK))
+    return np.concatenate([_composite_gl(  # u runs over [0, 1] along each piece
         lambda u: density(start[:, at, None] + width[:, at, None] * u, at),
-        np.linspace(0.0, 1.0, p + 1)) for at in chunks], axis=1) for p in _PANELS]
-    return np.stack([mode, scale, peak]), start, width, masses, density
+        np.linspace(0.0, 1.0, panels + 1)) for at in chunks], axis=1)
 
 
 def _log_odds_quantiles(s, f, within: WithinModelPrior, units) -> np.ndarray:
@@ -241,7 +208,8 @@ def _log_odds_quantiles(s, f, within: WithinModelPrior, units) -> np.ndarray:
     Gauss-Legendre, the framed density as slope, bisection where a step
     leaves the bracket) solve to _QUANTILE_TOL of the bin's mass."""
     s, f = np.atleast_1d(s), np.atleast_1d(f)
-    frame, start, width, (_, fine), density = _bin_panels(s, f, within)
+    frame, start, width, density = _bin_panels(s, f, within)
+    fine = _panel_masses(start, width, density, _PANELS[-1])
     mass = (width[..., None] * fine).transpose(1, 0, 2).reshape(s.size, -1)
     cdf = np.cumsum(mass, axis=1)  # panels of the first piece, then the second
     units = np.broadcast_to(units, np.broadcast_shapes(np.shape(units), s.shape))
@@ -295,17 +263,6 @@ class PosteriorState:
     cdf: np.ndarray
     trials: np.ndarray
     successes: np.ndarray
-
-    @property
-    def mode(self) -> int:
-        return int(np.argmax(self.weights)) + 1
-
-    @property
-    def counts(self) -> tuple:
-        """BinnedCounts of every model size, built on request."""
-        return tuple(BinnedCounts(m, self.trials[_model_bins(m)],
-                                  self.successes[_model_bins(m)])
-                     for m in range(1, self.spec.m_max + 1))
 
 
 def _model_bins(m: int) -> slice:

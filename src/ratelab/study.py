@@ -190,15 +190,13 @@ def cell_divergences(config: ExperimentConfig, n: int,
                      replicate: int) -> DivergenceSummary:
     """Posterior divergence draws of one (n, replicate) cell: simulate the
     data, build the exact posterior, draw from it; failures name the cell."""
-    try:
+    with naming(n=n, replicate=replicate):
         data = simulate_data(config.truth, n,
                              seed=(config.seed, TAG_DATA, n, replicate))
         state = model_posterior(data, config.prior_for(n))
         rng = stream(config.seed, TAG_DRAW, n, replicate)
         return empirical_divergence_quantiles(
             config.truth, state, config.u, config.draws, rng)
-    except (QuadratureError, FloatingPointError) as error:
-        raise type(error)(f"n={n}, replicate={replicate}, {error}") from error
 
 
 def _run_cell(config: ExperimentConfig, n: int, replicate: int,

@@ -43,7 +43,6 @@ def test_full_config_round_trip():
 [truth]
 kind = sparse
 levels = 0.3, 0.7, 0.45
-m0 = 3
 margin = 0.2
 
 [prior]
@@ -194,8 +193,9 @@ def test_truth_validation():
         _error("[truth]\nkind = constant\nlevel = 0.4\nmargin = 0.6" + base))
     assert "peak must lie in (0, 1)" in str(
         _error("[truth]\nkind = triangle\npeak = 1.5" + base))
-    err = _error("[truth]\nkind = sparse\nlevels = 0.3, 0.7, 0.45\nm0 = 2" + base)
-    assert "disagrees with 3 levels" in str(err)
+    # the levels give m0; a config that sets it is refused with its line
+    err = _error("[truth]\nkind = sparse\nlevels = 0.3, 0.7, 0.45\nm0 = 3" + base)
+    assert "unknown key 'm0' in [truth]" in str(err)
     assert err.line == 4
     assert "inside (margin, 1 - margin)" in str(
         _error("[truth]\nkind = sparse\nlevels = 0.2, 0.7, 0.45" + base))

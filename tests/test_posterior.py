@@ -13,14 +13,12 @@ from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
 from ratelab import (
-    BinnedCounts,
     Dataset,
     DiscreteDensity,
     PriorSpec,
     QuadratureError,
     TrueModel,
     WithinModelPrior,
-    bin_counts,
     d_t_squared,
     empirical_divergence_quantiles,
     exact_enumeration_oracle,
@@ -51,41 +49,45 @@ def _dataset(x, z):
                    z=np.asarray(z, dtype=np.int8))
 
 
+def _reference_counts(data, m):
+    # the floor(x * m) rule with x = 1 in bin m, tallied directly
+    idx = np.minimum((data.x * m).astype(int), m - 1)
+    trials = np.bincount(idx, minlength=m)
+    successes = np.bincount(idx, weights=data.z, minlength=m).astype(int)
+    return trials, successes
+
+
+def _posterior_counts(data, m):
+    # model m's bins as the one flat tally of model_posterior counts them
+    state = model_posterior(data, PriorSpec(n=max(data.n, 1), m_max=m))
+    return state.trials[_model_bins(m)], state.successes[_model_bins(m)]
+
+
 class TestBinCounts:
+    def _check(self, data, m, trials, successes):
+        for counts in (_posterior_counts(data, m), _reference_counts(data, m)):
+            assert counts[0].tolist() == trials
+            assert counts[1].tolist() == successes
+
     def test_empty_dataset_gives_zero_counts(self):
-        counts = bin_counts(EMPTY, 3)
-        assert counts.trials.tolist() == [0, 0, 0]
-        assert counts.successes.tolist() == [0, 0, 0]
-        assert counts.n == 0
+        self._check(EMPTY, 3, [0, 0, 0], [0, 0, 0])
 
     def test_two_bin_split(self):
         data = _dataset([0.1, 0.3, 0.6, 0.9], [1, 0, 1, 1])
-        counts = bin_counts(data, 2)
-        assert counts.trials.tolist() == [2, 2]
-        assert counts.successes.tolist() == [1, 2]
+        self._check(data, 2, [2, 2], [1, 2])
 
     def test_right_edge_joins_last_bin(self):
-        counts = bin_counts(_dataset([1.0], [1]), 4)
-        assert counts.trials.tolist() == [0, 0, 0, 1]
+        self._check(_dataset([1.0], [1]), 4, [0, 0, 0, 1], [0, 0, 0, 1])
 
     def test_bin_boundary_goes_right(self):
-        counts = bin_counts(_dataset([0.5], [0]), 2)
-        assert counts.trials.tolist() == [0, 1]
+        self._check(_dataset([0.5], [0]), 2, [0, 1], [0, 0])
 
     def test_totals_preserved(self, rng):
         data = simulate_data(TrueModel.constant(0.4), 257, seed=(3, 1))
         for m in (1, 2, 7, 50):
-            counts = bin_counts(data, m)
-            assert counts.n == 257
-            assert counts.successes.sum() == int(data.z.sum())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bin_counts(EMPTY, 0)
-        with pytest.raises(ValueError):
-            BinnedCounts(m=2, trials=np.array([1, 1]), successes=np.array([2, 0]))
-        with pytest.raises(ValueError):
-            BinnedCounts(m=2, trials=np.array([1]), successes=np.array([1]))
+            trials, successes = _posterior_counts(data, m)
+            assert trials.sum() == 257
+            assert successes.sum() == int(data.z.sum())
 
 
 # every bin edge j/m for m up to 32 and the doubles next to it, inside
@@ -96,20 +98,21 @@ EDGE_POINTS = sorted({
     if 0.0 <= x <= 1.0})
 
 
-def _reference_counts(data, m):
-    # the floor(x * m) rule with x = 1 in bin m, tallied directly
-    idx = np.minimum((data.x * m).astype(int), m - 1)
-    trials = np.bincount(idx, minlength=m)
-    successes = np.bincount(idx, weights=data.z, minlength=m).astype(int)
-    return trials, successes
-
-
 DATASETS = pytest.mark.parametrize("data", [
     simulate_data(TrueModel.sine(), 997, seed=(12, 0)),
     _dataset(EDGE_POINTS, [i % 3 == 0 for i in range(len(EDGE_POINTS))]),
     _dataset([0.0, 0.0, 1.0, 1.0, 1.0], [1, 0, 1, 1, 0]),
     EMPTY,
 ], ids=["random", "edges", "ends", "empty"])
+
+
+def _check_every_model(data, state, m_max):
+    # the flat tally holds every model's bins, each as tallied directly
+    assert state.trials.size == state.successes.size == m_max * (m_max + 1) // 2
+    for m in range(1, m_max + 1):
+        trials, successes = _reference_counts(data, m)
+        assert state.trials[_model_bins(m)].tolist() == trials.tolist()
+        assert state.successes[_model_bins(m)].tolist() == successes.tolist()
 
 
 def _every_model(data):
@@ -122,13 +125,19 @@ class TestOnePassBinning:
     @DATASETS
     def test_counts_match_direct_tally_for_every_model(self, data):
         spec = _every_model(data)
-        flat = model_posterior(data, spec).counts
-        for m in range(1, spec.m_max + 1):
-            trials, successes = _reference_counts(data, m)
-            for counts in (bin_counts(data, m), flat[m - 1]):
-                assert counts.m == m
-                assert counts.trials.tolist() == trials.tolist()
-                assert counts.successes.tolist() == successes.tolist()
+        _check_every_model(data, model_posterior(data, spec), spec.m_max)
+
+    def test_edges_of_models_up_to_1024(self):
+        # the edges j/m of a few sizes up to 1024 and the doubles next to
+        # them, successes and failures alternating in x order; every
+        # model up to 1024 is checked against the direct tally
+        x = sorted({v for m in (3, 10, 49, 100, 509, 1000, 1023, 1024)
+                    for j in range(m + 1)
+                    for v in (np.nextafter(j / m, -1.0), j / m, np.nextafter(j / m, 2.0))
+                    if 0.0 <= v <= 1.0})
+        data = _dataset(x, [i % 2 for i in range(len(x))])
+        state = model_posterior(data, PriorSpec(n=data.n, m_max=1024))
+        _check_every_model(data, state, 1024)
 
     @DATASETS
     @pytest.mark.parametrize("within", [WithinModelPrior.uniform_box(),
@@ -137,23 +146,13 @@ class TestOnePassBinning:
     def test_weights_match_per_model_log_evidence(self, data, within):
         spec = replace(_every_model(data), within=within)
         log_post = model_log_prior(spec) + np.array([
-            log_evidence(bin_counts(data, m), within)
+            log_evidence(*_reference_counts(data, m), within)
             for m in range(1, spec.m_max + 1)])
         log_post = log_post - logsumexp(log_post)
         weights = np.exp(log_post)
         weights = weights / weights.sum()
         got = model_posterior(data, spec).weights
         assert np.array_equal(got.view(np.int64), weights.view(np.int64))
-
-    def test_posterior_counts_are_bin_counts(self):
-        data = simulate_data(TrueModel.triangle(), 400, seed=(13, 1))
-        state = model_posterior(data, PriorSpec(n=400))
-        assert len(state.counts) == state.spec.m_max
-        for m, counts in enumerate(state.counts, start=1):
-            trials, successes = _reference_counts(data, m)
-            assert counts.m == m
-            assert counts.trials.tolist() == trials.tolist()
-            assert counts.successes.tolist() == successes.tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,23 +235,23 @@ class TestModelScreen:
 
 class TestLogEvidence:
     def test_no_data_is_log_one(self):
-        counts = bin_counts(EMPTY, 3)
-        assert log_evidence(counts, PriorSpec(n=8).within) == 0.0
-        assert log_evidence(counts, NORMAL) == 0.0
+        counts = _reference_counts(EMPTY, 3)
+        assert log_evidence(*counts, PriorSpec(n=8).within) == 0.0
+        assert log_evidence(*counts, NORMAL) == 0.0
 
     def test_single_success_closed_form(self):
-        counts = bin_counts(_dataset([0.2], [1]), 1)
-        assert log_evidence(counts, PriorSpec(n=8).within) == pytest.approx(
+        counts = _reference_counts(_dataset([0.2], [1]), 1)
+        assert log_evidence(*counts, PriorSpec(n=8).within) == pytest.approx(
             -0.6931471805599453, rel=1e-14)
 
     def test_one_success_one_failure_closed_form(self):
-        counts = bin_counts(_dataset([0.2, 0.4], [1, 0]), 1)
-        assert log_evidence(counts, PriorSpec(n=8).within) == pytest.approx(
+        counts = _reference_counts(_dataset([0.2, 0.4], [1, 0]), 1)
+        assert log_evidence(*counts, PriorSpec(n=8).within) == pytest.approx(
             -1.791759469228055, rel=1e-14)
 
     def test_bins_contribute_additively(self):
         data = _dataset([0.2, 0.7, 0.8], [1, 1, 0])
-        whole = log_evidence(bin_counts(data, 2), PriorSpec(n=8).within)
+        whole = log_evidence(*_reference_counts(data, 2), PriorSpec(n=8).within)
         assert whole == pytest.approx(-0.6931471805599453 - 1.791759469228055,
                                       rel=1e-12)
 
@@ -262,9 +261,8 @@ class TestLogEvidence:
         theta = np.linspace(-40.0, 40.0, 2 ** 20 + 1)
         dens = np.exp(_log_odds_bin_loglik(theta, s, f) + within.log_pdf(theta))
         expected = math.log(np.trapezoid(dens, x=theta))
-        counts = BinnedCounts(m=1, trials=np.array([s + f]),
-                              successes=np.array([s]))
-        assert log_evidence(counts, within) == pytest.approx(expected, rel=1e-7)
+        assert log_evidence(np.array([s + f]), np.array([s]), within) == pytest.approx(
+            expected, rel=1e-7)
 
 
 # ln of the integral over the log-odds line of sigma^s (1 - sigma)^f times
@@ -300,9 +298,8 @@ MPMATH_BIN_LOG_EVIDENCE = [
 class TestFramedLogOddsBins:
     @pytest.mark.parametrize("density,scale,s,f,expected", MPMATH_BIN_LOG_EVIDENCE)
     def test_bin_evidence_against_mpmath(self, density, scale, s, f, expected):
-        counts = BinnedCounts(m=1, trials=np.array([s + f]),
-                              successes=np.array([s]))
-        got = log_evidence(counts, WithinModelPrior.log_odds(density, scale))
+        got = log_evidence(np.array([s + f]), np.array([s]),
+                           WithinModelPrior.log_odds(density, scale))
         assert abs(got - expected) <= 1e-10
 
     @pytest.mark.parametrize("within", [WithinModelPrior.log_odds("normal", 1.5),
@@ -330,9 +327,9 @@ class TestFramedLogOddsBins:
     def test_uncertified_bin_raises(self):
         # a Laplace prior of scale 10^4 leaves a one-success bin with mass
         # farther out than the span reaches
-        counts = BinnedCounts(m=1, trials=np.array([1]), successes=np.array([1]))
         with pytest.raises(QuadratureError, match="1e-10"):
-            log_evidence(counts, WithinModelPrior.log_odds("laplace", 1e4))
+            log_evidence(np.array([1]), np.array([1]),
+                         WithinModelPrior.log_odds("laplace", 1e4))
 
     def test_sampled_sd_of_large_bin_matches_laplace_sd(self):
         # s = f: the mode is 0 by symmetry, the curvature there is
@@ -389,8 +386,8 @@ class TestModelPosterior:
         state = model_posterior(EMPTY, spec)
         assert np.allclose(state.weights, np.exp(model_log_prior(spec)),
                            rtol=0, atol=1e-12)
-        assert state.mode == 1
-        assert all(counts.n == 0 for counts in state.counts)
+        assert np.argmax(state.weights) == 0
+        assert not state.trials.any() and not state.successes.any()
 
     def test_weights_sum_to_one(self):
         data = simulate_data(TrueModel.constant(0.5), 40, seed=(5, 0))
@@ -406,9 +403,8 @@ class TestModelPosterior:
         theta = np.linspace(0.0, 1.0, 100_001)
         log_ev = []
         for m in range(1, 5):
-            counts = bin_counts(data, m)
             total = 0.0
-            for s, trials in zip(counts.successes, counts.trials):
+            for trials, s in zip(*_reference_counts(data, m)):
                 vals = theta ** s * (1 - theta) ** (trials - s)
                 total += math.log(simpson(vals, x=theta))
             log_ev.append(total)
@@ -423,7 +419,7 @@ class TestModelPosterior:
         for r in range(100):
             data = simulate_data(truth, 10_000, seed=(404, r))
             state = model_posterior(data, PriorSpec(n=10_000))
-            hits += state.mode == truth.m0
+            hits += np.argmax(state.weights) + 1 == truth.m0
         assert hits >= 90
 
 

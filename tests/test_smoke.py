@@ -1,5 +1,6 @@
 """Config smoke test: every truth kind × within prior runs end to end."""
 
+import importlib.util
 import json
 import math
 import os
@@ -188,3 +189,16 @@ def test_cli_import_loads_no_polynomial_or_thread_pool_modules():
     # imports the thread pool
     assert not _modules_loaded_by_cli_import() & {"numpy.polynomial",
                                                   "concurrent.futures"}
+
+
+def test_benchmark_wrapped_names_resolve():
+    # bench/layers.py wraps each (module, attribute) of TARGETS where the
+    # study looks it up; a name deleted from ratelab would crash the
+    # benchmark's traced runs, which tier-1 does not run
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    resolved = layers.originals()  # getattr on every target
+    assert set(resolved) == {(mod, attr) for mod, attr, _ in layers.TARGETS}
+    assert all(map(callable, resolved.values()))
