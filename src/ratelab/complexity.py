@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import WithinModelPrior
+from .models import WithinModelPrior, _grid_spacing
 from .rate_bounds import _unit_fraction
 from .special import logsumexp
 
@@ -69,9 +69,8 @@ def log_covering_number_uniform(m: int, n: int, u: float) -> float:
     return m * math.log(_grid_side(n, u))
 
 
-def _validated_spacing(m: int, u: float, n: int):
-    """(m, u, n) checked and snapped to u = 1/k, with the level-scale
-    grid spacing h = 4 * n^(-1/u)."""
+def _validated(m: int, u: float, n: int):
+    """(m, u, n) checked, with u snapped to 1/k."""
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -79,7 +78,7 @@ def _validated_spacing(m: int, u: float, n: int):
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return m, u, n, 4.0 * n ** (-1.0 / u)
+    return m, u, n
 
 
 def norm_complexity_grid(within: WithinModelPrior, m: int, u: float,
@@ -93,10 +92,10 @@ def norm_complexity_grid(within: WithinModelPrior, m: int, u: float,
     cap of 2^23 cells per side: there it is the lower end of its
     enclosure, whose upper end is ``log_norm_complexity_analytic``.
     """
-    m, u, n, h = _validated_spacing(m, u, n)
-    per_coord = within.cell_sum(h, u)
+    m, u, n = _validated(m, u, n)
+    per_coord = within.cell_sum(n, u)
     return CoverSummary(
-        per_coordinate_sum=per_coord, grid_spacing=h,
+        per_coordinate_sum=per_coord, grid_spacing=_grid_spacing(n, u),
         log_lu_norm=m * math.log(per_coord) / u,
         log_analytic_bound=log_norm_complexity_analytic(within, m, u, n))
 
@@ -107,8 +106,8 @@ def log_norm_complexity_analytic(within: WithinModelPrior, m: int, u: float,
     the per-coordinate sum S by (2*h*f(0)^u + integral of f^u) * h^(u-1),
     valid for any symmetric density f decreasing away from the origin;
     under the uniform prior it is S itself.  O(1) regardless of n."""
-    m, u, n, h = _validated_spacing(m, u, n)
-    return m * math.log(within.analytic_sum(h, u)) / u
+    m, u, n = _validated(m, u, n)
+    return m * math.log(within.analytic_sum(n, u)) / u
 
 
 def log_cover_mixture(log_masses: Sequence[float],

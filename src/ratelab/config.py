@@ -1,14 +1,18 @@
 """Sectioned key-value experiment configs with line-level diagnostics.
 
 The format is deliberately small: `[section]` headers, `key = value`
-lines, full-line comments starting with `#` or `;`.  Unknown sections
-and unknown keys are hard errors carrying the offending line number,
-because a silently ignored knob would invalidate a study.
+lines, full-line comments starting with `#` or `;`.  Each section's
+keys are removed as they are read, so the keys left over are unknown.
+Unknown sections and keys are hard errors, because a silently ignored
+knob would invalidate a study.  Every refusal but a missing required
+key names the offending line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .models import PriorSpec, TrueModel, WithinModelPrior
@@ -70,21 +74,8 @@ class ExperimentConfig:
         return out
 
 
-@dataclass
-class _Entry:
-    value: str
-    line: int
-    used: bool = False
-
-
-@dataclass
-class _Section:
-    name: str
-    line: int
-    entries: dict = field(default_factory=dict)
-
-
 def _tokenize(text: str) -> dict:
+    """{section: {key: (value, line)}}, sections and keys in file order."""
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,8 +88,7 @@ def _tokenize(text: str) -> dict:
                 raise ConfigError(f"unknown section [{name}]", lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", lineno)
-            current = _Section(name=name, line=lineno)
-            sections[name] = current
+            current = sections[name] = {}
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", lineno)
@@ -106,67 +96,12 @@ def _tokenize(text: str) -> dict:
             raise ConfigError("key outside any [section]", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ConfigError("empty key", lineno)
-        if key in current.entries:
+        if key in current:
             raise ConfigError(f"duplicate key '{key}'", lineno)
-        current.entries[key] = _Entry(value=value, line=lineno)
+        current[key] = (value.strip(), lineno)
     return sections
-
-
-class _Reader:
-    """Typed accessors over one tokenized section; tracks key usage."""
-
-    def __init__(self, sections: dict, name: str):
-        self._section = sections.get(name)
-        self.name = name
-
-    def _take(self, key: str) -> Optional[_Entry]:
-        if self._section is None:
-            return None
-        entry = self._section.entries.get(key)
-        if entry is not None:
-            entry.used = True
-        return entry
-
-    def _parse(self, key: str, default, caster: Callable, kind: str):
-        entry = self._take(key)
-        if entry is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-            return default, None
-        try:
-            return caster(entry.value), entry.line
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(
-                f"'{key}' expects {kind}, got {entry.value!r}", entry.line)
-
-    def floatv(self, key, default=None):
-        return self._parse(key, default, float, "a number")
-
-    def intv(self, key, default=None):
-        return self._parse(key, default, _strict_int, "an integer")
-
-    def strv(self, key, default=None):
-        return self._parse(key, default, str, "a string")
-
-    def boolv(self, key, default=None):
-        return self._parse(key, default, _parse_bool, "true/false")
-
-    def float_list(self, key, default=None):
-        return self._parse(key, default, lambda v: _split_list(v, float),
-                           "a comma-separated number list")
-
-    def int_list(self, key, default=None):
-        return self._parse(key, default, lambda v: _split_list(v, _strict_int),
-                           "a comma-separated integer list")
-
-    def str_list(self, key, default=None):
-        return self._parse(key, default, lambda v: _split_list(v, str),
-                           "a comma-separated list")
 
 
 def _strict_int(value: str) -> int:
@@ -193,151 +128,163 @@ def _split_list(value: str, caster: Callable) -> tuple:
     return tuple(caster(p) for p in parts)
 
 
-def _build_truth(reader: _Reader) -> TrueModel:
-    kind, kind_line = reader.strv("kind")
-    margin, margin_line = reader.floatv("margin", 0.25)
+_FLOATS = functools.partial(_split_list, caster=float)
+_INTS = functools.partial(_split_list, caster=_strict_int)
+_STRS = functools.partial(_split_list, caster=str)
+_EXPECTS = {float: "a number", _strict_int: "an integer", str: "a string",
+            _parse_bool: "true/false", _FLOATS: "a comma-separated number list",
+            _INTS: "a comma-separated integer list", _STRS: "a comma-separated list"}
+
+
+def _taker(sections: dict, name: str) -> Callable:
+    """take(key, default, cast) -> (value, line) over one section, popping
+    the key; line is None for a default, and a None default is required."""
+    entries = sections.get(name, {})
+
+    def take(key: str, default=None, cast: Callable = float):
+        if key not in entries:
+            if default is None:
+                raise ConfigError(f"[{name}] is missing required key '{key}'")
+            return default, None
+        value, line = entries.pop(key)
+        try:
+            return cast(value), line
+        except ValueError:
+            raise ConfigError(f"'{key}' expects {_EXPECTS[cast]}, got {value!r}", line)
+    return take
+
+
+def _at(line: Optional[int], build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError raised as a ConfigError at line."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line)
+
+
+# smooth truth kinds: constructor and its keys' defaults (None: required)
+_SMOOTH = {
+    "sine": (TrueModel.sine, {"center": 0.5, "amplitude": 0.15}),
+    "triangle": (TrueModel.triangle, {"center": 0.5, "amplitude": 0.24, "peak": 0.5}),
+    "linear": (TrueModel.linear, {"intercept": None, "slope": None}),
+    "constant": (TrueModel.constant, {"level": None}),
+}
+
+
+def _build_truth(take: Callable) -> TrueModel:
+    """The truth; a constructor's refusal names the levels line of a sparse
+    truth and the kind line of a smooth one."""
+    kind, kind_line = take("kind", None, str)
+    margin, margin_line = take("margin", 0.25)
     if not 0.0 < margin < 0.5:
         raise ConfigError(f"margin must lie in (0, 0.5), got {margin}",
                           margin_line)
-    if kind == "sine":
-        center, _ = reader.floatv("center", 0.5)
-        amplitude, _ = reader.floatv("amplitude", 0.15)
-        truth = TrueModel.sine(center=center, amplitude=amplitude, margin=margin)
-    elif kind == "triangle":
-        center, _ = reader.floatv("center", 0.5)
-        amplitude, _ = reader.floatv("amplitude", 0.24)
-        peak, peak_line = reader.floatv("peak", 0.5)
+    if kind == "sparse":
+        levels, levels_line = take("levels", None, _FLOATS)
+        truth = _at(levels_line, TrueModel.sparse, levels, margin=margin)
+    elif kind in _SMOOTH:
+        build, defaults = _SMOOTH[kind]
+        args = {key: take(key, default) for key, default in defaults.items()}
+        peak, peak_line = args.get("peak", (0.5, None))  # a triangle's
         if not 0.0 < peak < 1.0:
             raise ConfigError(f"peak must lie in (0, 1), got {peak}", peak_line)
-        truth = TrueModel.triangle(center=center, amplitude=amplitude,
-                                   peak=peak, margin=margin)
-    elif kind == "linear":
-        intercept, _ = reader.floatv("intercept")
-        slope, _ = reader.floatv("slope")
-        truth = TrueModel.linear(intercept=intercept, slope=slope, margin=margin)
-    elif kind == "constant":
-        level, _ = reader.floatv("level")
-        truth = TrueModel.constant(level=level, margin=margin)
-    elif kind == "sparse":
-        levels, levels_line = reader.float_list("levels")
-        try:
-            truth = TrueModel.sparse(levels, margin=margin)
-        except ValueError as exc:
-            raise ConfigError(str(exc), levels_line)
+        truth = _at(kind_line, build, margin=margin,
+                    **{key: value for key, (value, _) in args.items()})
     else:
         raise ConfigError(
             "kind must be sine|triangle|linear|constant|sparse, "
             f"got {kind!r}", kind_line)
-    d_bound, d_line = reader.floatv("d_bound", -1.0)
+    d_bound, d_line = take("d_bound", -1.0)
     if d_line is not None:
         if truth.kind != "smooth":
             raise ConfigError("d_bound applies only to smooth truths", d_line)
-        try:
-            truth = TrueModel.smooth(truth.mean.fn, d_bound=d_bound,
-                                     margin=margin,
-                                     breakpoints=truth.mean.breakpoints)
-        except ValueError as exc:
-            raise ConfigError(str(exc), d_line)
+        truth = _at(d_line, TrueModel.smooth, truth.mean.fn, d_bound=d_bound,
+                    margin=margin, breakpoints=truth.mean.breakpoints)
     return truth
 
 
-def _build_within(reader: _Reader) -> WithinModelPrior:
-    within, within_line = reader.strv("within", "uniform")
-    scale, scale_line = reader.floatv("scale", 1.0)
+def _build_within(take: Callable) -> WithinModelPrior:
+    within, within_line = take("within", "uniform", str)
+    scale, scale_line = take("scale", 1.0)
     if within == "uniform":
         if scale_line is not None:
             raise ConfigError("scale requires a log-odds prior", scale_line)
         return WithinModelPrior.uniform_box()
     if within in ("normal", "laplace"):
-        try:
-            return WithinModelPrior.log_odds(density=within, scale=scale)
-        except ValueError as exc:
-            raise ConfigError(str(exc), scale_line)
+        return _at(scale_line, WithinModelPrior.log_odds, density=within,
+                   scale=scale)
     raise ConfigError(
         f"within must be uniform|normal|laplace, got {within!r}", within_line)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     sections = _tokenize(text)
-    truth = _build_truth(_Reader(sections, "truth"))
+    truth = _build_truth(_taker(sections, "truth"))
 
-    prior = _Reader(sections, "prior")
-    within = _build_within(prior)
-    k_model, k_line = prior.floatv("k_model", 3.0)
-    if k_model <= 0:
-        raise ConfigError(f"k_model must be positive, got {k_model}", k_line)
-    m_max, m_line = prior.intv("m_max", 0)
+    take = _taker(sections, "prior")
+    within = _build_within(take)
+    k_model, k_line = take("k_model", 3.0)
+    if not 0 < k_model < math.inf:
+        raise ConfigError(f"k_model must be positive and finite, got {k_model}",
+                          k_line)
+    m_max, m_line = take("m_max", 0, _strict_int)
     if m_max < 0:
         raise ConfigError(f"m_max must be >= 0 (0 means auto), got {m_max}",
                           m_line)
 
-    run = _Reader(sections, "run")
-    n_grid, n_line = run.int_list("n_grid")
+    take = _taker(sections, "run")
+    n_grid, n_line = take("n_grid", None, _INTS)
     if any(n < 2 for n in n_grid):
         raise ConfigError("n_grid entries must be >= 2", n_line)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("n_grid must be strictly increasing", n_line)
-    draws, draws_line = run.intv("draws", 50)
+    draws, draws_line = take("draws", 50, _strict_int)
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}", draws_line)
-    replicates, rep_line = run.intv("replicates", 1)
+    replicates, rep_line = take("replicates", 1, _strict_int)
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}", rep_line)
-    u_raw, u_line = run.floatv("u", 0.5)
+    u_raw, u_line = take("u", 0.5)
     if not 0.0 < u_raw < 1.0:
         raise ConfigError(f"u must lie in (0, 1), got {u_raw}", u_line)
-    t, t_line = run.floatv("t", 1.0)
-    if t <= 0:
-        raise ConfigError(f"t must be positive, got {t}", t_line)
-    seed, seed_line = run.intv("seed", 17)
+    t, t_line = take("t", 1.0)
+    if not 0 < t < math.inf:
+        raise ConfigError(f"t must be positive and finite, got {t}", t_line)
+    seed, seed_line = take("seed", 17, _strict_int)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}", seed_line)
-    variants, var_line = run.str_list("variants", ("prop7",))
+    variants, var_line = take("variants", ("prop7",), _STRS)
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {', '.join(VARIANTS)}, got {v!r}",
                 var_line)
-    burn_in, burn_line = run.intv("burn_in", 0)
+    burn_in, burn_line = take("burn_in", 0, _strict_int)
     if not 0 <= burn_in < len(n_grid):
         raise ConfigError(
             f"burn_in must index into n_grid (0..{len(n_grid) - 1})", burn_line)
-    workers, workers_line = run.intv("workers", 0)
+    workers, workers_line = take("workers", 0, _strict_int)
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}", workers_line)
 
-    out = _Reader(sections, "output")
-    csv_path, _ = out.strv("csv", "rate_study.csv")
-    plot, _ = out.boolv("plot", False)
+    take = _taker(sections, "output")
+    csv_path, _ = take("csv", "rate_study.csv", str)
+    plot, _ = take("plot", False, _parse_bool)
 
-    for section in sections.values():
-        for key, entry in section.entries.items():
-            if not entry.used:
-                raise ConfigError(
-                    f"unknown key '{key}' in [{section.name}]", entry.line)
+    for name, entries in sections.items():  # what no take popped
+        for key, (_, line) in entries.items():
+            raise ConfigError(f"unknown key '{key}' in [{name}]", line)
 
-    if m_max:
-        needed = max(1, truth.m0 or 1)
-        if m_max < needed:
-            raise ConfigError(
-                f"m_max = {m_max} cannot reach the sparse truth's m0 = {needed}")
+    if m_max and truth.m0 and m_max < truth.m0:
+        raise ConfigError(
+            f"m_max = {m_max} cannot reach the sparse truth's m0 = {truth.m0}", m_line)
 
     return ExperimentConfig(
-        truth=truth,
-        within=within,
-        k_model=float(k_model),
-        m_max=int(m_max),
-        n_grid=tuple(int(n) for n in n_grid),
-        draws=int(draws),
-        replicates=int(replicates),
-        u=floor_to_unit_fraction(u_raw),
-        t=float(t),
-        seed=int(seed),
-        variants=tuple(dict.fromkeys(variants)),
-        burn_in=int(burn_in),
-        workers=int(workers),
-        csv_path=str(csv_path),
-        plot=bool(plot),
+        truth=truth, within=within, k_model=k_model, m_max=m_max,
+        n_grid=n_grid, draws=draws, replicates=replicates,
+        u=floor_to_unit_fraction(u_raw), t=t, seed=seed,
+        variants=tuple(dict.fromkeys(variants)), burn_in=burn_in,
+        workers=workers, csv_path=csv_path, plot=plot,
     )
 
 

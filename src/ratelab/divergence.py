@@ -161,14 +161,15 @@ class SmoothMean:
         object.__setattr__(self, "breakpoints", points)
         if not 0.0 < self.margin < 0.5:
             raise ValueError(f"margin must lie in (0, 0.5), got {self.margin}")
-        if self.d_bound < 0:
-            raise ValueError("derivative bound must be nonnegative")
         xs = np.linspace(0.0, 1.0, _VALIDATION_GRID)
         vals = np.asarray(self.fn(xs), dtype=float)
         if vals.shape != xs.shape:
             raise ValueError("mean function must map arrays to arrays elementwise")
-        if np.any(vals <= self.margin) or np.any(vals >= 1.0 - self.margin):
+        if not np.all((vals > self.margin) & (vals < 1.0 - self.margin)):  # NaN too
             raise ValueError("mean leaves (margin, 1 - margin) on the check grid")
+        if not 0.0 <= self.d_bound < math.inf:
+            raise ValueError(
+                f"derivative bound must be nonnegative and finite, got {self.d_bound}")
         slopes = np.abs(np.diff(vals)) * (_VALIDATION_GRID - 1)
         worst = float(slopes.max())
         if worst > self.d_bound + 1e-9:

@@ -113,7 +113,7 @@ class TrueModel:
         margin = float(margin)
         if not 0.0 < margin < 0.5:
             raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
-        if np.any(levels <= margin) or np.any(levels >= 1.0 - margin):
+        if not np.all((levels > margin) & (levels < 1.0 - margin)):  # NaN too
             raise ValueError("sparse levels must lie strictly inside (margin, 1 - margin)")
         mean = PiecewiseConstantMean(levels)
         return cls("sparse", margin, mean, 0.0, int(levels.size))
@@ -162,6 +162,11 @@ def _best_approximation(truth: TrueModel, m: int) -> BestApproximation:
     return BestApproximation(levels, float(bound), log_odds)
 
 
+def _grid_spacing(n: int, u: float) -> float:
+    """h = 4 n^(-1/u), the cell width of the norm-complexity grid at n."""
+    return 4.0 * n ** (-1.0 / u)
+
+
 class WithinModelPrior:
     """Prior on the m bin levels of a working model, alike and independent
     per bin: ``uniform_box()`` on [0, 1], or ``log_odds(density, scale)``,
@@ -196,14 +201,16 @@ class UniformPrior(WithinModelPrior):
             raise ValueError("box escapes the within-model prior support [0, 1]")
         return np.log(np.minimum(hi, 1.0) - np.maximum(lo, 0.0)).sum(axis=-1)
 
-    def cell_sum(self, h: float, u: float) -> float:
-        """Exact cell-mass^u sum over cells of width h, in closed form."""
-        if h >= 1.0:
-            return 1.0
-        q0 = int(math.floor(1.0 / h))
-        q = q0 + 1 if (q0 + 1) * h <= 1.0 + 1e-12 else q0
-        r = 1.0 - q * h  # a remainder below 1e-13 h is rounding
-        return q * h ** u + (r ** u if r >= 1e-13 * h else 0.0)
+    def cell_sum(self, n: int, u: float) -> float:
+        """Exact cell-mass^u sum over [0, 1] in cells of width h = 4 n^(-1/u):
+        for u = 1/k, 1/h = n^k / 4 counts the whole cells in integers, and the
+        last cell holds the remainder (n^k mod 4) / n^k."""
+        h = _grid_spacing(n, u)
+        if h == 0.0:  # then n^k passes 2^1075 and, at tiny u, any memory
+            raise FloatingPointError(f"cell width 4 n^(-1/u) underflows float64 at u={u:g}")
+        side = n ** round(1.0 / u)
+        cells, rem = divmod(side, 4)
+        return cells * h ** u + (rem / side) ** u
 
     analytic_sum = cell_sum  # the closed form is exact
 
@@ -283,8 +290,8 @@ class LogOddsPrior(WithinModelPrior):
         return ((u_integral - spread) * h ** (u - 1.0),
                 (spread + u_integral) * h ** (u - 1.0))
 
-    def analytic_sum(self, h: float, u: float) -> float:
-        return self.enclosure(h, u)[1]
+    def analytic_sum(self, n: int, u: float) -> float:
+        return self.enclosure(_grid_spacing(n, u), u)[1]
 
     def u_norm_integral(self, u: float) -> float:
         """Closed form of the integral of f^u over the real line."""
@@ -325,11 +332,13 @@ class NormalPrior(LogOddsPrior):
         return (2.0 * math.pi * s * s) ** (0.5 * (1.0 - u)) / math.sqrt(u)
 
     @functools.lru_cache(maxsize=64)
-    def cell_sum(self, h: float, u: float) -> float:
-        """Cell-mass^u sum S over the cells [j*h, (j+1)*h), memoized for the
-        callers' loop over m: the first J cells per side, J the least that puts
-        the rest, at most the upper end times e^(-u (J h)^2 / (2 s^2)), below
-        _TAIL_TOL of max(1, lower end) <= S; past _MAX_CELLS, the lower end."""
+    def cell_sum(self, n: int, u: float) -> float:
+        """Cell-mass^u sum S over the cells [j*h, (j+1)*h) of the grid at n,
+        memoized for the callers' loop over m: the first J cells per side, J the
+        least that puts the rest, at most the upper end times
+        e^(-u (J h)^2 / (2 s^2)), below _TAIL_TOL of max(1, lower end) <= S;
+        past _MAX_CELLS, the lower end."""
+        h = _grid_spacing(n, u)
         lower, upper = self.enclosure(h, u)
         decay = math.log(upper / (_TAIL_TOL * max(1.0, lower))) / u
         cells = math.ceil(self.scale * math.sqrt(2.0 * decay) / h)
@@ -366,10 +375,10 @@ class LaplacePrior(LogOddsPrior):
     def _u_norm_integral(self, u: float) -> float:
         return 2.0 ** (1.0 - u) * self.scale ** (1.0 - u) / u
 
-    def cell_sum(self, h: float, u: float) -> float:
-        """Exact cell-mass^u sum over the cells [j*h, (j+1)*h), a geometric
-        series: cell j >= 0 holds e^(-j h / b) (1 - e^(-h / b)) / 2."""
-        b = self.scale
+    def cell_sum(self, n: int, u: float) -> float:
+        """Exact cell-mass^u sum over the cells [j*h, (j+1)*h) of the grid at n,
+        a geometric series: cell j >= 0 holds e^(-j h / b) (1 - e^(-h / b)) / 2."""
+        h, b = _grid_spacing(n, u), self.scale
         return 2.0 * (-0.5 * math.expm1(-h / b)) ** u / -math.expm1(-u * h / b)
 
 
@@ -390,8 +399,8 @@ class PriorSpec:
         if int(self.n) < 1:
             raise ValueError(f"sample size must be >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        if not self.k_model > 0:
-            raise ValueError("k_model must be positive")
+        if not 0 < self.k_model < math.inf:
+            raise ValueError(f"k_model must be positive and finite, got {self.k_model}")
         m_max = int(self.m_max)
         if m_max == 0:
             m_max = int(math.ceil(math.sqrt(self.n)))

@@ -51,12 +51,12 @@ _EVIDENCE_TOL, _SCREEN = 1e-10, 750.0
 
 
 @functools.lru_cache(maxsize=64)
-def _bin_cuts(lo: int, hi: int) -> tuple:
-    """The upper cuts of the bins of model sizes lo..hi, sorted without
+def _bin_cuts(m_max: int) -> tuple:
+    """The upper cuts of the bins of model sizes 1..m_max, sorted without
     repeats, each flat bin's int32 index into them, and each size's first
     flat bin; read-only, so pool threads share them.  Bin j of m holds the
     x with j - 1 <= x * m < j, the floor(x * m) rule, and x = 1 joins bin m."""
-    sizes = np.arange(lo, hi + 1)
+    sizes = np.arange(1, m_max + 1)
     first = np.cumsum(sizes) - sizes
     m = np.repeat(sizes, sizes)
     j = np.arange(m.size) - np.repeat(first, sizes) + 1
@@ -75,10 +75,10 @@ def _bin_cuts(lo: int, hi: int) -> tuple:
     return cuts, at, first
 
 
-def _flat_counts(data: Dataset, lo: int, hi: int):
-    """Trials and successes of every bin of model sizes lo..hi, one size after
+def _flat_counts(data: Dataset, m_max: int):
+    """Trials and successes of every bin of model sizes 1..m_max, one size after
     another, by sorted searches, and the flat index of each size's first bin."""
-    cuts, at, first = _bin_cuts(lo, hi)
+    cuts, at, first = _bin_cuts(m_max)
 
     def tally(xs):  # points of sorted xs in each flat bin
         upper = np.searchsorted(xs, cuts)[at]
@@ -285,7 +285,7 @@ def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
     other model's log evidence is the sum over its own bins, as
     log_evidence takes it.  An empty dataset reproduces the prior."""
     sizes = np.arange(1, spec.m_max + 1)
-    trials, successes, first = _flat_counts(data, 1, spec.m_max)
+    trials, successes, first = _flat_counts(data, spec.m_max)
     log_prior = model_log_prior(spec)
     # The screen: a bin's evidence under a proper prior is at most its best
     # likelihood, s ln(s/N) + f ln(f/N), so bound >= each model's log mass.

@@ -270,8 +270,7 @@ class TestComplexity:
         within = load_config(str(path)).prior_for(500).within
         for row in (rows[0], rows[23]):
             n = int(row[2])
-            per_coord = NormalPrior.cell_sum.__wrapped__(
-                within, 4.0 * n ** -2.0, 0.5)
+            per_coord = NormalPrior.cell_sum.__wrapped__(within, n, 0.5)
             assert float(row[3]) == pytest.approx(2.0 * math.log(per_coord),
                                                   rel=1e-12)
 

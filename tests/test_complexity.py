@@ -81,6 +81,28 @@ class TestUniformGridSums:
         summary = norm_complexity_grid(UNIFORM, 1, 0.5, 3)
         assert summary.per_coordinate_sum == pytest.approx(5.0 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sum_matches_the_integer_form(self, k):
+        # 1/h = n^k / 4 for u = 1/k: n^k // 4 whole cells of width h and a
+        # last one of width (n^k mod 4) / n^k, summed at 40 digits; n = 18,
+        # 108 and 15874 and the README grid once counted a rounding residue
+        # or one cell too many
+        for n in (2, 3, 18, 108, 15874, 500, 1000, 2000, 4000, 8000, 16000, 32000):
+            side = n ** k
+            cells, rem = divmod(side, 4)
+            with mpmath.workdps(40):
+                u = mpmath.mpf(1) / k
+                ref = (cells * (mpmath.mpf(4) / side) ** u
+                       + (mpmath.mpf(rem) / side) ** u)
+            got = norm_complexity_grid(UNIFORM, 1, 1.0 / k, n).per_coordinate_sum
+            assert got == pytest.approx(float(ref), rel=1e-15, abs=0.0), n
+
+    def test_underflowing_cell_width_is_refused(self):
+        # h = 4 n^(-100) is 0 in float64 at n = 2000; the sum is refused
+        # before n^100 is built, an integer that outgrows memory at tiny u
+        with pytest.raises(FloatingPointError, match="underflows float64 at u=0.01"):
+            norm_complexity_grid(UNIFORM, 1, 0.01, 2000)
+
     def test_coarse_grid_saturates_at_one(self):
         # h >= 1 means a single cell holding all the mass
         summary = norm_complexity_grid(UNIFORM, 2, 0.5, 1)

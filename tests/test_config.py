@@ -165,13 +165,17 @@ def test_missing_required_keys():
     ("u = 1.2", "u must lie in (0, 1)"),
     ("u = abc", "'u' expects a number"),
     ("t = 0", "t must be positive"),
+    ("t = nan", "t must be positive"),
+    ("t = inf", "t must be positive"),
     ("seed = -1", "seed must be >= 0"),
     ("variants = prop3, prop9", "variant must be one of"),
     ("burn_in = 5", "burn_in must index into n_grid"),
     ("workers = -2", "workers must be >= 0"),
 ])
 def test_run_section_validation(snippet, fragment):
-    assert fragment in str(_error(MINIMAL + "\n" + snippet + "\n"))
+    err = _error(MINIMAL + "\n" + snippet + "\n")
+    assert fragment in str(err)
+    assert err.line == 9
 
 
 @pytest.mark.parametrize("grid,fragment", [
@@ -183,7 +187,9 @@ def test_run_section_validation(snippet, fragment):
 ])
 def test_n_grid_validation(grid, fragment):
     text = f"[truth]\nkind = constant\nlevel = 0.4\n\n[run]\nn_grid = {grid}\n"
-    assert fragment in str(_error(text))
+    err = _error(text)
+    assert fragment in str(err)
+    assert err.line == 6
 
 
 def test_truth_validation():
@@ -247,6 +253,42 @@ def test_m_max_must_reach_the_step_count():
     err = _error("[truth]\nkind = sparse\nlevels = 0.3, 0.7, 0.45\n"
                  "\n[prior]\nm_max = 2\n\n[run]\nn_grid = 10, 20\n")
     assert "cannot reach the sparse truth's m0 = 3" in str(err)
+    assert err.line == 6
+
+
+RUN = "\n[run]\nn_grid = 10, 20\n"
+
+
+@pytest.mark.parametrize("text,line,fragment", [
+    # non-finite numbers ([run] t is a case of test_run_section_validation):
+    # the key's line, or the kind line of a smooth truth
+    (MINIMAL + "\n[prior]\nk_model = nan\n", 10, "k_model must be positive"),
+    (MINIMAL + "\n[prior]\nk_model = inf\n", 10, "k_model must be positive"),
+    ("[truth]\nkind = sine\namplitude = nan" + RUN, 2, "mean leaves"),
+    ("[truth]\nkind = triangle\ncenter = nan" + RUN, 2, "mean leaves"),
+    ("[truth]\nkind = constant\nlevel = nan" + RUN, 2, "mean leaves"),
+    ("[truth]\nkind = linear\nintercept = 0.4\nslope = nan" + RUN, 2, "mean leaves"),
+    ("[truth]\nkind = sine\nd_bound = nan" + RUN, 3, "derivative bound"),
+    ("[truth]\nkind = sine\nd_bound = inf" + RUN, 3, "derivative bound"),
+    ("[truth]\nkind = sparse\nlevels = 0.3, nan" + RUN, 3, "inside (margin, 1 - margin)"),
+    # a smooth truth's own refusals name its kind line
+    ("[truth]\nkind = constant\nlevel = 0.9" + RUN, 2, "mean leaves"),
+    ("[truth]\nkind = sine\namplitude = 0.5" + RUN, 2, "mean leaves"),
+    ("[truth]\nmargin = 0.2\nkind = triangle\ncenter = 0.9" + RUN, 3, "mean leaves"),
+], ids=["k_model_nan", "k_model_inf", "amplitude_nan",
+        "center_nan", "level_nan", "slope_nan", "d_bound_nan", "d_bound_inf",
+        "levels_nan", "constant_0.9", "sine_0.5", "triangle_0.9"])
+def test_refusals_name_their_line(text, line, fragment):
+    err = _error(text)
+    assert fragment in str(err)
+    assert err.line == line
+
+
+def test_cli_refusal_names_its_line(tmp_path, capsys):
+    path = tmp_path / "study.cfg"
+    path.write_text(MINIMAL + "\nt = inf\n", encoding="utf-8")
+    assert cli.main(["bound", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 9: t must be positive")
 
 
 def test_output_section_validation():

@@ -1,6 +1,7 @@
 """True means, best approximations, priors, and data simulation."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -77,6 +78,18 @@ class TestTruthConstructors:
     def test_sparse_records_m0(self):
         assert TrueModel.sparse([0.3, 0.7, 0.45]).m0 == 3
 
+    @pytest.mark.parametrize("build,fragment", [
+        (lambda: TrueModel.sparse([0.3, math.nan]), "inside (margin, 1 - margin)"),
+        (lambda: TrueModel.constant(math.nan), "mean leaves"),
+        (lambda: TrueModel.sine(amplitude=math.nan), "mean leaves"),
+        (lambda: TrueModel.linear(0.4, math.nan), "mean leaves"),
+        (lambda: TrueModel.smooth(lambda x: 0.4 + 0 * x, math.inf, 0.25), "derivative bound"),
+        (lambda: TrueModel.smooth(lambda x: 0.4 + 0 * x, math.nan, 0.25), "derivative bound"),
+    ], ids=["levels", "level", "amplitude", "slope", "d_bound_inf", "d_bound_nan"])
+    def test_non_finite_truths_are_refused(self, build, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            build()
+
 
 class TestModelPrior:
     def test_geometric_decay_ratio(self):
@@ -86,6 +99,11 @@ class TestModelPrior:
         for m in range(1, 5):
             assert masses[m] / masses[m - 1] == pytest.approx(
                 100.0 ** -3.0, rel=1e-10)
+
+    @pytest.mark.parametrize("k_model", [0.0, math.nan, math.inf])
+    def test_k_model_must_be_positive_and_finite(self, k_model):
+        with pytest.raises(ValueError, match="k_model must be positive"):
+            PriorSpec(n=100, k_model=k_model)
 
     def test_default_m_max_is_sqrt_n(self):
         assert PriorSpec(n=10_000).m_max == 100
@@ -240,7 +258,7 @@ class TestWithinModelPrior:
         monkeypatch.setattr(models, "ndtr", counted)
         within = WithinModelPrior.log_odds("normal", 1.5)
         within.cell_sum.cache_clear()
-        assert within.cell_sum(4.0 * 1000 ** -2.0, 0.5) > 0.0  # 4.4 M cells a side
+        assert within.cell_sum(1000, 0.5) > 0.0  # 4.4 M cells a side
         assert math.isfinite(within.log_interval_mass(0.9, 1.9))
         assert calls == []
         within.log_interval_mass(np.array([-0.9, 0.9]), np.array([3.1, 4.1]))
