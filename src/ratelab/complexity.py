@@ -11,6 +11,7 @@ logs, since both pass the float range at moderate n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,7 +47,11 @@ class CoverSummary:
     log_analytic_bound: float
 
 
-def _grid_side(n: int, u: float) -> int:
+@functools.lru_cache(maxsize=64)
+def _log_grid_side(n: int, u: float) -> float:
+    """ln ceil(n^(1/u)), memoized for the callers' loop over m: for u = 1/k
+    and integer n from the integer n^k, or as k ln n where n^k would pass
+    2^21 bits (at u = 1e-8 the integer takes hours to build)."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
     if n < 1:
@@ -54,8 +59,9 @@ def _grid_side(n: int, u: float) -> int:
     inv = 1.0 / u
     k = round(inv)
     if abs(inv - k) < 1e-9 and float(n).is_integer():
-        return int(n) ** int(k)
-    return math.ceil(n ** inv - 1e-9)
+        n = int(n)
+        return k * math.log(n) if k * n.bit_length() > 1 << 21 else math.log(n ** k)
+    return math.log(math.ceil(n ** inv - 1e-9))
 
 
 def log_covering_number_uniform(m: int, n: int, u: float) -> float:
@@ -66,7 +72,7 @@ def log_covering_number_uniform(m: int, n: int, u: float) -> float:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return 0.0
-    return m * math.log(_grid_side(n, u))
+    return m * _log_grid_side(n, u)
 
 
 def _validated(m: int, u: float, n: int):

@@ -5,7 +5,8 @@ X on [0, 1], with P(Z = 1 | X = x) = mu0(x).  Working models are
 piecewise-constant means on m equal bins; the model index m carries a
 geometric-in-log-n prior and each model carries a within-model prior
 on its bin levels, either uniform on [0, 1]^m or a product density on
-the log-odds scale, one class per prior owning that prior's formulas.
+the log-odds scale, one class per prior owning its formulas and bin
+posteriors.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .divergence import (MEAN_CLAMP, PiecewiseConstantMean, RegressionDensity,
-                         SmoothMean, _union_edges)
+from .divergence import (_GL_W, _GL_X, MEAN_CLAMP, PiecewiseConstantMean, QuadratureError,
+                         RegressionDensity, SmoothMean, _composite_gl, _union_edges)
 from .rng import stream
-from .special import expit, logit, logsumexp, ndtr
+from .special import bisect, expit, log_beta_counts, logit, logsumexp, ndtr
 
 __all__ = [
     "TrueModel",
@@ -171,7 +172,9 @@ class WithinModelPrior:
     """Prior on the m bin levels of a working model, alike and independent
     per bin: ``uniform_box()`` on [0, 1], or ``log_odds(density, scale)``,
     a symmetric density f on the log-odds scale decreasing away from 0.
-    Each class owns the box masses, cell sums and posterior frame terms."""
+    Each class owns the box masses, cell sums and bin posteriors: the log
+    evidence of bins from their successes and failures, bin_log_evidence(s, f),
+    and bin_draws(s, f, rng), one model size's draw rows and their levels."""
 
     @staticmethod
     def uniform_box() -> "UniformPrior":
@@ -214,6 +217,18 @@ class UniformPrior(WithinModelPrior):
 
     analytic_sum = cell_sum  # the closed form is exact
 
+    def bin_log_evidence(self, s, f):
+        """Per-bin log evidence under Beta(1, 1): ln B(1 + s, 1 + f)."""
+        return log_beta_counts(s, f)
+
+    def bin_draws(self, s, f, rng):
+        """Conjugate Beta(1 + s, 1 + f) levels, one scalar call per bin in bin
+        order: numpy's array call runs the same sampler per bin in order, so the
+        bits are the same, but spends 11-17 us checking its arrays against about
+        1 us a call."""
+        params, beta = list(zip((1.0 + s).tolist(), (1.0 + f).tolist())), rng.beta
+        return (lambda: [beta(a, b) for a, b in params]), np.array
+
 
 # a cap of 2^23 cells per side keeps normal(1.5), u = 1/2 exact to n = 1000; an
 # interval across which ln f falls by at most _NARROW_DROP nats is narrow
@@ -237,6 +252,40 @@ class LogOddsPrior(WithinModelPrior):
         if not sys.float_info.min <= self.scale < math.inf:  # a subnormal one
             # overflows the density's peak, 1/(2b) or 1/(b sqrt(2 pi))
             raise ValueError(f"scale must be positive, finite, not subnormal: {self.scale}")
+
+    def bin_log_evidence(self, s, f):
+        """Per-bin log evidence by the framed quadrature below: a nonempty bin's
+        is the log of the sum of its 32-panel masses, certified when its 16-panel
+        sum and its tail bound stay within _EVIDENCE_TOL of it.  QuadratureError
+        names the first uncertified bin and carries its index in s as .bin."""
+        log_ev = np.zeros(s.shape)  # an empty bin's evidence is 1, its log 0
+        live = np.flatnonzero(s + f)
+        (mode, scale, peak), start, width, density = _bin_panels(s[live], f[live], self)
+        coarse, fine = ((width * _panel_masses(start, width, density, p).sum(axis=-1)).sum(axis=0)
+                        for p in _PANELS)
+        # beyond each end the concave target falls at least as fast as over the
+        # last unit of z inside, so the mass out there is below e^end / drop
+        end, inside = (_log_target(mode + scale * np.array([[-z], [z]]), s[live], f[live],
+                                   self) - peak for z in (_SPAN, _SPAN - 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tails = np.where(inside > end, np.exp(end) / (inside - end), np.inf).sum(axis=0)
+            certified = (np.abs(fine - coarse) <= _EVIDENCE_TOL * fine) & (
+                tails <= _EVIDENCE_TOL * fine)
+            log_ev[live] = np.where(certified, peak + np.log(scale) + np.log(fine), np.nan)
+        missed = np.flatnonzero(np.isnan(log_ev))  # the uncertified bins
+        if missed.size:
+            j = int(missed[0])
+            error = QuadratureError(f"log-odds evidence of the bin with {s[j]:g} successes"
+                                    f" and {f[j]:g} failures missed tolerance {_EVIDENCE_TOL}")
+            error.bin = j
+            raise error
+        return log_ev
+
+    def bin_draws(self, s, f, rng):
+        """m uniforms per draw, turned into the quantiles of the bin posteriors,
+        for all draws of the size at once, by inverting the evidence's panels."""
+        return (lambda: rng.random(s.size)), (
+            lambda rows: log_odds_to_mean(_log_odds_quantiles(s, f, self, np.array(rows))))
 
     def mean_half_width(self, delta):
         # the logistic map is 1/4-Lipschitz, so a log-odds box of half-width
@@ -380,6 +429,129 @@ class LaplacePrior(LogOddsPrior):
         a geometric series: cell j >= 0 holds e^(-j h / b) (1 - e^(-h / b)) / 2."""
         h, b = _grid_spacing(n, u), self.scale
         return 2.0 * (-0.5 * math.expm1(-h / b)) ** u / -math.expm1(-u * h / b)
+
+
+# The framed quadrature of a log-odds prior's bin posteriors.  A bin's frame
+# is its log-odds posterior's mode, from the prior's slope, and the scale
+# 1/sqrt(curvature) there; z = (theta - mode) / scale.  The evidence is
+# Gauss-Legendre quadrature on the framed bin, split at the prior's kink if
+# it has one, certified per bin; a draw's quantiles invert the same panel
+# masses, by Newton steps inside the panel that holds each unit.  The
+# panels cover z in [-_SPAN, _SPAN] as z = _SPAN sinh(_GRADE v) / sinh(_GRADE),
+# v in [-1, 1]: uniform steps in v are 0.93 dv wide in z at the mode and
+# widen outward, where wide Laplace tails reach.
+_SPAN, _GRADE, _PANELS = 1024.0, 10.0, (16, 32)
+# a chunk of bins integrates as (2 pieces, _CHUNK bins, 32 x 32 nodes)
+# float64 temporaries, 16 KiB per bin: at 6 bins they stay below glibc
+# malloc's 128 KiB mmap and trim thresholds, so chunks reuse heap pages;
+# a block of quantiles takes (_BLOCK, 33) temporaries
+_MODE_BRACKET, _CHUNK, _BLOCK = 64.0, 6, 4096
+_EVIDENCE_TOL, _QUANTILE_TOL, _NEWTON_STEPS = 1e-10, 1e-12, 50
+
+
+def _log_odds_bin_loglik(theta, s, f):
+    # ln sigma(+-theta) = -max(-+theta, 0) - ln(1 + e^(-|theta|)), stable
+    return (-(s + f) * np.log1p(np.exp(-np.abs(theta)))
+            - np.maximum(-s * theta, f * theta))
+
+
+def _log_target(theta, s, f, within: LogOddsPrior):
+    # log of a bin's unnormalized posterior on the log-odds scale; concave
+    return _log_odds_bin_loglik(theta, s, f) + within.log_pdf(theta)
+
+
+def _z_of_v(v):  # z and dz/dv
+    unit = _SPAN / math.sinh(_GRADE)
+    return unit * np.sinh(_GRADE * v), unit * _GRADE * np.cosh(_GRADE * v)
+
+
+def _bin_panels(s, f, within: LogOddsPrior):
+    """Per bin with s successes and f failures: its frame (mode, scale and
+    peak, the log target at the mode, as rows), the mode by bisection on the
+    concave target's slope over [-64, 64], an empty bin's the prior's; its
+    two pieces in v, split at the mode or at a Laplace kink in the span
+    (start, width rows); and its framed density per unit width, as
+    density(v, at) of the bins at, at v."""
+    def rising(mid):
+        return s * expit(-mid) - f * expit(mid) + within.slope(mid) > 0
+
+    bracket = np.full(s.shape, _MODE_BRACKET)
+    lo, hi = bisect(rising, -bracket, bracket)
+    mode = 0.5 * (lo + hi)
+    curvature = (s + f) * expit(mode) * expit(-mode) + within.curvature
+    empty = s + f == 0
+    scale = np.where(empty, within.scale ** -2.0, curvature) ** -0.5
+    mode = np.where(empty, 0.0, mode)
+    peak = _log_target(mode, s, f, within)
+    kink = np.arcsinh(-mode / scale * math.sinh(_GRADE) / _SPAN) / _GRADE
+    cut = np.where(within.kinked & (np.abs(kink) < 1.0), kink, 0.0)
+    start = np.stack([np.full_like(cut, -1.0), cut])
+    width = np.stack([cut + 1.0, 1.0 - cut])
+
+    def density(v, at):  # exp(target - peak) dz/dv of the bins at
+        z, dz_dv = _z_of_v(v)
+        theta = mode[at, None] + scale[at, None] * z
+        return dz_dv * np.exp(_log_target(theta, s[at, None], f[at, None], within)
+                              - peak[at, None])
+
+    return np.stack([mode, scale, peak]), start, width, density
+
+
+def _panel_masses(start, width, density, panels: int) -> np.ndarray:
+    """The masses of `panels` equal panels in v per piece of the framed
+    density per unit width of _bin_panels, as (piece, bin, panel),
+    integrated _CHUNK bins at a time."""
+    chunks = np.split(np.arange(start.shape[1]), np.arange(_CHUNK, start.shape[1], _CHUNK))
+    return np.concatenate([_composite_gl(  # u runs over [0, 1] along each piece
+        lambda u: density(start[:, at, None] + width[:, at, None] * u, at),
+        np.linspace(0.0, 1.0, panels + 1)) for at in chunks], axis=1)
+
+
+def _log_odds_quantiles(s, f, within: LogOddsPrior, units) -> np.ndarray:
+    """Log-odds quantiles at units (units[..., j] for bin j) of the m bins of
+    one model.  In the panel that holds a unit's share of the running sum of
+    32-panel masses, safeguarded Newton steps on v (partial masses by 32-node
+    Gauss-Legendre, the framed density as slope, bisection where a step
+    leaves the bracket) solve to _QUANTILE_TOL of the bin's mass."""
+    s, f = np.atleast_1d(s), np.atleast_1d(f)
+    frame, start, width, density = _bin_panels(s, f, within)
+    fine = _panel_masses(start, width, density, _PANELS[-1])
+    mass = (width[..., None] * fine).transpose(1, 0, 2).reshape(s.size, -1)
+    cdf = np.cumsum(mass, axis=1)  # panels of the first piece, then the second
+    units = np.broadcast_to(units, np.broadcast_shapes(np.shape(units), s.shape))
+    bins = np.broadcast_to(np.arange(s.size), units.shape).ravel()
+    theta = np.empty(bins.size)
+    for block in np.split(np.arange(bins.size), np.arange(_BLOCK, bins.size, _BLOCK)):
+        j = bins[block]
+        want = units.flat[block] * cdf[j, -1]
+        panel = np.minimum((cdf[j] <= want[:, None]).sum(axis=-1), cdf.shape[1] - 1)
+        rest = want - np.where(panel > 0, cdf[j, panel - 1], 0.0)
+        piece, k = np.divmod(panel, fine.shape[-1])
+        lo = start[piece, j] + width[piece, j] * (k / fine.shape[-1])  # panel start
+        bracket = np.stack([lo, lo + width[piece, j] / fine.shape[-1]])
+        v = lo + (bracket[1] - lo) * rest / mass[j, panel]
+        at = np.arange(block.size)  # the unsolved
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                half = 0.5 * (v[at] - lo[at])
+                nodes = np.concatenate([lo[at, None] + half[:, None] * (1.0 + _GL_X),
+                                        v[at, None]], axis=1)
+                g = density(nodes, j[at])
+                miss = half * (g[:, :-1] * _GL_W).sum(axis=-1) - rest[at]
+                bracket[np.where(miss < 0, 0, 1), at] = v[at]
+                step = v[at] - miss / g[:, -1]
+                inside = (bracket[0, at] < step) & (step < bracket[1, at])
+                go = np.abs(miss) > _QUANTILE_TOL * cdf[j[at], -1]
+                v[at[go]] = np.where(inside, step, bracket[:, at].mean(axis=0))[go]
+                at = at[go]
+                if not at.size:
+                    break
+        if at.size:
+            raise QuadratureError(f"model size m={s.size}, bin {j[at[0]] + 1}: log-odds"
+                                  f" quantile missed tolerance {_QUANTILE_TOL:g} in"
+                                  f" {_NEWTON_STEPS} Newton steps")
+        theta[block] = frame[0, j] + frame[1, j] * _z_of_v(v)[0]
+    return theta.reshape(units.shape)
 
 
 @dataclass(frozen=True)

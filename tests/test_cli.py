@@ -2,12 +2,13 @@
 
 import math
 import shutil
+import signal
 import subprocess
 
 import pytest
 
 import ratelab.cli as cli
-import ratelab.posterior as posterior
+import ratelab.models as models
 import ratelab.study as study
 from ratelab import QuadratureError, load_config, variant_bounds_for_n
 from ratelab.models import NormalPrior
@@ -223,6 +224,38 @@ class TestBound:
                        "[-0.946462, -0.942462] underflows float64 at m=1, "
                        "delta=0.002 (normal prior, scale=0.02)\n")
 
+    def test_tiny_u_runs_or_names_its_cell(self, tmp_path, capsys):
+        # at u = 1e-8 the cover counts are (2000^(10^8))^m: their logs come
+        # without the integer, and the norm variants' cell width 4 n^(-1/u)
+        # underflows, which names n and m; the alarm cannot interrupt a
+        # running integer power, so a regression hangs rather than fails
+        path = tmp_path / "tiny_u.cfg"
+        path.write_text(UNIFORM_TRIANGLE.replace("n_grid = 500, 4000",
+                                                 "n_grid = 500, 2000\nu = 1e-8"),
+                        encoding="utf-8")
+
+        def timeout(signum, frame):
+            raise TimeoutError("bound took more than 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        try:
+            for variant in ("prop3", "prop7", "remark10"):
+                signal.alarm(5)
+                code, out, err = _run(["bound", "--config", str(path),
+                                       "--variant", variant], capsys)
+                signal.alarm(0)
+                if variant == "remark10":
+                    assert code == 2 and out == ""
+                    assert err.startswith("numerical failure: n=500, m=1, cell width")
+                else:
+                    assert code == 0, err
+                    rows = [line.split(",") for line in out.splitlines()[1:]]
+                    assert [row[3] for row in rows] == ["500", "2000"]
+                    assert all(math.isfinite(float(row[11])) for row in rows)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_unknown_variant_exits_one(self, config_path, capsys):
         code, _, err = _run(["bound", "--config", config_path,
                              "--variant", "prop9"], capsys)
@@ -341,7 +374,7 @@ class TestSimulate:
         path = tmp_path / "laplace.cfg"
         path.write_text(WIDE_LAPLACE.replace("scale = 3000", "scale = 0.7\nk_model = 0.5")
                         .replace("n_grid = 2, 3, 4", "n_grid = 4000"), encoding="utf-8")
-        monkeypatch.setattr(posterior, "_NEWTON_STEPS", 1)
+        monkeypatch.setattr(models, "_NEWTON_STEPS", 1)
         code, _, err = _run(["simulate", "--config", str(path)], capsys)
         assert code == 2
         assert err == ("numerical failure: n=4000, replicate=0, model size m=5, bin 1: "

@@ -29,10 +29,9 @@ from ratelab import (
     simulate_data,
 )
 from ratelab import posterior
-from ratelab.models import model_log_prior
-from ratelab.posterior import (_bin_panels, _bin_posteriors, _log_odds_bin_loglik,
-                               _log_odds_quantiles, _model_bins,
-                               _posterior_draws)
+from ratelab.models import (_bin_panels, _log_odds_bin_loglik, _log_odds_quantiles,
+                            model_log_prior)
+from ratelab.posterior import _model_bins, _posterior_draws
 from ratelab.rng import stream
 # the normalizer model_posterior applies: the bit-for-bit weight check below
 # must not depend on which log-sum-exp rule the installed scipy uses
@@ -165,7 +164,7 @@ def _unscreened(within, n):
               for m in range(1, math.ceil(math.sqrt(n)) + 1)]
     trials = np.concatenate([t for t, _ in counts])
     successes = np.concatenate([s for _, s in counts])
-    return data, trials, successes, _bin_posteriors(trials, successes, within)
+    return data, trials, successes, within.bin_log_evidence(successes, trials - successes)
 
 
 # log-odds priors at n = 32000 leave out k_model = 0.5, which keeps nearly
@@ -192,12 +191,12 @@ class TestModelScreen:
         cdf = weights.cumsum()
         cdf /= cdf[-1]
 
-        evaluated = []
-        def counting(trials, successes, within):
-            evaluated.append(trials.size)
-            return _bin_posteriors(trials, successes, within)
+        evaluated, bin_log_evidence = [], type(within).bin_log_evidence
+        def counting(self, s, f):
+            evaluated.append(s.size)
+            return bin_log_evidence(self, s, f)
 
-        monkeypatch.setattr(posterior, "_bin_posteriors", counting)
+        monkeypatch.setattr(type(within), "bin_log_evidence", counting)
         state = model_posterior(data, spec)
         for got, want in ((state.trials, trials), (state.successes, successes),
                           (state.weights, weights), (state.cdf, cdf)):
@@ -313,7 +312,7 @@ class TestFramedLogOddsBins:
         successes = rng.binomial(trials, 0.4)
 
         def evidence_and_frames(trials, successes):
-            return (_bin_posteriors(trials, successes, within),
+            return (within.bin_log_evidence(successes, trials - successes),
                     _bin_panels(successes, trials - successes, within)[0])
 
         batch = evidence_and_frames(trials, successes)
