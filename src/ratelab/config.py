@@ -39,6 +39,10 @@ class ExperimentConfig:
     u is stored already floored to the largest unit fraction 1/k below
     the configured value, so the divergence being measured matches the
     one the bounds control.
+
+    The [run] key ``workers`` is read, refused below 0 and dropped: cells
+    run in one serial loop.  The benchmark's ``dense_triangle_pool2`` in
+    ``bench/workloads.py`` sets it, and ROADMAP item 1 deletes both.
     """
 
     truth: TrueModel
@@ -53,7 +57,6 @@ class ExperimentConfig:
     seed: int
     variants: tuple
     burn_in: int
-    workers: int
     csv_path: str
     plot: bool
 
@@ -263,7 +266,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if not 0 <= burn_in < len(n_grid):
         raise ConfigError(
             f"burn_in must index into n_grid (0..{len(n_grid) - 1})", burn_line)
-    workers, workers_line = take("workers", 0, _strict_int)
+    workers, workers_line = take("workers", 0, _strict_int)  # read, then dropped
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}", workers_line)
 
@@ -284,7 +287,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         n_grid=n_grid, draws=draws, replicates=replicates,
         u=floor_to_unit_fraction(u_raw), t=t, seed=seed,
         variants=tuple(dict.fromkeys(variants)), burn_in=burn_in,
-        workers=workers, csv_path=csv_path, plot=plot,
+        csv_path=csv_path, plot=plot,
     )
 
 

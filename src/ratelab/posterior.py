@@ -45,8 +45,9 @@ _SCREEN = 750.0
 def _bin_cuts(m_max: int) -> tuple:
     """The upper cuts of the bins of model sizes 1..m_max, sorted without
     repeats, each flat bin's int32 index into them, and each size's first
-    flat bin; read-only, so pool threads share them.  Bin j of m holds the
-    x with j - 1 <= x * m < j, the floor(x * m) rule, and x = 1 joins bin m."""
+    flat bin; read-only, as the cache hands them to every caller.  Bin j
+    of m holds the x with j - 1 <= x * m < j, the floor(x * m) rule, and
+    x = 1 joins bin m."""
     sizes = np.arange(1, m_max + 1)
     first = np.cumsum(sizes) - sizes
     m = np.repeat(sizes, sizes)

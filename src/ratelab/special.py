@@ -49,8 +49,8 @@ _LOG_FACTORIALS = np.zeros(0)  # ln k! for k below its size
 
 def _log_factorials(size: int) -> np.ndarray:
     """The ln k! table, first replaced by a copy extended to the power of
-    two at or above size if it is shorter: never grown in place, as pool
-    threads read it.  An entry's bits do not depend on the length."""
+    two at or above size if it is shorter: never grown in place, as every
+    caller shares it.  An entry's bits do not depend on the length."""
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if table.size < size:

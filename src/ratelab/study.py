@@ -4,8 +4,8 @@ A study walks the configured n grid.  For each n it computes the
 theoretical epsilon_n once per bound variant, then for each replicate
 simulates a dataset, builds the exact posterior, and takes divergence
 draws.  Every random quantity comes from a counter stream keyed by
-(seed, purpose tag, n, replicate), so results are independent of
-execution order and identical with or without a worker pool.
+(seed, purpose tag, n, replicate), so a cell's numbers do not depend on
+which cells ran before it.
 """
 
 from __future__ import annotations
@@ -140,11 +140,10 @@ def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
     """
     spec = config.prior_for(n)
     u = config.u
-    pen = penalized_divergence_upper(config.truth, spec, config.t, n)
-
     variants = set(config.variants)
     log_richness = {}
-    with naming(n=n):  # the penalized bound names its own m and delta
+    with naming(n=n):  # inside it, the penalized bound names its m and delta
+        pen = penalized_divergence_upper(config.truth, spec, config.t, n)
         if variants & {"prop3", "prop7"}:
             log_covers = np.array([log_covering_number_uniform(m, n, u)
                                    for m in range(1, spec.m_max + 1)])
@@ -199,48 +198,26 @@ def cell_divergences(config: ExperimentConfig, n: int,
             config.truth, state, config.u, config.draws, rng)
 
 
-def _run_cell(config: ExperimentConfig, n: int, replicate: int,
-              bounds: tuple):
-    summary = cell_divergences(config, n, replicate)
-    rows = []
-    for vb in bounds:
-        exceed = float(np.mean(summary.values > vb.epsilon_n))
-        rows.append(StudyRow(
-            n=n, replicate=replicate, variant=vb.variant,
-            d2_min=summary.min, d2_median=summary.median,
-            d2_q95=summary.q95, d2_max=summary.max,
-            penalized_div=vb.penalized_div,
-            complexity_term=vb.complexity_term,
-            epsilon_n=vb.epsilon_n,
-            exceedance=exceed))
-    return summary.values, rows
-
-
 def run_rate_study(config: ExperimentConfig) -> StudyResult:
+    # every n's bounds before any cell, so a bound's failure is reported first
     bounds_by_n = {n: variant_bounds_for_n(config, n) for n in config.n_grid}
-    cells = [(n, r) for n in config.n_grid for r in range(config.replicates)]
-
-    if config.workers > 1:
-        # imported here: serial studies need not load concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {cell: pool.submit(_run_cell, config, cell[0], cell[1],
-                                         bounds_by_n[cell[0]])
-                       for cell in cells}
-            results = {cell: futures[cell].result() for cell in cells}
-    else:
-        results = {cell: _run_cell(config, cell[0], cell[1], bounds_by_n[cell[0]])
-                   for cell in cells}
-
     rows = []
     pooled = []
     for n in config.n_grid:
-        values = np.concatenate([results[(n, r)][0]
-                                 for r in range(config.replicates)])
-        pooled.append(median(values))
-        for r in range(config.replicates):
-            rows.extend(results[(n, r)][1])
+        values = []
+        for replicate in range(config.replicates):
+            summary = cell_divergences(config, n, replicate)
+            values.append(summary.values)
+            rows.extend(StudyRow(
+                n=n, replicate=replicate, variant=vb.variant,
+                d2_min=summary.min, d2_median=summary.median,
+                d2_q95=summary.q95, d2_max=summary.max,
+                penalized_div=vb.penalized_div,
+                complexity_term=vb.complexity_term,
+                epsilon_n=vb.epsilon_n,
+                exceedance=float(np.mean(summary.values > vb.epsilon_n)))
+                for vb in bounds_by_n[n])
+        pooled.append(median(np.concatenate(values)))
 
     fit = fit_slope([(math.log(n), math.log(max(med, 1e-300)))
                      for n, med in zip(config.n_grid, pooled)]

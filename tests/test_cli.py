@@ -220,9 +220,9 @@ class TestBound:
                         encoding="utf-8")
         code, out, err = _run(["bound", "--config", str(path)], capsys)
         assert code == 2 and out == ""
-        assert err == ("numerical failure: prior mass of bin 0's log-odds box "
-                       "[-0.946462, -0.942462] underflows float64 at m=1, "
-                       "delta=0.002 (normal prior, scale=0.02)\n")
+        assert err == ("numerical failure: n=500, prior mass of bin 0's "
+                       "log-odds box [-0.946462, -0.942462] underflows float64 "
+                       "at m=1, delta=0.002 (normal prior, scale=0.02)\n")
 
     def test_tiny_u_runs_or_names_its_cell(self, tmp_path, capsys):
         # at u = 1e-8 the cover counts are (2000^(10^8))^m: their logs come

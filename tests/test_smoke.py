@@ -185,8 +185,7 @@ def test_study_loads_no_masked_array_module():
 
 
 def test_cli_import_loads_no_polynomial_or_thread_pool_modules():
-    # the quadrature nodes are literals, and only a study with workers > 1
-    # imports the thread pool
+    # the quadrature nodes are literals, and cells run in a serial loop
     assert not _modules_loaded_by_cli_import() & {"numpy.polynomial",
                                                   "concurrent.futures"}
 

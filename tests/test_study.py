@@ -1,11 +1,16 @@
 """Study driver: determinism, stream layout, fits, CSV output and work counts."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ratelab
 import ratelab.divergence as divergence
 import ratelab.models as models
 import ratelab.penalized as penalized
@@ -194,9 +199,32 @@ class TestDeterminism:
         again = run_rate_study(parse_config_text(STUDY))
         assert format_study_csv(again) == format_study_csv(result)
 
-    def test_worker_pool_does_not_change_results(self, result):
-        pooled = run_rate_study(parse_config_text(STUDY + "workers = 3\n"))
-        assert format_study_csv(pooled) == format_study_csv(result)
+    def test_workers_key_runs_the_serial_loop(self, tmp_path):
+        # workers is read and dropped: with workers = 2, rate-study writes
+        # the bytes of the same config without the key, and never loads
+        # the thread pool
+        dense = ("[truth]\nkind = triangle\namplitude = 0.22\npeak = 0.45\n\n"
+                 "[run]\nn_grid = 500, 1000, 2000\ndraws = 20\nreplicates = 2\n"
+                 "seed = 3\nvariants = prop3, prop7, remark8, remark10\n")
+        configs = []
+        for name, key in (("serial", ""), ("pool2", "workers = 2\n")):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(f"{dense}{key}\n[output]\ncsv = {tmp_path / name}.csv\n",
+                            encoding="utf-8")
+            configs.append(str(path))
+        src = str(Path(ratelab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ratelab.cli as cli; "
+             "print([cli.main(['rate-study', '--config', path]) "
+             "for path in sys.argv[1:]], 'concurrent.futures' in sys.modules)",
+             *configs],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+        serial = (tmp_path / "serial.csv").read_bytes()
+        assert serial.count(b"\n") == 2 + 3 * 2 * 4
+        assert (tmp_path / "pool2.csv").read_bytes() == serial
 
 
 class TestCsv:
