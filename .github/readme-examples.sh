@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The README's example commands, run from the working directory with the
 # installed `ratelab` script; they write study.cfg, logodds.cfg,
-# laplace.cfg, normal.cfg, rates.csv, normal.csv and the SVGs.
+# laplace.cfg, narrow.cfg, small_u.cfg, normal.cfg, rates.csv, normal.csv
+# and the SVGs.
 set -euo pipefail
 
 ratelab divergence --p 0.3,0.7 --q 0.5,0.5 --t=-0.5,0,1
@@ -59,6 +60,36 @@ n_grid = 500, 4000, 32000
 CFG
 ratelab complexity --config laplace.cfg
 ratelab simulate --config laplace.cfg
+cat > narrow.cfg <<'CFG'
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = normal
+scale = 0.02
+
+[run]
+n_grid = 500, 2000
+CFG
+ratelab bound --config narrow.cfg
+for within in uniform normal laplace; do
+  cat > small_u.cfg <<CFG
+[truth]
+kind = triangle
+amplitude = 0.22
+peak = 0.45
+
+[prior]
+within = $within
+
+[run]
+n_grid = 500, 2000
+u = 0.01
+CFG
+  ratelab bound --config small_u.cfg --variant remark10
+done
 cat > normal.cfg <<'CFG'
 [truth]
 kind = triangle

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .complexity import norm_complexity_grid
 from .config import ConfigError, ExperimentConfig, load_config
 from .divergence import DiscreteDensity, QuadratureError, d_t_squared
 from .plots import render_plots
@@ -107,16 +106,16 @@ def _cmd_bound(args) -> int:
 def _cmd_complexity(args) -> int:
     config = _load_study_config(args)
     lines = ["m,u,n,log_grid_sum,log_analytic_bound,log_mixture_total"]
+    u = config.u
     for n in config.n_grid:
         spec = config.prior_for(n)
-        with naming(n=n):
-            log_mixture = log_mixture_norm_complexity(spec, config.u, n)
-            for m in range(1, spec.m_max + 1):
-                with naming(m=m):
-                    summary = norm_complexity_grid(spec.within, m, config.u, n)
-                lines.append(",".join([
-                    str(m), _g17(config.u), str(n), _g17(summary.log_lu_norm),
-                    _g17(summary.log_analytic_bound), _g17(log_mixture)]))
+        with naming(n=n):  # model m's logs are m times the per-coordinate ones, over u
+            log_mixture = log_mixture_norm_complexity(spec, u, n)
+            log_sum = spec.within.log_cell_sum(n, u)
+            log_analytic = spec.within.log_analytic_sum(n, u)
+        lines.extend(",".join([str(m), _g17(u), str(n), _g17(m * log_sum / u),
+                               _g17(m * log_analytic / u), _g17(log_mixture)])
+                     for m in range(1, spec.m_max + 1))
     _emit(lines, args.out)
     return 0
 

@@ -5,20 +5,22 @@ the level space by L1 balls of radius n^(-1/u), and a prior-weighted
 complexity obtained by summing prior-cell masses raised to the power u
 over an equispaced grid of cells.  The grid spacing on the level scale
 is h = 4 * n^(-1/u); each within-model prior gives its own sum S and
-its analytic value.  Covers and complexities are returned as natural
-logs, since both pass the float range at moderate n.
+its analytic value, per coordinate and as natural logs.  Every prior is
+alike and independent across bins, so model m's cover count is side^m
+and its complexity S^(m/u): m times one per-coordinate log, over u.
+Covers and complexities are returned as natural logs, since both pass
+the float range at moderate n.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .models import WithinModelPrior, _grid_spacing
+from .models import WithinModelPrior
 from .rate_bounds import _unit_fraction
 from .special import logsumexp
 
@@ -33,25 +35,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CoverSummary:
-    """Cell-sum complexity of one m-level working model.
-
-    ``per_coordinate_sum`` is the sum S of cell-mass^u over one
-    coordinate's cells of width ``grid_spacing`` (normal prior past the
-    cell cap: the lower end of its enclosure); the complexity S^(m/u) and
-    its analytic bound are natural logs, as both overflow a float for large m.
+    """Cell-sum complexity of one m-level working model: the complexity
+    S^(m/u), S the per-coordinate sum of cell-mass^u (normal prior past the
+    cell cap: the lower end of its enclosure), and its analytic bound, as
+    natural logs, since both overflow a float for large m.
     """
 
-    per_coordinate_sum: float
-    grid_spacing: float
     log_lu_norm: float
     log_analytic_bound: float
 
 
-@functools.lru_cache(maxsize=64)
 def _log_grid_side(n: int, u: float) -> float:
-    """ln ceil(n^(1/u)), memoized for the callers' loop over m: for u = 1/k
-    and integer n from the integer n^k, or as k ln n where n^k would pass
-    2^21 bits (at u = 1e-8 the integer takes hours to build)."""
+    """ln ceil(n^(1/u)): for u = 1/k and integer n from the integer n^k, or
+    as k ln n where n^k would pass 2^21 bits (at u = 1e-8 the integer takes
+    hours to build)."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
     if n < 1:
@@ -94,15 +91,13 @@ def norm_complexity_grid(within: WithinModelPrior, m: int, u: float,
 
     The per-coordinate sum S adds cell-mass^u over cells of width
     h = 4 * n^(-1/u); products over coordinates give S^m and the
-    complexity S^(m/u).  S is exact, except under a normal prior past a
-    cap of 2^23 cells per side: there it is the lower end of its
-    enclosure, whose upper end is ``log_norm_complexity_analytic``.
+    complexity S^(m/u), whose log is m ln S / u.  S is exact, except under
+    a normal prior past a cap of 2^23 cells per side: there it is the lower
+    end of its enclosure, whose upper end is ``log_norm_complexity_analytic``.
     """
     m, u, n = _validated(m, u, n)
-    per_coord = within.cell_sum(n, u)
     return CoverSummary(
-        per_coordinate_sum=per_coord, grid_spacing=_grid_spacing(n, u),
-        log_lu_norm=m * math.log(per_coord) / u,
+        log_lu_norm=m * within.log_cell_sum(n, u) / u,
         log_analytic_bound=log_norm_complexity_analytic(within, m, u, n))
 
 
@@ -113,7 +108,7 @@ def log_norm_complexity_analytic(within: WithinModelPrior, m: int, u: float,
     valid for any symmetric density f decreasing away from the origin;
     under the uniform prior it is S itself.  O(1) regardless of n."""
     m, u, n = _validated(m, u, n)
-    return m * math.log(within.analytic_sum(n, u)) / u
+    return m * within.log_analytic_sum(n, u) / u
 
 
 def log_cover_mixture(log_masses: Sequence[float],

@@ -168,6 +168,15 @@ def _grid_spacing(n: int, u: float) -> float:
     return 4.0 * n ** (-1.0 / u)
 
 
+def _log_grid_spacing(n: int, u: float) -> float:
+    """ln h = ln 4 - ln(n) / u, for where h leaves the normal floats."""
+    return math.log(4.0) - math.log(n) / u
+
+
+# the smallest normal float: below it a float keeps fewer than 53 bits
+_TINY = sys.float_info.min
+
+
 class WithinModelPrior:
     """Prior on the m bin levels of a working model, alike and independent
     per bin: ``uniform_box()`` on [0, 1], or ``log_odds(density, scale)``,
@@ -204,18 +213,20 @@ class UniformPrior(WithinModelPrior):
             raise ValueError("box escapes the within-model prior support [0, 1]")
         return np.log(np.minimum(hi, 1.0) - np.maximum(lo, 0.0)).sum(axis=-1)
 
-    def cell_sum(self, n: int, u: float) -> float:
-        """Exact cell-mass^u sum over [0, 1] in cells of width h = 4 n^(-1/u):
-        for u = 1/k, 1/h = n^k / 4 counts the whole cells in integers, and the
-        last cell holds the remainder (n^k mod 4) / n^k."""
-        h = _grid_spacing(n, u)
-        if h == 0.0:  # then n^k passes 2^1075 and, at tiny u, any memory
-            raise FloatingPointError(f"cell width 4 n^(-1/u) underflows float64 at u={u:g}")
-        side = n ** round(1.0 / u)
+    def log_cell_sum(self, n: int, u: float) -> float:
+        """ln of the exact cell-mass^u sum S over [0, 1] in cells of width
+        h = 4 n^(-1/u): for u = 1/k, 1/h = n^k / 4 counts the whole cells in
+        integers, and the last cell holds the remainder (n^k mod 4) / n^k.
+        Where h is below the normal floats, n^k is not built: S is
+        (n^k / 4)^(1 - u) within 4 n^(-k) relative, so ln S = (1 - u)(k ln n - ln 4)."""
+        h, k = _grid_spacing(n, u), round(1.0 / u)
+        if h < _TINY:
+            return (1.0 - u) * (k * math.log(n) - math.log(4.0))
+        side = n ** k
         cells, rem = divmod(side, 4)
-        return cells * h ** u + (rem / side) ** u
+        return math.log(cells * h ** u + (rem / side) ** u)
 
-    analytic_sum = cell_sum  # the closed form is exact
+    log_analytic_sum = log_cell_sum  # the closed form is exact
 
     def bin_log_evidence(self, s, f):
         """Per-bin log evidence under Beta(1, 1): ln B(1 + s, 1 + f)."""
@@ -309,7 +320,7 @@ class LogOddsPrior(WithinModelPrior):
         """ln P(lo < W < hi), lo <= hi, from the ends' distances a, b from 0, so mirrored
         intervals match bit for bit.  Narrow: Gauss-Legendre on f / f(nearest 0) per side
         of 0.  Wide: log tails, which cancel by at most 2e/(e - 1) as tail(far)/tail(near)
-        <= f(far)/f(near); one side of 0 is -inf where its near tail is below tail_floor."""
+        <= f(far)/f(near); one side of 0 is -inf where its near log tail is -inf."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         across, left = (lo < 0) & (hi > 0), hi <= 0
         a, b = np.abs(np.where(left, hi, lo)), np.abs(np.where(left, lo, hi))
@@ -323,7 +334,7 @@ class LogOddsPrior(WithinModelPrior):
                 tail_a, tail_b = self.log_tail(a[wide]), self.log_tail(b[wide])
                 out[wide] = np.where(across[wide], np.log1p(-np.exp(tail_a) - np.exp(tail_b)),
                                      tail_a + np.log(-np.expm1(tail_b - tail_a)))
-                out[wide] = np.where(~across[wide] & (tail_a < self.tail_floor), -np.inf, out[wide])
+                out[wide] = np.where(~across[wide] & np.isneginf(tail_a), -np.inf, out[wide])
         return out[()]
 
     def _narrow(self, near, far):
@@ -331,16 +342,33 @@ class LogOddsPrior(WithinModelPrior):
         rel = np.exp(self.log_ratio(near, np.multiply.outer(1.0 + _GL10_X, half)))
         return self.log_pdf(near) + np.log(half * np.einsum("k,k...", _GL10_W, rel))
 
-    def enclosure(self, h: float, u: float) -> tuple:
-        """Ends of h^(u-1) (I -+ 2 h f(0)^u), I the integral of f^u, around the
-        cell sum S: a cell's mass is between h f at its outer and inner edge."""
+    def enclosure(self, n: int, u: float):
+        """h and the ends h^(u-1) (I -+ 2 h f(0)^u), I the integral of f^u, around
+        the cell sum S at n, as floats: a cell's mass is between h f at its outer
+        and inner edge.  None where h or the upper end leaves the normal floats."""
+        h = _grid_spacing(n, u)
+        if h < _TINY:
+            return None
         spread = 2.0 * h * self.peak ** u
         u_integral = self.u_norm_integral(u)
-        return ((u_integral - spread) * h ** (u - 1.0),
-                (spread + u_integral) * h ** (u - 1.0))
+        upper = (spread + u_integral) * h ** (u - 1.0)
+        return (h, (u_integral - spread) * h ** (u - 1.0), upper) if upper < math.inf else None
 
-    def analytic_sum(self, n: int, u: float) -> float:
-        return self.enclosure(_grid_spacing(n, u), u)[1]
+    def _log_enclosure(self, n: int, u: float) -> tuple:
+        """ln of the enclosure's ends as ln(I -+ 2 h f(0)^u) + (u - 1) ln h, for
+        where its floats leave the normal range; refused where I overflows."""
+        spread = 2.0 * _grid_spacing(n, u) * self.peak ** u
+        u_integral, log_h = self.u_norm_integral(u), _log_grid_spacing(n, u)
+        if u_integral == math.inf:
+            raise FloatingPointError(f"integral of f^u overflows float64 at u={u:g} "
+                                     f"({self.name} prior, scale={self.scale:g})")
+        return (math.log(u_integral - spread) + (u - 1.0) * log_h,
+                math.log(spread + u_integral) + (u - 1.0) * log_h)
+
+    def log_analytic_sum(self, n: int, u: float) -> float:
+        """ln of the enclosure's upper end, the analytic bound on the cell sum."""
+        ends = self.enclosure(n, u)
+        return math.log(ends[2]) if ends else self._log_enclosure(n, u)[1]
 
     def u_norm_integral(self, u: float) -> float:
         """Closed form of the integral of f^u over the real line."""
@@ -353,7 +381,7 @@ class LogOddsPrior(WithinModelPrior):
 class NormalPrior(LogOddsPrior):
     """Normal log-odds density with standard deviation s = ``scale``."""
 
-    name, kinked, tail_floor = "normal", False, math.log(sys.float_info.min)
+    name, kinked = "normal", False
 
     @property
     def peak(self) -> float:
@@ -370,8 +398,17 @@ class NormalPrior(LogOddsPrior):
     def slope(self, theta):
         return -theta / self.scale ** 2
 
-    def log_tail(self, w):  # ln P(W > w), with too few digits below tail_floor
-        return np.log(ndtr(-w / self.scale))
+    def log_tail(self, w):
+        """ln P(W > w) = ln ndtr(-x), x = w / scale; where that float tail is
+        below the normal floats (x > 37.5), ln phi(x) + ln R(x), R the Mills
+        ratio from six terms of its asymptotic series, within 1.4e-15 of R there."""
+        x = np.asarray(w, dtype=float) / self.scale
+        tail = ndtr(-x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv = x ** -2.0
+            series = inv * (1 - 3 * inv * (1 - 5 * inv * (1 - 7 * inv * (1 - 9 * inv))))
+            far = -0.5 * x * x - np.log(x) - 0.5 * math.log(2.0 * math.pi) + np.log1p(-series)
+            return np.where(tail < _TINY, far, np.log(tail))[()]
 
     def log_ratio(self, near, x):  # ln f(near + x) - ln f(near)
         return x * (x + 2.0 * near) * (-0.5 / self.scale ** 2)
@@ -380,30 +417,33 @@ class NormalPrior(LogOddsPrior):
         s = self.scale
         return (2.0 * math.pi * s * s) ** (0.5 * (1.0 - u)) / math.sqrt(u)
 
-    @functools.lru_cache(maxsize=64)
-    def cell_sum(self, n: int, u: float) -> float:
-        """Cell-mass^u sum S over the cells [j*h, (j+1)*h) of the grid at n,
-        memoized for the callers' loop over m: the first J cells per side, J the
-        least that puts the rest, at most the upper end times
-        e^(-u (J h)^2 / (2 s^2)), below _TAIL_TOL of max(1, lower end) <= S;
-        past _MAX_CELLS, the lower end."""
-        h = _grid_spacing(n, u)
-        lower, upper = self.enclosure(h, u)
+    def log_cell_sum(self, n: int, u: float) -> float:
+        """ln of the cell-mass^u sum S over the cells [j*h, (j+1)*h) of the grid
+        at n: the first J cells per side, J the least that puts the rest, at most
+        the upper end times e^(-u (J h)^2 / (2 s^2)), below _TAIL_TOL of
+        max(1, lower end) <= S; past _MAX_CELLS, the lower end.  Where h or the
+        upper end leaves the normal floats, J passes the cap at any scale above
+        1e-301, and S is the lower end at every scale."""
+        ends = self.enclosure(n, u)
+        if ends is None:
+            return self._log_enclosure(n, u)[0]
+        h, lower, upper = ends
         decay = math.log(upper / (_TAIL_TOL * max(1.0, lower))) / u
         cells = math.ceil(self.scale * math.sqrt(2.0 * decay) / h)
         if cells > _MAX_CELLS:
-            return lower
+            return math.log(lower)
         chunks = (np.arange(start, min(start + _CELL_CHUNK, cells) + 1, dtype=float) * h
                   for start in range(0, cells, _CELL_CHUNK))
-        return 2.0 * sum(float(np.exp(u * self.log_interval_mass(edges[:-1], edges[1:])).sum())
-                         for edges in chunks)
+        total = sum(float(np.exp(u * self.log_interval_mass(edges[:-1], edges[1:])).sum())
+                    for edges in chunks)
+        return math.log(2.0 * total)
 
 
 @dataclass(frozen=True)
 class LaplacePrior(LogOddsPrior):
     """Laplace log-odds density with scale b, kinked at 0."""
 
-    name, kinked, curvature, tail_floor = "laplace", True, 0.0, -math.inf
+    name, kinked, curvature = "laplace", True, 0.0
 
     @property
     def peak(self) -> float:
@@ -424,11 +464,16 @@ class LaplacePrior(LogOddsPrior):
     def _u_norm_integral(self, u: float) -> float:
         return 2.0 ** (1.0 - u) * self.scale ** (1.0 - u) / u
 
-    def cell_sum(self, n: int, u: float) -> float:
-        """Exact cell-mass^u sum over the cells [j*h, (j+1)*h) of the grid at n,
-        a geometric series: cell j >= 0 holds e^(-j h / b) (1 - e^(-h / b)) / 2."""
+    def log_cell_sum(self, n: int, u: float) -> float:
+        """ln of the exact cell-mass^u sum S over the cells [j*h, (j+1)*h) of the
+        grid at n, a geometric series: cell j >= 0 holds e^(-j h / b) (1 - e^(-h / b)) / 2.
+        Where u h / b is below the normal floats, 1 - e^(-y) rounds to y at
+        y = h / b and u h / b, and ln S = (1 - u) ln 2 + (u - 1) ln(h / b) - ln u."""
         h, b = _grid_spacing(n, u), self.scale
-        return 2.0 * (-0.5 * math.expm1(-h / b)) ** u / -math.expm1(-u * h / b)
+        if u * h / b >= _TINY:
+            return math.log(2.0 * (-0.5 * math.expm1(-h / b)) ** u / -math.expm1(-u * h / b))
+        return ((1.0 - u) * math.log(2.0) + (u - 1.0) * (_log_grid_spacing(n, u) - math.log(b))
+                - math.log(u))
 
 
 # The framed quadrature of a log-odds prior's bin posteriors.  A bin's frame

@@ -94,11 +94,10 @@ def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
 
     The result is an upper bound on the penalized divergence of the
     mixture prior: any single candidate set is admissible in the
-    defining infimum.  Each m scores its whole delta grid as arrays;
+    defining infimum.  The candidates' terms are (m, delta) tables;
     deltas whose mean box leaves the truth's margin are skipped, and a
     grid with none left raises.  Ties prefer the smallest m, then the
-    smallest delta (the first minimum of each m, replaced across m only
-    on strict improvement).
+    smallest delta: the first minimum of the table in row-major order.
     """
     n = int(n)
     if n < 1:
@@ -122,16 +121,12 @@ def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
         raise ValueError(f"delta must lie in (0, {top:g}) (margin={truth.margin}, "
                          f"{spec.within.name} within prior), got {float(deltas[0])}")
     deltas, half_widths = deltas[fits], half_widths[fits]
-    log_prior = model_log_prior(spec)
-    best = None
-    for m in ms:
-        approx = best_approximation(truth, m)
-        approx_terms = _box_sups(truth, approx, half_widths, t)
-        box_terms = -spec.within.log_box_masses(deltas, approx) / n
-        model_term = -float(log_prior[m - 1]) / n
-        values = approx_terms + box_terms + model_term
-        j = int(np.argmin(values))
-        if best is None or values[j] < best[0]:
-            best = (float(values[j]), m, float(deltas[j]), float(approx_terms[j]),
-                    float(box_terms[j]), model_term)
-    return PenalizedDivergenceResult(*best)
+    approxes = [best_approximation(truth, m) for m in ms]
+    approx_terms = np.array([_box_sups(truth, a, half_widths, t) for a in approxes])
+    box_terms = -np.array([spec.within.log_box_masses(deltas, a) for a in approxes]) / n
+    model_terms = -model_log_prior(spec)[np.array(ms)[:, None] - 1] / n
+    values = approx_terms + box_terms + model_terms
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    return PenalizedDivergenceResult(
+        float(values[i, j]), ms[i], float(deltas[j]), float(approx_terms[i, j]),
+        float(box_terms[i, j]), float(model_terms[i, 0]))

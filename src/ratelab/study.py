@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-# imported unused: bench/layers.py wraps norm_complexity_grid in this namespace
+# norm_complexity_grid and log_norm_complexity_analytic are imported unused:
+# bench/layers.py wraps them in this namespace
 from .complexity import (log_cover_mixture, log_covering_number_uniform,
                          log_norm_complexity_analytic,
                          log_norm_complexity_mixture, norm_complexity_grid)
@@ -121,11 +122,9 @@ def naming(**cell):
 
 def log_mixture_norm_complexity(spec: PriorSpec, u: float, n: int) -> float:
     """ln of the mixture norm complexity at one n, from each model's analytic
-    one: the exact sum under the uniform prior, an upper bound under log-odds."""
-    log_norms = []
-    for m in range(1, spec.m_max + 1):
-        with naming(m=m):
-            log_norms.append(log_norm_complexity_analytic(spec.within, m, u, n))
+    one, m ln A / u for the per-coordinate analytic sum A: the exact sum
+    under the uniform prior, an upper bound under log-odds."""
+    log_norms = np.arange(1, spec.m_max + 1) * spec.within.log_analytic_sum(n, u) / u
     return log_norm_complexity_mixture(model_log_prior(spec), log_norms, u)
 
 
@@ -134,9 +133,9 @@ def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
 
     The penalized bound is computed once and shared by all variants,
     which differ only in the richness ln N they pass to ``rate_bound``:
-    prop7 mixes the per-model uniform-grid cover counts with the model
-    prior, prop3 is the same mixture with every ln pi_m = 0, and the
-    norm variants take the mixture norm complexity.
+    prop7 mixes the per-model uniform-grid cover counts, m ln side for
+    model m, with the model prior, prop3 is the same mixture with every
+    ln pi_m = 0, and the norm variants take the mixture norm complexity.
     """
     spec = config.prior_for(n)
     u = config.u
@@ -145,8 +144,8 @@ def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
     with naming(n=n):  # inside it, the penalized bound names its m and delta
         pen = penalized_divergence_upper(config.truth, spec, config.t, n)
         if variants & {"prop3", "prop7"}:
-            log_covers = np.array([log_covering_number_uniform(m, n, u)
-                                   for m in range(1, spec.m_max + 1)])
+            log_covers = (np.arange(1, spec.m_max + 1)
+                          * log_covering_number_uniform(1, n, u))
             if "prop3" in variants:
                 log_richness["prop3"] = log_cover_mixture(
                     np.zeros_like(log_covers), log_covers, u)

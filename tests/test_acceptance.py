@@ -18,6 +18,7 @@ from ratelab import (DiscreteDensity, PriorSpec, TrueModel, WithinModelPrior,
                      norm_complexity_grid, parse_config_text,
                      penalized_divergence_upper, penalized_value_at,
                      random_oracle_config, run_rate_study, stream)
+from ratelab.models import _grid_spacing
 
 DENSE_STUDY = """
 [truth]
@@ -239,7 +240,7 @@ def test_10_norm_complexity_grid_analytic_and_mixture_growth(capsys):
     u = 0.5
     for n, m in itertools.product((4, 10, 20), (1, 2, 3)):
         summary = norm_complexity_grid(uniform, m, u, n)
-        h = summary.grid_spacing
+        h = _grid_spacing(n, u)
         assert abs(round(1.0 / h) - 1.0 / h) < 1e-9
         expected = h ** (m * (u - 1.0) / u)
         worst_rel = max(worst_rel,

@@ -5,13 +5,14 @@ import shutil
 import signal
 import subprocess
 
+import numpy as np
 import pytest
 
 import ratelab.cli as cli
 import ratelab.models as models
 import ratelab.study as study
 from ratelab import QuadratureError, load_config, variant_bounds_for_n
-from ratelab.models import NormalPrior
+from ratelab.models import NormalPrior, UniformPrior
 
 CONFIG = """
 [truth]
@@ -212,9 +213,13 @@ class TestBound:
                for row in (line.split(",") for line in out.splitlines()[1:])]
         assert got == expected
 
-    def test_underflowing_box_mass_exits_two(self, tmp_path, capsys):
+    def test_underflowing_box_mass_exits_two(self, tmp_path, monkeypatch, capsys):
         # the triangle's first bin sits at log odds -0.944, 47 prior scales
-        # out, where the normal tails underflow float64
+        # out, where the float normal tail is 0; the log tail carries its
+        # mass, so it is cut here where the float tail turns subnormal
+        log_tail = NormalPrior.log_tail
+        monkeypatch.setattr(NormalPrior, "log_tail", lambda self, w: np.where(
+            np.asarray(w) / self.scale > 37.5, -np.inf, log_tail(self, w)))
         path = tmp_path / "narrow.cfg"
         path.write_text(NORMAL_TRIANGLE.replace("scale = 1.5", "scale = 0.02"),
                         encoding="utf-8")
@@ -225,10 +230,10 @@ class TestBound:
                        "at m=1, delta=0.002 (normal prior, scale=0.02)\n")
 
     def test_tiny_u_runs_or_names_its_cell(self, tmp_path, capsys):
-        # at u = 1e-8 the cover counts are (2000^(10^8))^m: their logs come
-        # without the integer, and the norm variants' cell width 4 n^(-1/u)
-        # underflows, which names n and m; the alarm cannot interrupt a
-        # running integer power, so a regression hangs rather than fails
+        # at u = 1e-8 the cover counts are (2000^(10^8))^m and the norm
+        # variants' cell width 4 n^(-1/u) underflows: both logs come without
+        # the integer; the alarm cannot interrupt a running integer power,
+        # so a regression hangs rather than fails
         path = tmp_path / "tiny_u.cfg"
         path.write_text(UNIFORM_TRIANGLE.replace("n_grid = 500, 4000",
                                                  "n_grid = 500, 2000\nu = 1e-8"),
@@ -244,14 +249,10 @@ class TestBound:
                 code, out, err = _run(["bound", "--config", str(path),
                                        "--variant", variant], capsys)
                 signal.alarm(0)
-                if variant == "remark10":
-                    assert code == 2 and out == ""
-                    assert err.startswith("numerical failure: n=500, m=1, cell width")
-                else:
-                    assert code == 0, err
-                    rows = [line.split(",") for line in out.splitlines()[1:]]
-                    assert [row[3] for row in rows] == ["500", "2000"]
-                    assert all(math.isfinite(float(row[11])) for row in rows)
+                assert code == 0, err
+                rows = [line.split(",") for line in out.splitlines()[1:]]
+                assert [row[3] for row in rows] == ["500", "2000"]
+                assert all(math.isfinite(float(row[11])) for row in rows)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -290,21 +291,28 @@ class TestComplexity:
         assert {row[2] for row in rows} == {"500", "4000"}
         assert all(math.isfinite(float(row[5])) for row in rows)
 
-    def test_log_odds_cell_sum_computed_once_per_n(self, tmp_path, capsys):
+    def test_log_odds_cell_sum_computed_once_per_n(self, tmp_path, monkeypatch,
+                                                   capsys):
         path = tmp_path / "normal.cfg"
         path.write_text(NORMAL_TRIANGLE, encoding="utf-8")
-        NormalPrior.cell_sum.cache_clear()
+        calls = []
+        log_cell_sum = NormalPrior.log_cell_sum
+
+        def counted(within, n, u):
+            calls.append(n)
+            return log_cell_sum(within, n, u)
+
+        monkeypatch.setattr(NormalPrior, "log_cell_sum", counted)
         code, out, err = _run(["complexity", "--config", str(path)], capsys)
         assert code == 0, err
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 23 + 32
-        assert NormalPrior.cell_sum.cache_info().misses == 2
-        # the m = 1 rows against the uncached sum, S^(1/u)
+        assert calls == [500, 1000]
+        # the m = 1 rows against the sum called afresh, ln S^(1/u)
         within = load_config(str(path)).prior_for(500).within
         for row in (rows[0], rows[23]):
             n = int(row[2])
-            per_coord = NormalPrior.cell_sum.__wrapped__(within, n, 0.5)
-            assert float(row[3]) == pytest.approx(2.0 * math.log(per_coord),
+            assert float(row[3]) == pytest.approx(2.0 * log_cell_sum(within, n, 0.5),
                                                   rel=1e-12)
 
     def test_readme_config_prints_no_inf(self, tmp_path, capsys):
@@ -381,25 +389,27 @@ class TestSimulate:
                        "log-odds quantile missed tolerance 1e-12 in 1 Newton steps\n")
 
     def test_bounds_failure_names_n_and_m(self, tmp_path, monkeypatch, capsys):
-        # model m = 3's norm complexity fails by force: in the mixture that
-        # `bound` and `complexity` read, then in `complexity`'s grid rows
-        def failing_at_3(complexity):
-            def patched(within, m, u, n):
-                if m == 3:
+        # the per-coordinate sum at n = 500 fails by force: the analytic one
+        # in the mixture that `bound` and `complexity` read, then the grid
+        # one of `complexity`'s rows; every model reads the same sum, so the
+        # failure names n and no m
+        def failing_at_500(log_sum):
+            def patched(within, n, u):
+                if n == 500:
                     raise ZeroDivisionError("float division by zero")
-                return complexity(within, m, u, n)
+                return log_sum(within, n, u)
             return patched
 
         path = tmp_path / "uniform.cfg"
         path.write_text(UNIFORM_TRIANGLE, encoding="utf-8")
-        message = "numerical failure: n=500, m=3, float division by zero\n"
+        message = "numerical failure: n=500, float division by zero\n"
         with monkeypatch.context() as patch:
-            patch.setattr(study, "log_norm_complexity_analytic",
-                          failing_at_3(study.log_norm_complexity_analytic))
+            patch.setattr(UniformPrior, "log_analytic_sum",
+                          failing_at_500(UniformPrior.log_analytic_sum))
             for command in ("bound", "complexity"):
                 assert _run([command, "--config", str(path)], capsys) == (2, "", message)
-        monkeypatch.setattr(cli, "norm_complexity_grid",
-                            failing_at_3(cli.norm_complexity_grid))
+        monkeypatch.setattr(UniformPrior, "log_cell_sum",
+                            failing_at_500(UniformPrior.log_cell_sum))
         assert _run(["complexity", "--config", str(path)], capsys) == (2, "", message)
 
 

@@ -14,10 +14,16 @@ from ratelab import (
     log_norm_complexity_mixture,
     norm_complexity_grid,
 )
+from ratelab.models import _grid_spacing
 
 UNIFORM = WithinModelPrior.uniform_box()
 NORMAL = WithinModelPrior.log_odds("normal", 1.0)
 LAPLACE = WithinModelPrior.log_odds("laplace", 1.0)
+
+
+def _cell_sum(within, n: int, u: float) -> float:
+    """The per-coordinate sum S, from the prior's log of it."""
+    return math.exp(within.log_cell_sum(n, u))
 
 
 def _mp_cell_sum(within, h: float, u: float) -> float:
@@ -71,42 +77,55 @@ class TestUniformGridSums:
             h = 4.0 * n ** -2.0
             for m in (1, 2, 3):
                 summary = norm_complexity_grid(UNIFORM, m, 0.5, n)
-                assert summary.grid_spacing == pytest.approx(h, rel=1e-15)
+                assert _grid_spacing(n, 0.5) == pytest.approx(h, rel=1e-15)
                 assert math.exp(summary.log_lu_norm) == pytest.approx(
                     h ** (m * (0.5 - 1.0) / 0.5), rel=1e-9)
 
     def test_partial_cell_contributes_its_own_mass(self):
         # n = 3 gives h = 4/9: two full cells plus a width-1/9 remainder,
         # so the sum is 2*(4/9)^(1/2) + (1/9)^(1/2) = 5/3
-        summary = norm_complexity_grid(UNIFORM, 1, 0.5, 3)
-        assert summary.per_coordinate_sum == pytest.approx(5.0 / 3.0, rel=1e-12)
+        assert _cell_sum(UNIFORM, 3, 0.5) == pytest.approx(5.0 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_sum_matches_the_integer_form(self, k):
         # 1/h = n^k / 4 for u = 1/k: n^k // 4 whole cells of width h and a
         # last one of width (n^k mod 4) / n^k, summed at 40 digits; n = 18,
         # 108 and 15874 and the README grid once counted a rounding residue
-        # or one cell too many
+        # or one cell too many; S to 1e-15 relative is ln S to 1e-15, to
+        # which the log of the float S adds its own half-ulp rounding
         for n in (2, 3, 18, 108, 15874, 500, 1000, 2000, 4000, 8000, 16000, 32000):
             side = n ** k
             cells, rem = divmod(side, 4)
             with mpmath.workdps(40):
                 u = mpmath.mpf(1) / k
-                ref = (cells * (mpmath.mpf(4) / side) ** u
-                       + (mpmath.mpf(rem) / side) ** u)
-            got = norm_complexity_grid(UNIFORM, 1, 1.0 / k, n).per_coordinate_sum
-            assert got == pytest.approx(float(ref), rel=1e-15, abs=0.0), n
+                log_ref = mpmath.log(cells * (mpmath.mpf(4) / side) ** u
+                                     + (mpmath.mpf(rem) / side) ** u)
+            got = UNIFORM.log_cell_sum(n, 1.0 / k)
+            assert float(abs(got - log_ref)) <= 1e-15 + math.ulp(got) / 2, n
 
-    def test_underflowing_cell_width_is_refused(self):
-        # h = 4 n^(-100) is 0 in float64 at n = 2000; the sum is refused
-        # before n^100 is built, an integer that outgrows memory at tiny u
-        with pytest.raises(FloatingPointError, match="underflows float64 at u=0.01"):
-            norm_complexity_grid(UNIFORM, 1, 0.01, 2000)
+    @pytest.mark.parametrize("n,k", [(2000, 100), (500, 100), (2000, 10_000),
+                                     (2000, 10 ** 8)])
+    def test_underflowing_cell_width_takes_the_log_form(self, n, k):
+        # h = 4 n^(-k) is below the normal floats but at (500, 100): ln S
+        # comes from k ln n there, without building n^k (at k = 10^8 it would
+        # outgrow memory), against the exact integer sum at 60 digits where
+        # n^k is small enough to build
+        got = UNIFORM.log_cell_sum(n, 1.0 / k)
+        with mpmath.workdps(60):
+            u = mpmath.mpf(1) / k
+            if k <= 10_000:
+                cells, rem = divmod(n ** k, 4)
+                side = mpmath.mpf(n) ** k
+                log_ref = mpmath.log(cells * (4 / side) ** u + (rem / side) ** u)
+            else:  # (n^k / 4)^(1 - u), 4 n^(-k) relative from S
+                log_ref = (1 - u) * (k * mpmath.log(n) - mpmath.log(4))
+        assert got == pytest.approx(float(log_ref), rel=1e-15)
+        assert math.isfinite(norm_complexity_grid(UNIFORM, 3, 1.0 / k, n).log_lu_norm)
 
     def test_coarse_grid_saturates_at_one(self):
         # h >= 1 means a single cell holding all the mass
         summary = norm_complexity_grid(UNIFORM, 2, 0.5, 1)
-        assert summary.per_coordinate_sum == pytest.approx(1.0, abs=1e-15)
+        assert _cell_sum(UNIFORM, 1, 0.5) == pytest.approx(1.0, abs=1e-15)
         assert math.exp(summary.log_lu_norm) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -120,8 +139,8 @@ class TestLogOddsGridSums:
 
     def test_refining_the_grid_never_shrinks_the_sum(self):
         # splitting cells can only grow sum(mass^u) by concavity
-        coarse = norm_complexity_grid(NORMAL, 1, 0.5, 2).per_coordinate_sum
-        fine = norm_complexity_grid(NORMAL, 1, 0.5, 4).per_coordinate_sum
+        coarse = _cell_sum(NORMAL, 2, 0.5)
+        fine = _cell_sum(NORMAL, 4, 0.5)
         assert fine >= coarse - 1e-12
 
     def test_analytic_helper_matches_grid_summary_field(self):
@@ -139,8 +158,7 @@ class TestLogOddsGridSums:
         js = np.arange(0, 200_000)
         masses = 0.5 * (np.exp(-js * h) - np.exp(-(js + 1) * h))
         direct = 2.0 * float(np.sum(np.sqrt(masses)))
-        summary = norm_complexity_grid(LAPLACE, 1, 0.5, n)
-        assert summary.per_coordinate_sum == pytest.approx(direct, rel=1e-9)
+        assert _cell_sum(LAPLACE, n, 0.5) == pytest.approx(direct, rel=1e-9)
 
 
 class TestLogOddsEnclosure:
@@ -157,10 +175,10 @@ class TestLogOddsEnclosure:
         f"{v.name}{v.scale:g}" if isinstance(v, WithinModelPrior) else f"{v:.3g}"))
     def test_exact_sum_lies_inside_the_enclosure(self, within, u, n):
         summary = norm_complexity_grid(within, 1, u, n)
-        h = summary.grid_spacing
+        h = _grid_spacing(n, u)
         spread = 2.0 * h * within.peak ** u
         integral = within.u_norm_integral(u)
-        total = summary.per_coordinate_sum
+        total = _cell_sum(within, n, u)
         # strictly above the lower end, which is what the normal cap reports
         assert (integral - spread) * h ** (u - 1.0) < total
         assert total <= (integral + spread) * h ** (u - 1.0)
@@ -180,20 +198,76 @@ class TestLaplaceClosedForm:
         # the tails, S = 2 (T(0) - T(h))^u / (1 - r)
         within = WithinModelPrior.log_odds("laplace", scale)
         summary = norm_complexity_grid(within, 1, u, n)
-        h, total = summary.grid_spacing, summary.per_coordinate_sum
+        h, total = _grid_spacing(n, u), _cell_sum(within, n, u)
         with mpmath.workdps(60):
             b, hh, uu = (mpmath.mpf(v) for v in (scale, h, u))
             tail = lambda x: mpmath.exp(-x / b) / 2
             first, second = tail(0) - tail(hh), tail(hh) - tail(2 * hh)
             ref = 2 * first ** uu / (1 - (second / first) ** uu)
         assert total == pytest.approx(float(ref), rel=1e-14)
-        lower, upper = within.enclosure(h, u)
+        _, lower, upper = within.enclosure(n, u)
         assert total <= upper
         assert total <= math.exp(u * summary.log_analytic_bound)
         # where the spread 2 h f(0)^u is lost to rounding (b = 1000, u = 1/3,
         # n = 32000) the two float ends coincide, 2.2e-15 above S
         if upper > lower:
             assert lower < float(ref)
+
+
+class TestSmallULogForms:
+    # where h = 4 n^(-1/u) or h^(u - 1) leaves the normal floats (all but
+    # (500, 100) and (2000, 3)), the sums come from ln h = ln 4 - ln(n) / u;
+    # against 60 digits: the enclosure's ends (I -+ 2 h f(0)^u) h^(u - 1),
+    # and the Laplace geometric series
+    CASES = [(2000, 3), (500, 100), (2000, 100), (2000, 10_000), (2000, 10 ** 8)]
+
+    @staticmethod
+    def _mp_log_ends(within, n, k):
+        s, u, h = mpmath.mpf(within.scale), mpmath.mpf(1) / k, 4 * mpmath.mpf(n) ** -k
+        if within.name == "normal":
+            integral = (2 * mpmath.pi * s * s) ** ((1 - u) / 2) / mpmath.sqrt(u)
+        else:
+            integral = (2 * s) ** (1 - u) / u
+        spread = 2 * h * within.peak ** u
+        return [mpmath.log(integral + sign * spread) + (u - 1) * mpmath.log(h)
+                for sign in (-1, 1)]
+
+    @pytest.mark.parametrize("n,k", CASES)
+    @pytest.mark.parametrize("density,scale", [("normal", 0.02), ("normal", 1.5),
+                                               ("laplace", 0.02), ("laplace", 1.5),
+                                               ("laplace", 1000.0)])
+    def test_log_sums_against_mpmath(self, density, scale, n, k):
+        within = WithinModelPrior.log_odds(density, scale)
+        with mpmath.workdps(60):
+            lower, upper = self._mp_log_ends(within, n, k)
+            if density == "laplace":
+                b, u, h = mpmath.mpf(scale), mpmath.mpf(1) / k, 4 * mpmath.mpf(n) ** -k
+                cell = mpmath.log(2 * (-mpmath.expm1(-h / b) / 2) ** u
+                                  / -mpmath.expm1(-u * h / b))
+            else:  # past the cell cap, the lower end
+                cell = lower
+        assert within.log_analytic_sum(n, 1.0 / k) == pytest.approx(float(upper), rel=1e-15)
+        if (density, k) != ("normal", 3):  # that one is an exact grid sum
+            assert within.log_cell_sum(n, 1.0 / k) == pytest.approx(float(cell), rel=1e-15)
+        summary = norm_complexity_grid(within, 3, 1.0 / k, n)
+        assert math.isfinite(summary.log_lu_norm)
+        # S <= its upper end, which it meets to rounding where h underflows
+        assert summary.log_lu_norm <= summary.log_analytic_bound * (1.0 + 1e-15)
+
+    @pytest.mark.parametrize("density,scale,u", [("normal", 1e200, 0.5),
+                                                 ("laplace", 1e300, 1e-8)])
+    def test_overflowing_u_integral_is_refused(self, density, scale, u):
+        # I = (2 pi s^2)^((1 - u) / 2) / sqrt(u), or (2 b)^(1 - u) / u, is
+        # inf in float64: the enclosure is refused rather than printed as inf,
+        # and with it the normal grid sum; the Laplace one needs no I
+        within = WithinModelPrior.log_odds(density, scale)
+        with pytest.raises(FloatingPointError, match=r"integral of f\^u overflows"):
+            within.log_analytic_sum(2000, u)
+        if density == "normal":
+            with pytest.raises(FloatingPointError, match=r"integral of f\^u overflows"):
+                within.log_cell_sum(2000, u)
+        else:
+            assert math.isfinite(within.log_cell_sum(2000, u))
 
 
 class TestMixtures:

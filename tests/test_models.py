@@ -192,11 +192,12 @@ class TestWithinModelPrior:
         assert math.exp(got) == pytest.approx(mass, rel=rel)
 
     # the near tail of a normal box at 37.4 scales is still a normal
-    # float; at 37.6 and 38.1 it is subnormal, and at 38.1 its mass is
-    # 2.6e-6 relative too large, which would lower a certified bound
-    @pytest.mark.parametrize("distance,accepted", [
-        (37.4, True), (37.6, False), (38.1, False)])
-    def test_subnormal_near_tail_is_refused(self, distance, accepted):
+    # float; at 37.6 and 38.1 it is subnormal, and at 38.1 a mass from it
+    # would be 2.6e-6 relative too large, which would lower a certified
+    # bound; past 37.5 scales the log tail takes the Mills ratio instead,
+    # out to 47 and 80 scales, where the float tail is 0
+    @pytest.mark.parametrize("distance", [37.4, 37.6, 38.1, 47.0, 80.0])
+    def test_box_past_the_subnormal_tail_gets_its_mass(self, distance):
         scale = 0.0247
         lo = distance * scale
         hi = lo + 0.002
@@ -206,11 +207,8 @@ class TestWithinModelPrior:
             tail = lambda w: mpmath.erfc(w / (scale * mpmath.sqrt(2))) / 2
             near = tail(mpmath.mpf(lo))
             log_ref = float(mpmath.log(near - tail(mpmath.mpf(hi))))
-        assert (float(near) >= np.finfo(float).tiny) == accepted
-        if accepted:
-            assert got == pytest.approx([log_ref, log_ref], rel=1e-13)
-        else:
-            assert got.tolist() == [-math.inf, -math.inf]
+        assert (float(near) >= np.finfo(float).tiny) == (distance < 37.5)
+        assert got == pytest.approx([log_ref, log_ref], rel=1e-13)
 
     # 38.1 scales out the near tail is subnormal, but ln f falls by only
     # 0.78 nats across a box of width 5e-4, so its mass is a quadrature
@@ -248,6 +246,18 @@ class TestWithinModelPrior:
         assert models._GL10_X.tobytes() == nodes.tobytes()
         assert models._GL10_W.tobytes() == weights.tobytes()
 
+    @pytest.mark.parametrize("scale", [0.0127, 0.02, 1.5])
+    def test_normal_log_tail_against_mpmath(self, scale):
+        # ln ndtr(-x) up to 37.5 scales, ln phi(x) + ln R(x) past it, where
+        # the float tail turns subnormal and from 38.5 scales reads 0
+        x = np.concatenate([np.linspace(30.0, 45.0, 61), np.geomspace(45.0, 1e6, 40)])
+        within = WithinModelPrior.log_odds("normal", scale)
+        got = within.log_tail(x * scale)
+        with mpmath.workdps(60):
+            ref = [float(mpmath.log(mpmath.erfc(mpmath.mpf(v) / mpmath.sqrt(2)) / 2))
+                   for v in (x * scale / scale).tolist()]
+        assert got == pytest.approx(ref, rel=1e-15)
+
     def test_narrow_intervals_never_call_ndtr(self, monkeypatch):
         calls = []
 
@@ -257,8 +267,7 @@ class TestWithinModelPrior:
 
         monkeypatch.setattr(models, "ndtr", counted)
         within = WithinModelPrior.log_odds("normal", 1.5)
-        within.cell_sum.cache_clear()
-        assert within.cell_sum(1000, 0.5) > 0.0  # 4.4 M cells a side
+        assert math.isfinite(within.log_cell_sum(1000, 0.5))  # 4.4 M cells a side
         assert math.isfinite(within.log_interval_mass(0.9, 1.9))
         assert calls == []
         within.log_interval_mass(np.array([-0.9, 0.9]), np.array([3.1, 4.1]))

@@ -21,6 +21,7 @@ from ratelab import (
     penalized_divergence_upper,
     penalized_value_at,
 )
+from ratelab.models import NormalPrior
 from ratelab.penalized import _box_sups
 
 LINEAR = TrueModel.linear(intercept=0.3, slope=0.4)
@@ -342,9 +343,14 @@ class TestGridEqualsLoop:
         assert str(err.value).startswith("delta must lie in (0, 1) ")
         assert str(err.value).endswith("got 4.0")
 
-    def test_underflow_names_the_first_failing_candidate(self):
+    def test_underflow_names_the_first_failing_candidate(self, monkeypatch):
         # m = 1 puts its box around log odds 0; from m = 2 on, the level
         # 0.3 sits 42 prior scales out, where small boxes lose their mass
+        # once the normal log tail is cut where the float tail turns
+        # subnormal, as it once was
+        log_tail = NormalPrior.log_tail
+        monkeypatch.setattr(NormalPrior, "log_tail", lambda self, w: np.where(
+            np.asarray(w) / self.scale > 37.5, -np.inf, log_tail(self, w)))
         truth = TrueModel.sparse([0.5, 0.3])
         spec = PriorSpec(n=400, m_max=6,
                          within=WithinModelPrior.log_odds("normal", 0.02))

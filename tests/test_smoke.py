@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,38 @@ def test_log_odds_complexity_finishes(within, scale, tmp_path, capsys):
     for *_, log_grid, log_analytic, log_mixture in rows:
         assert all(map(math.isfinite, (log_grid, log_analytic, log_mixture)))
         assert log_grid <= log_analytic
+
+
+# every within prior, the log-odds ones narrow enough that the triangle's
+# bins sit up to 82 scales out, at u down to where the cell width
+# 4 n^(-1/u) and its powers leave the float range
+ITEM4_PRIORS = [pytest.param("uniform", None, id="uniform")] + [
+    pytest.param(within, scale, id=f"{within}-{scale:g}")
+    for within in ("normal", "laplace") for scale in (0.0127, 0.02, 0.1, 1.5)]
+
+
+@pytest.mark.parametrize("u", [0.5, 0.1, 0.01, 1e-8], ids=lambda u: f"u{u:g}")
+@pytest.mark.parametrize("within,scale", ITEM4_PRIORS)
+def test_bound_runs_at_small_u_and_narrow_priors(within, scale, u, tmp_path, capsys):
+    path = tmp_path / "limits.cfg"
+    path.write_text(_config_text("triangle", within, scale).replace(
+        "n_grid = 20, 40", f"n_grid = 500, 2000\nu = {u}"), encoding="utf-8")
+
+    def timeout(signum, frame):
+        raise TimeoutError("bound took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        signal.alarm(5)
+        code = cli.main(["bound", "--config", str(path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2 * len(VARIANTS)
+    assert all(math.isfinite(float(row[11])) for row in rows)
 
 
 # Runs in a fresh interpreter: every study path and CLI command, then the
