@@ -7,14 +7,15 @@ The order-t divergence between densities p and q is
 whose notable members are the chi-squared divergence (t = 1), the
 squared Hellinger distance (t = -1/2) and, in the t -> 0 limit, the
 Kullback-Leibler divergence.  Two density representations are
-supported: probability masses on a finite outcome set, and the joint
-density of a binary response with a uniform covariate on [0, 1]
-described by its mean function (piecewise constant on equal bins, or
-smooth with a certified derivative bound).  Against a piecewise-constant
-mean on m equal bins, any mean, smooth or piecewise, enters only through
-two integrals per bin, tabulated once per (mean, m, t): the posterior
-draws of one size m, stacked as rows of levels, then take one pass over
-that table together.
+supported: probability masses on a finite outcome set
+(``DiscreteDensity``), and the joint density of a binary response with a
+uniform covariate on [0, 1], which its mean function fixes, so the mean
+stands for the density: ``PiecewiseConstantMean`` on equal bins, or
+``SmoothMean`` with a certified derivative bound.  Against a
+piecewise-constant mean on m equal bins, any mean, smooth or piecewise,
+enters only through two integrals per bin, tabulated once per
+(mean, m, t): the posterior draws of one size m, stacked as rows of
+levels, then take one pass over that table together.
 
 +infinity is a legitimate value here (support mismatch with t > 0),
 not an error.  All functions are pure and the value types immutable.
@@ -36,7 +37,6 @@ __all__ = [
     "DiscreteDensity",
     "PiecewiseConstantMean",
     "SmoothMean",
-    "RegressionDensity",
     "d_t_squared",
     "kl_divergence",
     "l1_distance",
@@ -70,7 +70,6 @@ class DiscreteDensity:
     """Probability masses on a finite, ordered outcome set."""
 
     mass: np.ndarray
-    outcomes: tuple = None
 
     def __post_init__(self):
         mass = np.asarray(self.mass, dtype=float)
@@ -83,18 +82,13 @@ class DiscreteDensity:
         mass = mass.copy()
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
-        outcomes = self.outcomes
-        outcomes = tuple(range(mass.size)) if outcomes is None else tuple(outcomes)
-        if len(outcomes) != mass.size:
-            raise ValueError("outcomes and mass must have equal length")
-        object.__setattr__(self, "outcomes", outcomes)
 
     @classmethod
     def bernoulli(cls, p: float) -> "DiscreteDensity":
         p = float(p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"success probability must lie in [0, 1], got {p}")
-        return cls(np.array([1.0 - p, p]), outcomes=(0, 1))
+        return cls(np.array([1.0 - p, p]))
 
     @property
     def size(self) -> int:
@@ -182,30 +176,6 @@ class SmoothMean:
 
 
 MeanFunction = Union[PiecewiseConstantMean, SmoothMean]
-
-
-@dataclass(frozen=True, eq=False)
-class RegressionDensity:
-    """Joint density of a binary response and a uniform covariate on [0, 1].
-
-    Fully determined by the response mean x -> mu(x); the joint density
-    is mu(x)^z (1 - mu(x))^(1-z) against counting measure in z and
-    Lebesgue measure in x.
-    """
-
-    mean: MeanFunction
-
-    def __post_init__(self):
-        if not isinstance(self.mean, (PiecewiseConstantMean, SmoothMean)):
-            raise ValueError("mean must be PiecewiseConstantMean or SmoothMean")
-
-    @classmethod
-    def piecewise(cls, levels) -> "RegressionDensity":
-        return cls(PiecewiseConstantMean(np.asarray(levels, dtype=float)))
-
-    @classmethod
-    def smooth(cls, fn, d_bound: float, margin: float) -> "RegressionDensity":
-        return cls(SmoothMean(fn, float(d_bound), float(margin)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +366,13 @@ def _moment_terms(moments: np.ndarray, levels, t: float) -> np.ndarray:
 
 def _pair_kind(p, q) -> str:
     if isinstance(p, DiscreteDensity) and isinstance(q, DiscreteDensity):
+        if p.size != q.size:
+            raise ValueError("discrete densities must have the same size")
         return "discrete"
-    if isinstance(p, RegressionDensity) and isinstance(q, RegressionDensity):
-        return "regression"
-    raise ValueError("need two DiscreteDensity or two RegressionDensity arguments")
-
-
-def _check_outcomes(p: DiscreteDensity, q: DiscreteDensity):
-    if p.outcomes != q.outcomes:
-        raise ValueError("discrete densities must share one outcome set")
+    if isinstance(p, MeanFunction) and isinstance(q, MeanFunction):
+        return "mean"
+    raise ValueError("need two DiscreteDensity or two mean functions "
+                     "(PiecewiseConstantMean or SmoothMean)")
 
 
 def d_t_squared(p, q, t) -> float:
@@ -419,29 +387,25 @@ def d_t_squared(p, q, t) -> float:
     tv = float(t)
     if not tv > -1.0:
         raise ValueError(f"order must satisfy t > -1, got {tv}")
-    stack = isinstance(getattr(q, "mean", None), PiecewiseConstantMean) and (
-        q.mean.levels.ndim == 2)
+    stack = isinstance(q, PiecewiseConstantMean) and q.levels.ndim == 2
     if abs(tv) < _SMALL_T:
         if stack:
-            return np.array([_kl_limit(p, RegressionDensity.piecewise(row), tv)
-                             for row in q.mean.levels])
+            return np.array([_kl_limit(p, PiecewiseConstantMean(row), tv)
+                             for row in q.levels])
         return _kl_limit(p, q, tv)
-    kind = _pair_kind(p, q)
-    if kind == "discrete":
-        _check_outcomes(p, q)
+    if _pair_kind(p, q) == "discrete":
         total = _power_term(p.mass, q.mass, tv).sum()
         if math.isinf(total):
             return math.inf
         return (float(total) - 1.0) / tv
-    if isinstance(q.mean, PiecewiseConstantMean):
+    if isinstance(q, PiecewiseConstantMean):
         # posterior draws: the integrand factors bin by bin, and a row per
         # draw takes the moments as (2, 1, m) against (2, k, m) terms
-        moments = _bin_moments(p.mean, q.mean.m, tv)[:, None]
-        val = _moment_terms(moments, np.atleast_2d(q.mean.levels), tv).sum(axis=-1) - 1.0
+        moments = _bin_moments(p, q.m, tv)[:, None]
+        val = _moment_terms(moments, np.atleast_2d(q.levels), tv).sum(axis=-1) - 1.0
         val = np.where(np.isinf(val), math.inf, val / tv)
         return val if stack else float(val[0])
-    val = _covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv),
-                              p.mean, q.mean)
+    val = _covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv), p, q)
     if math.isinf(val):
         return math.inf
     return val / tv
@@ -449,24 +413,20 @@ def d_t_squared(p, q, t) -> float:
 
 def kl_divergence(p, q) -> float:
     """Kullback-Leibler divergence, the t -> 0 member of the family."""
-    kind = _pair_kind(p, q)
-    if kind == "discrete":
-        _check_outcomes(p, q)
+    if _pair_kind(p, q) == "discrete":
         val = _log_ratio_term(p.mass, q.mass, 1).sum()
         return float(val)
-    return _covariate_integral(_binary_kl, p.mean, q.mean)
+    return _covariate_integral(_binary_kl, p, q)
 
 
 def _kl_limit(p, q, tv: float) -> float:
     base = kl_divergence(p, q)
     if math.isinf(base) or tv == 0.0:
         return base
-    kind = _pair_kind(p, q)
-    if kind == "discrete":
+    if _pair_kind(p, q) == "discrete":
         second = float(_log_ratio_term(p.mass, q.mass, 2).sum())
     else:
-        second = _covariate_integral(lambda a, b: _binary_kl(a, b, 2),
-                                     p.mean, q.mean)
+        second = _covariate_integral(lambda a, b: _binary_kl(a, b, 2), p, q)
     if math.isinf(second):
         return math.inf
     return base + 0.5 * tv * second
@@ -475,18 +435,15 @@ def _kl_limit(p, q, tv: float) -> float:
 def l1_distance(p, q) -> float:
     """L1 distance between the densities; always in [0, 2].
 
-    For regression densities this equals 2 * integral of |mu_p - mu_q|
-    and is evaluated exactly when both means are piecewise constant.
+    For two means this equals 2 * integral of |mu_p - mu_q| and is
+    evaluated exactly when both are piecewise constant.
     """
-    kind = _pair_kind(p, q)
-    if kind == "discrete":
-        _check_outcomes(p, q)
+    if _pair_kind(p, q) == "discrete":
         return float(np.abs(p.mass - q.mass).sum())
-    m1, m2 = p.mean, q.mean
-    if isinstance(m1, PiecewiseConstantMean) and isinstance(m2, PiecewiseConstantMean):
-        return 2.0 * _covariate_integral(lambda a, b: np.abs(a - b), m1, m2)
-    diff = lambda x: np.asarray(m1(x), dtype=float) - np.asarray(m2(x), dtype=float)
-    edges = _union_edges(m1, m2, min_panels=64)
+    if isinstance(p, PiecewiseConstantMean) and isinstance(q, PiecewiseConstantMean):
+        return 2.0 * _covariate_integral(lambda a, b: np.abs(a - b), p, q)
+    diff = lambda x: np.asarray(p(x), dtype=float) - np.asarray(q(x), dtype=float)
+    edges = _union_edges(p, q, min_panels=64)
     cuts = _sign_change_cuts(diff, edges)
     val = _integrate_adaptive(lambda x: np.abs(diff(x)), cuts)
     return 2.0 * val

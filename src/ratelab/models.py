@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .divergence import (_GL_W, _GL_X, MEAN_CLAMP, PiecewiseConstantMean, QuadratureError,
-                         RegressionDensity, SmoothMean, _composite_gl, _union_edges)
+                         SmoothMean, _composite_gl, _union_edges)
 from .rng import stream
 from .special import bisect, expit, log_beta_counts, logit, logsumexp, ndtr
 
@@ -55,10 +55,6 @@ class TrueModel:
     mean: Union[SmoothMean, PiecewiseConstantMean]
     d_bound: float
     m0: Optional[int] = None
-
-    @property
-    def density(self) -> RegressionDensity:
-        return RegressionDensity(self.mean)
 
     @classmethod
     def smooth(cls, fn: Callable, d_bound: float, margin: float,
@@ -175,6 +171,8 @@ def _log_grid_spacing(n: int, u: float) -> float:
 
 # the smallest normal float: below it a float keeps fewer than 53 bits
 _TINY = sys.float_info.min
+# the largest normal-prior scale whose square is finite
+_MAX_NORMAL_SCALE = math.sqrt(sys.float_info.max)
 
 
 class WithinModelPrior:
@@ -356,14 +354,17 @@ class LogOddsPrior(WithinModelPrior):
 
     def _log_enclosure(self, n: int, u: float) -> tuple:
         """ln of the enclosure's ends as ln(I -+ 2 h f(0)^u) + (u - 1) ln h, for
-        where its floats leave the normal range; refused where I overflows."""
+        where its floats leave the normal range; where the float I overflows, as
+        ln I + ln(1 -+ 2 h f(0)^u / I) from ln I in closed form."""
         spread = 2.0 * _grid_spacing(n, u) * self.peak ** u
         u_integral, log_h = self.u_norm_integral(u), _log_grid_spacing(n, u)
-        if u_integral == math.inf:
-            raise FloatingPointError(f"integral of f^u overflows float64 at u={u:g} "
-                                     f"({self.name} prior, scale={self.scale:g})")
-        return (math.log(u_integral - spread) + (u - 1.0) * log_h,
-                math.log(spread + u_integral) + (u - 1.0) * log_h)
+        if u_integral < math.inf:
+            ends = math.log(u_integral - spread), math.log(spread + u_integral)
+        else:
+            log_integral = self._log_u_norm_integral(u)
+            rel = spread * math.exp(-log_integral)
+            ends = log_integral + math.log1p(-rel), log_integral + math.log1p(rel)
+        return tuple(end + (u - 1.0) * log_h for end in ends)
 
     def log_analytic_sum(self, n: int, u: float) -> float:
         """ln of the enclosure's upper end, the analytic bound on the cell sum."""
@@ -382,6 +383,12 @@ class NormalPrior(LogOddsPrior):
     """Normal log-odds density with standard deviation s = ``scale``."""
 
     name, kinked = "normal", False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.scale > _MAX_NORMAL_SCALE:  # the slope and log_ratio square it
+            raise ValueError(f"scale must be at most {_MAX_NORMAL_SCALE:.6g} under a normal "
+                             f"prior, where its square overflows float64: {self.scale:g}")
 
     @property
     def peak(self) -> float:
@@ -416,6 +423,10 @@ class NormalPrior(LogOddsPrior):
     def _u_norm_integral(self, u: float) -> float:
         s = self.scale
         return (2.0 * math.pi * s * s) ** (0.5 * (1.0 - u)) / math.sqrt(u)
+
+    def _log_u_norm_integral(self, u: float) -> float:
+        log_width = math.log(self.scale) + 0.5 * math.log(2.0 * math.pi)  # ln(s sqrt(2 pi))
+        return (1.0 - u) * log_width - 0.5 * math.log(u)
 
     def log_cell_sum(self, n: int, u: float) -> float:
         """ln of the cell-mass^u sum S over the cells [j*h, (j+1)*h) of the grid
@@ -463,6 +474,9 @@ class LaplacePrior(LogOddsPrior):
 
     def _u_norm_integral(self, u: float) -> float:
         return 2.0 ** (1.0 - u) * self.scale ** (1.0 - u) / u
+
+    def _log_u_norm_integral(self, u: float) -> float:
+        return (1.0 - u) * (math.log(2.0) + math.log(self.scale)) - math.log(u)
 
     def log_cell_sum(self, n: int, u: float) -> float:
         """ln of the exact cell-mass^u sum S over the cells [j*h, (j+1)*h) of the

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import DiscreteDensity, QuadratureError, RegressionDensity, d_t_squared
+from .divergence import DiscreteDensity, PiecewiseConstantMean, QuadratureError, d_t_squared
 from .models import Dataset, PriorSpec, TrueModel, WithinModelPrior, model_log_prior
 from .rate_bounds import posterior_mass_bound_rhs
 from .special import logsumexp, median, quantile
@@ -182,12 +182,12 @@ def _posterior_draws(state: PosteriorState, rng, draws: int) -> list:
     return [(m, np.flatnonzero(sizes == m), samplers[m][1](rows[m])) for m in sorted(rows)]
 
 
-def sample_posterior_density(state: PosteriorState, rng) -> RegressionDensity:
-    """Draw one working density: a model size from the posterior weights,
-    then its bin levels from the bin posteriors, as every draw of
-    empirical_divergence_quantiles takes them."""
+def sample_posterior_density(state: PosteriorState, rng) -> PiecewiseConstantMean:
+    """Draw one working mean, which fixes its density: a model size from the
+    posterior weights, then its bin levels from the bin posteriors, as every
+    draw of empirical_divergence_quantiles takes them."""
     ((_, _, levels),) = _posterior_draws(state, rng, 1)
-    return RegressionDensity.piecewise(levels[0])
+    return PiecewiseConstantMean(levels[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +212,9 @@ def empirical_divergence_quantiles(truth: TrueModel, state: PosteriorState,
     draws = int(draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    p0 = truth.density
     values = np.empty(draws)
     for _, at, levels in _posterior_draws(state, rng, draws):
-        values[at] = d_t_squared(p0, RegressionDensity.piecewise(levels), -u)
+        values[at] = d_t_squared(truth.mean, PiecewiseConstantMean(levels), -u)
     values.setflags(write=False)
     return DivergenceSummary(
         values=values,
@@ -259,13 +258,13 @@ def exact_enumeration_oracle(p0: DiscreteDensity, atoms: Sequence[DiscreteDensit
     if n < 1 or n > 6:
         raise ValueError("enumeration supports 1 <= n <= 6")
     if p0.size > 3:
-        raise ValueError("enumeration supports at most 3 outcomes")
+        raise ValueError("enumeration supports densities of size at most 3")
     atoms = list(atoms)
     if not 1 <= len(atoms) <= 4:
         raise ValueError("enumeration supports 1 to 4 prior atoms")
     for a in atoms:
-        if a.outcomes != p0.outcomes:
-            raise ValueError("atoms must share the truth's outcome set")
+        if a.size != p0.size:
+            raise ValueError("atoms must have the truth's size")
     masses = np.asarray(prior_masses, dtype=float)
     if masses.shape != (len(atoms),) or np.any(masses <= 0):
         raise ValueError("prior masses must be positive, one per atom")

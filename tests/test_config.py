@@ -234,12 +234,15 @@ def test_prior_section_validation(tmp_path):
         _error(head + "within = cauchy" + tail))
     assert "scale must be positive" in str(
         _error(head + "within = normal\nscale = -1" + tail))
-    # a scale that is not a finite positive number names its own line, 6,
-    # and the CLI exits with the validation code 1
-    for scale in ("nan", "inf"):
-        text = head + f"scale = {scale}\nwithin = laplace" + tail
+    # a scale that is not a finite positive number, or a normal one whose
+    # square overflows float64, names its own line, 6, and the CLI exits
+    # with the validation code 1
+    for scale, within, fragment in (("nan", "laplace", "scale must be positive"),
+                                    ("inf", "laplace", "scale must be positive"),
+                                    ("1e200", "normal", "scale must be at most")):
+        text = head + f"scale = {scale}\nwithin = {within}" + tail
         err = _error(text)
-        assert err.line == 6 and "scale must be positive" in str(err)
+        assert err.line == 6 and fragment in str(err)
         path = tmp_path / f"{scale}.cfg"
         path.write_text(text, encoding="utf-8")
         assert cli.main(["bound", "--config", str(path)]) == 1

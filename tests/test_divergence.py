@@ -15,7 +15,6 @@ import pytest
 from ratelab import (
     DiscreteDensity,
     PiecewiseConstantMean,
-    RegressionDensity,
     SmoothMean,
     TrueModel,
     d_t_squared,
@@ -91,14 +90,22 @@ class TestValidation:
             DiscreteDensity(np.array([1.2, -0.2]))
 
     def test_outcome_sets_must_match(self):
-        p = DiscreteDensity(np.array([0.5, 0.5]), outcomes=("a", "b"))
-        q = DiscreteDensity(np.array([0.5, 0.5]), outcomes=("a", "c"))
-        with pytest.raises(ValueError):
-            d_t_squared(p, q, 1.0)
+        # masses on outcome sets of different sizes, at every divergence and
+        # through the KL limit
+        q = DiscreteDensity(np.full(3, 1.0 / 3.0))
+        for fn in (lambda p, q: d_t_squared(p, q, 1.0), lambda p, q: d_t_squared(p, q, 0.0),
+                   kl_divergence, l1_distance,
+                   lambda p, q: d_t_squared_product(p, q, 0.5, 3)):
+            with pytest.raises(ValueError, match="same size"):
+                fn(BERN_05, q)
 
     def test_mixed_representations_rejected(self):
-        with pytest.raises(ValueError):
-            d_t_squared(BERN_03, RegressionDensity.piecewise([0.5]), 1.0)
+        mean = PiecewiseConstantMean([0.5])
+        for p, q in ((BERN_03, mean), (mean, BERN_03), (mean, [0.5]),
+                     (np.array([0.3, 0.7]), BERN_05), (TRIANGLE.mean, TRIANGLE)):
+            for fn in (lambda p, q: d_t_squared(p, q, 1.0), kl_divergence, l1_distance):
+                with pytest.raises(ValueError, match="need two"):
+                    fn(p, q)
 
     def test_order_must_exceed_minus_one(self):
         with pytest.raises(ValueError):
@@ -191,16 +198,16 @@ class TestTensorization:
 class TestRegressionDensities:
     def test_piecewise_pair_matches_binary_closed_form(self):
         # constant means: the x-integral collapses to a single binary term
-        p = RegressionDensity.piecewise([0.3])
-        q = RegressionDensity.piecewise([0.5])
+        p = PiecewiseConstantMean([0.3])
+        q = PiecewiseConstantMean([0.5])
         assert d_t_squared(p, q, 1.0) == pytest.approx(CHI2_ORACLE, abs=1e-14)
         assert d_t_squared(p, q, -0.5) == pytest.approx(HELLINGER_ORACLE, abs=1e-14)
         assert kl_divergence(p, q) == pytest.approx(KL_ORACLE, abs=1e-14)
         assert l1_distance(p, q) == pytest.approx(0.4, abs=1e-15)
 
     def test_piecewise_different_bin_counts(self):
-        p = RegressionDensity.piecewise([0.3, 0.5])
-        q = RegressionDensity.piecewise([0.4])
+        p = PiecewiseConstantMean([0.3, 0.5])
+        q = PiecewiseConstantMean([0.4])
         # each half contributes 0.5 * chi2(Bern(level), Bern(0.4))
         expected = 0.5 * (0.01 / 0.4 + 0.01 / 0.6) + 0.5 * (0.01 / 0.4 + 0.01 / 0.6)
         assert d_t_squared(p, q, 1.0) == pytest.approx(expected, rel=1e-12)
@@ -208,8 +215,8 @@ class TestRegressionDensities:
     def test_smooth_pair_against_riemann_oracle(self):
         fn_p = lambda x: 0.5 + 0.15 * np.sin(2.0 * np.pi * x)
         fn_q = lambda x: 0.45 + 0.1 * x
-        p = RegressionDensity.smooth(fn_p, 2.0 * np.pi * 0.15, 0.25)
-        q = RegressionDensity.smooth(fn_q, 0.1, 0.25)
+        p = SmoothMean(fn_p, 2.0 * np.pi * 0.15, 0.25)
+        q = SmoothMean(fn_q, 0.1, 0.25)
         xs = np.linspace(0.0, 1.0, 400_001)
         mu_p, mu_q = fn_p(xs), fn_q(xs)
         integrand = mu_p ** 2 / mu_q + (1 - mu_p) ** 2 / (1 - mu_q) - 1.0
@@ -218,8 +225,8 @@ class TestRegressionDensities:
 
     def test_smooth_l1_with_sign_change(self):
         fn_p = lambda x: 0.5 + 0.2 * np.sin(2.0 * np.pi * x)
-        p = RegressionDensity.smooth(fn_p, 2.0 * np.pi * 0.2, 0.2)
-        q = RegressionDensity.piecewise([0.5])
+        p = SmoothMean(fn_p, 2.0 * np.pi * 0.2, 0.2)
+        q = PiecewiseConstantMean([0.5])
         # 2 * integral |0.2 sin| = 2 * 0.2 * 2/pi
         assert l1_distance(p, q) == pytest.approx(0.8 / math.pi, rel=1e-9)
 
@@ -228,10 +235,8 @@ class TestRegressionDensities:
         # difference 0.2 sin(6 pi x + 0.4) runs over three whole periods,
         # so the distance is 2 * 0.2 * 2/pi, whatever the phase
         wave = lambda x: np.sin(6.0 * np.pi * x + 0.4)
-        p = RegressionDensity.smooth(lambda x: 0.5 + 0.15 * wave(x),
-                                     6.0 * np.pi * 0.15, 0.25)
-        q = RegressionDensity.smooth(lambda x: 0.5 - 0.05 * wave(x),
-                                     6.0 * np.pi * 0.05, 0.25)
+        p = SmoothMean(lambda x: 0.5 + 0.15 * wave(x), 6.0 * np.pi * 0.15, 0.25)
+        q = SmoothMean(lambda x: 0.5 - 0.05 * wave(x), 6.0 * np.pi * 0.05, 0.25)
         roots = (np.arange(1, 7) * np.pi - 0.4) / (6.0 * np.pi)
         cuts = divergence._sign_change_cuts(
             lambda x: 0.2 * wave(x), np.array([0.0, 1.0]))
@@ -266,13 +271,13 @@ TRIANGLE = TrueModel.triangle(amplitude=0.22, peak=0.45)
 
 def _triangle_draw(m):
     levels = [0.3 + 0.4 * ((5 * j + 2) % m) / m for j in range(m)]
-    return RegressionDensity.piecewise(levels)
+    return PiecewiseConstantMean(levels)
 
 
 class TestDeclaredBreakpoints:
     @pytest.mark.parametrize("m", sorted(TRIANGLE_HELLINGER_ORACLE))
     def test_triangle_against_mpmath(self, m):
-        got = d_t_squared(TRIANGLE.density, _triangle_draw(m), -0.5)
+        got = d_t_squared(TRIANGLE.mean, _triangle_draw(m), -0.5)
         assert abs(got - TRIANGLE_HELLINGER_ORACLE[m]) <= 1e-14
 
     @pytest.mark.parametrize("m", (3, 7, 20))
@@ -285,12 +290,12 @@ class TestDeclaredBreakpoints:
             return composite(fn, edges)
 
         monkeypatch.setattr(divergence, "_composite_gl", counted)
-        d_t_squared(TRIANGLE.density, _triangle_draw(m), -0.5)
+        d_t_squared(TRIANGLE.mean, _triangle_draw(m), -0.5)
         assert len(passes) <= 2
 
     def test_triangle_declares_its_peak(self):
         assert TRIANGLE.mean.breakpoints == (0.45,)
-        edges = divergence._union_edges(TRIANGLE.mean, _triangle_draw(3).mean)
+        edges = divergence._union_edges(TRIANGLE.mean, _triangle_draw(3))
         assert 0.45 in edges
 
     @pytest.mark.parametrize("points", [(1.2,), (0.0,), (0.6, 0.3), (0.4, 0.4)])
@@ -314,7 +319,7 @@ def _hellinger_closed_form(mu, levels):
 def _generic_d2(truth, draw, t):
     # the covariate integral of the full integrand, no bin moments
     term = lambda a, b: divergence._binary_power_minus1(a, b, t)
-    return divergence._covariate_integral(term, truth.mean, draw.mean) / t
+    return divergence._covariate_integral(term, truth.mean, draw) / t
 
 
 class TestBinMoments:
@@ -328,15 +333,15 @@ class TestBinMoments:
     def test_random_draws_match_the_generic_integral(self, truth, m, t):
         rng = np.random.default_rng(1000 * m + 7)
         for _ in range(3):
-            draw = RegressionDensity.piecewise(rng.uniform(0.05, 0.95, m))
+            draw = PiecewiseConstantMean(rng.uniform(0.05, 0.95, m))
             want = _generic_d2(truth, draw, t)
-            assert d_t_squared(truth.density, draw, t) == pytest.approx(
+            assert d_t_squared(truth.mean, draw, t) == pytest.approx(
                 want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("t", [-0.5, -1.0 / 3.0, 0.5, 2.0])
     def test_levels_of_zero_and_one(self, t):
-        draw = RegressionDensity.piecewise([0.0, 0.4, 1.0, 0.7])
-        got = d_t_squared(TRIANGLE.density, draw, t)
+        draw = PiecewiseConstantMean([0.0, 0.4, 1.0, 0.7])
+        got = d_t_squared(TRIANGLE.mean, draw, t)
         if t > 0:
             assert got == math.inf
         else:
@@ -354,10 +359,10 @@ class TestBinMoments:
         assert edge.tolist() == [math.inf if t > 0 else 0.3]
 
     def test_alternating_truths_on_one_m_stay_apart(self):
-        draw = RegressionDensity.piecewise(self.LEVELS)
+        draw = PiecewiseConstantMean(self.LEVELS)
         truths = {mu: TrueModel.constant(mu) for mu in (0.3, 0.6)}
         for mu in (0.3, 0.6, 0.3, 0.6, 0.3):
-            got = d_t_squared(truths[mu].density, draw, -0.5)
+            got = d_t_squared(truths[mu].mean, draw, -0.5)
             assert got == pytest.approx(
                 _hellinger_closed_form(mu, self.LEVELS), rel=1e-13, abs=0)
 
@@ -366,8 +371,8 @@ class TestBinMoments:
         # two rows, the trap where a (2, m) moment table broadcasts
         # against (2, k, m) terms without error; -1e-9 takes the KL limit
         rows = np.array([[0.0, 0.4, 0.7, 0.55], [0.35, 0.62, 0.48, 0.41]])
-        got = d_t_squared(TRIANGLE.density, RegressionDensity.piecewise(rows), t)
-        want = [d_t_squared(TRIANGLE.density, RegressionDensity.piecewise(row), t)
+        got = d_t_squared(TRIANGLE.mean, PiecewiseConstantMean(rows), t)
+        want = [d_t_squared(TRIANGLE.mean, PiecewiseConstantMean(row), t)
                 for row in rows]
         assert got.shape == (2,)
         assert got.tobytes() == np.array(want).tobytes()

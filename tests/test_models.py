@@ -303,6 +303,14 @@ class TestWithinModelPrior:
             smallest = WithinModelPrior.log_odds(density, sys.float_info.min)
             assert math.isfinite(smallest.peak)
 
+    def test_normal_scale_with_an_overflowing_square_is_refused(self):
+        # the normal slope and log ratio divide by s^2; a Laplace scale has no cap
+        largest = math.sqrt(sys.float_info.max)
+        assert WithinModelPrior.log_odds("normal", largest).slope(1.0) < 0.0
+        with pytest.raises(ValueError, match="scale must be at most"):
+            WithinModelPrior.log_odds("normal", math.nextafter(largest, math.inf))
+        assert WithinModelPrior.log_odds("laplace", 1e300).slope(1.0) < 0.0
+
     @pytest.mark.parametrize("scale", [0.02, 1.5])
     def test_peak_is_the_density_at_0(self, scale):
         for density in ("normal", "laplace"):

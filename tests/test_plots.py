@@ -2,6 +2,7 @@
 
 import dataclasses
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -94,7 +95,7 @@ def test_render_plots_writes_both_files(result, tmp_path):
     assert rates_path == prefix + "_rates.svg"
     assert exceed_path == prefix + "_exceedance.svg"
     for path in (rates_path, exceed_path):
-        ET.fromstring(open(path, encoding="utf-8").read())
+        ET.fromstring(Path(path).read_text(encoding="utf-8"))
 
 
 def test_empty_results_are_rejected(result, tmp_path):

@@ -176,6 +176,40 @@ SCREENED = [(within, n, k_model)
             if (n, k_model) != (32000, 0.5) or within.name == "uniform"]
 
 
+# at n = 2^20 the reference takes the posterior's own bin counts, whose
+# tally TestBinCounts checks against np.bincount: tallying all 1024 sizes
+# directly takes 15 s on a 2-core VM; the normal prior stops at m_max = 32,
+# where every bin's evidence takes 0.1 s
+SCREENED_2_20 = [(WithinModelPrior.uniform_box(), 0, 1.0),
+                 (WithinModelPrior.uniform_box(), 0, 3.0),
+                 (WithinModelPrior.log_odds("normal", 1.5), 32, 3.0)]
+
+
+def _screened_evaluations(data, spec, per_bin, monkeypatch):
+    """model_posterior's weights and CDF against the unscreened reference,
+    every model's log prior plus the sum of its bins' log evidence,
+    normalized as model_posterior does, bit for bit; returns the posterior
+    and the number of bins whose evidence it evaluated."""
+    log_post = model_log_prior(spec) + np.array([
+        np.sum(per_bin[_model_bins(m)]) for m in range(1, spec.m_max + 1)])
+    log_post = log_post - logsumexp(log_post)
+    weights = np.exp(log_post)
+    weights = weights / weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+
+    evaluated, bin_log_evidence = [], type(spec.within).bin_log_evidence
+    def counting(self, s, f):
+        evaluated.append(s.size)
+        return bin_log_evidence(self, s, f)
+
+    monkeypatch.setattr(type(spec.within), "bin_log_evidence", counting)
+    state = model_posterior(data, spec)
+    for got, want in ((state.weights, weights), (state.cdf, cdf)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return state, sum(evaluated)
+
+
 class TestModelScreen:
     @pytest.mark.parametrize("within,n,k_model", SCREENED, ids=[
         f"{within.name}-{n}-{k_model}" for within, n, k_model in SCREENED])
@@ -183,26 +217,24 @@ class TestModelScreen:
                                                         monkeypatch):
         data, trials, successes, per_bin = _unscreened(within, n)
         spec = PriorSpec(n=n, k_model=k_model, within=within)
-        log_post = model_log_prior(spec) + np.array([
-            np.sum(per_bin[_model_bins(m)]) for m in range(1, spec.m_max + 1)])
-        log_post = log_post - logsumexp(log_post)
-        weights = np.exp(log_post)
-        weights = weights / weights.sum()
-        cdf = weights.cumsum()
-        cdf /= cdf[-1]
-
-        evaluated, bin_log_evidence = [], type(within).bin_log_evidence
-        def counting(self, s, f):
-            evaluated.append(s.size)
-            return bin_log_evidence(self, s, f)
-
-        monkeypatch.setattr(type(within), "bin_log_evidence", counting)
-        state = model_posterior(data, spec)
-        for got, want in ((state.trials, trials), (state.successes, successes),
-                          (state.weights, weights), (state.cdf, cdf)):
+        state, evaluated = _screened_evaluations(data, spec, per_bin, monkeypatch)
+        for got, want in ((state.trials, trials), (state.successes, successes)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         if k_model == 3.0 and n == 32000:
-            assert sum(evaluated) < trials.size / 10
+            assert evaluated < trials.size / 10
+
+    @pytest.mark.parametrize("within,m_max,k_model", SCREENED_2_20, ids=[
+        f"{within.name}-{m_max}-{k_model}" for within, m_max, k_model in SCREENED_2_20])
+    def test_screened_weights_match_unscreened_bits_at_2_to_the_20(
+            self, within, m_max, k_model, monkeypatch):
+        n = 2 ** 20
+        data = simulate_data(TrueModel.triangle(amplitude=0.22, peak=0.45), n,
+                             seed=(17, n))
+        spec = PriorSpec(n=n, k_model=k_model, m_max=m_max, within=within)
+        counts = model_posterior(data, spec)
+        per_bin = within.bin_log_evidence(counts.successes, counts.trials - counts.successes)
+        _, evaluated = _screened_evaluations(data, spec, per_bin, monkeypatch)
+        assert evaluated < counts.trials.size  # the screen left some bins out
 
     def test_memoized_cuts_shared_by_threads(self):
         # eight threads, two per model-size range, build and read the cut
@@ -373,7 +405,7 @@ class TestFramedLogOddsBins:
         state = model_posterior(data, PriorSpec(n=300, within=LAPLACE))
         rng, twin = stream(14, 1), stream(14, 1)
         for _ in range(20):
-            m = sample_posterior_density(state, rng).mean.m
+            m = sample_posterior_density(state, rng).m
             assert int(twin.choice(state.weights.size, p=state.weights)) + 1 == m
             twin.random(m)
         assert rng.random() == twin.random()
@@ -430,7 +462,7 @@ class TestSampling:
         state = model_posterior(data, PriorSpec(n=20, m_max=1))
         rng = stream(77, 1)
         draws = np.array([
-            sample_posterior_density(state, rng).mean.levels[0]
+            sample_posterior_density(state, rng).levels[0]
             for _ in range(100_000)])
         a, b = 8.0, 14.0
         mean = a / (a + b)
@@ -443,7 +475,7 @@ class TestSampling:
         state = model_posterior(data, PriorSpec(n=20, m_max=2, within=NORMAL))
         rng = stream(88, 2)
         levels = np.concatenate([
-            sample_posterior_density(state, rng).mean.levels
+            sample_posterior_density(state, rng).levels
             for _ in range(500)])
         assert 0.0 < levels.min() and levels.max() < 1.0
 
@@ -452,7 +484,7 @@ class TestSampling:
         state = model_posterior(data, PriorSpec(n=60, m_max=6))
         rng = stream(15, 3)
         sizes = np.array([
-            sample_posterior_density(state, rng).mean.m for _ in range(4000)])
+            sample_posterior_density(state, rng).m for _ in range(4000)])
         for m in range(1, 7):
             freq = float(np.mean(sizes == m))
             w = float(state.weights[m - 1])
@@ -488,7 +520,7 @@ class TestSampling:
             s = state.successes[_model_bins(m)]
             f = state.trials[_model_bins(m)] - s
             levels = ref.beta(1.0 + s, 1.0 + f)
-            draw = sample_posterior_density(state, rng).mean.levels
+            draw = sample_posterior_density(state, rng).levels
             assert draw.tobytes() == levels.tobytes()
             sizes.add(m)
         assert rng.random() == ref.random()
@@ -554,7 +586,7 @@ class TestDivergenceQuantiles:
             got = empirical_divergence_quantiles(truth, state, u, 50,
                                                  stream(42, n)).values
             rng = stream(42, n)
-            want = np.array([d_t_squared(truth.density,
+            want = np.array([d_t_squared(truth.mean,
                                          sample_posterior_density(state, rng), -u)
                              for _ in range(50)])
             assert got.tobytes() == want.tobytes()
@@ -575,7 +607,7 @@ class TestDivergenceQuantiles:
         got = empirical_divergence_quantiles(truth, state, 0.5, 2,
                                              stream(44)).values
         rng = stream(44)
-        want = [d_t_squared(truth.density, sample_posterior_density(state, rng),
+        want = [d_t_squared(truth.mean, sample_posterior_density(state, rng),
                             -0.5) for _ in range(2)]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -678,9 +710,9 @@ class TestEnumerationOracle:
                 DiscreteDensity(np.full(4, 0.25)),
                 [DiscreteDensity(np.full(4, 0.25))], [1.0], 3,
                 [0], [0], 0.5, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truth's size"):
             exact_enumeration_oracle(
-                p0, [DiscreteDensity([0.5, 0.5], outcomes=("a", "b"))],
+                p0, [DiscreteDensity(np.full(3, 1.0 / 3.0))],
                 [1.0], 3, [0], [0], 0.5, 1.0)
         with pytest.raises(ValueError):
             exact_enumeration_oracle(p0, BERN_ATOMS, BERN_MASSES, 3,

@@ -307,7 +307,7 @@ class TestWorkCounts:
         divergence_of = posterior.d_t_squared
 
         def recorded(p, q, t):
-            triples.add((p.mean, q.mean.m, t))
+            triples.add((p, q.m, t))
             return divergence_of(p, q, t)
 
         monkeypatch.setattr(posterior, "d_t_squared", recorded)
