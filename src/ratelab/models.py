@@ -35,6 +35,7 @@ __all__ = [
     "Dataset",
     "BestApproximation",
     "best_approximation",
+    "log_covering_number_uniform",
     "model_log_prior",
     "simulate_data",
     "log_odds_to_mean",
@@ -169,6 +170,32 @@ def _log_grid_spacing(n: int, u: float) -> float:
     return math.log(4.0) - math.log(n) / u
 
 
+def log_covering_number_uniform(n: int, u: float) -> float:
+    """ln ceil(n^(1/u)), the count of grid cells of spacing n^(-1/u) that cover
+    [0, 1]; model m's cover log is m times it.  For u = 1/k and integer n it
+    comes from the integer n^k, or as k ln n where n^k would pass 2^21 bits
+    (at u = 1e-8 the integer takes hours to build)."""
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"u must lie in (0, 1), got {u}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    inv = 1.0 / u
+    k = round(inv)
+    if abs(inv - k) < 1e-9 and float(n).is_integer():
+        n = int(n)
+        return k * math.log(n) if k * n.bit_length() > 1 << 21 else math.log(n ** k)
+    return math.log(math.ceil(n ** inv - 1e-9))
+
+
+def _unit_fraction(u: float) -> int:
+    """The integer k with u = 1/k, within 1e-9 on the reciprocal."""
+    k = 1.0 / u
+    k_round = round(k)
+    if k_round < 1 or abs(k - k_round) > 1e-9:
+        raise ValueError(f"u must be the reciprocal of a positive integer, got {u}")
+    return int(k_round)
+
+
 # the smallest normal float: below it a float keeps fewer than 53 bits
 _TINY = sys.float_info.min
 # the largest normal-prior scale whose square is finite
@@ -216,8 +243,9 @@ class UniformPrior(WithinModelPrior):
         h = 4 n^(-1/u): for u = 1/k, 1/h = n^k / 4 counts the whole cells in
         integers, and the last cell holds the remainder (n^k mod 4) / n^k.
         Where h is below the normal floats, n^k is not built: S is
-        (n^k / 4)^(1 - u) within 4 n^(-k) relative, so ln S = (1 - u)(k ln n - ln 4)."""
-        h, k = _grid_spacing(n, u), round(1.0 / u)
+        (n^k / 4)^(1 - u) within 4 n^(-k) relative, so ln S = (1 - u)(k ln n - ln 4).
+        A u that is not 1/k is refused."""
+        h, k = _grid_spacing(n, u), _unit_fraction(u)
         if h < _TINY:
             return (1.0 - u) * (k * math.log(n) - math.log(4.0))
         side = n ** k

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .divergence import _safe_exp
+from .models import _unit_fraction
 from .penalized import PenalizedDivergenceResult
 from .special import logsumexp
 
@@ -78,15 +79,6 @@ def _checked_orders(u: float, t: float) -> tuple:
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     return u, t
-
-
-def _unit_fraction(u: float) -> int:
-    """The integer k with u = 1/k, within 1e-9 on the reciprocal."""
-    k = 1.0 / u
-    k_round = round(k)
-    if k_round < 1 or abs(k - k_round) > 1e-9:
-        raise ValueError(f"u must be the reciprocal of a positive integer, got {u}")
-    return int(k_round)
 
 
 def bound_prefactor(u: float, t: float) -> float:

@@ -1,5 +1,7 @@
 """Deterministic counter-based random streams."""
 
+from __future__ import annotations
+
 import numpy as np
 
 

@@ -17,20 +17,16 @@ from typing import Sequence
 
 import numpy as np
 
-# norm_complexity_grid and log_norm_complexity_analytic are imported unused:
-# bench/layers.py wraps them in this namespace
-from .complexity import (log_cover_mixture, log_covering_number_uniform,
-                         log_norm_complexity_analytic,
-                         log_norm_complexity_mixture, norm_complexity_grid)
 from .config import ExperimentConfig
 from .divergence import QuadratureError
-from .models import PriorSpec, model_log_prior, simulate_data
+from .models import (PriorSpec, WithinModelPrior, log_covering_number_uniform,
+                     model_log_prior, simulate_data)
 from .penalized import penalized_divergence_upper
 from .posterior import (DivergenceSummary, empirical_divergence_quantiles,
                         model_posterior)
 from .rate_bounds import rate_bound
 from .rng import stream
-from .special import median
+from .special import logsumexp, median
 
 __all__ = [
     "TAG_DATA",
@@ -41,6 +37,8 @@ __all__ = [
     "StudyResult",
     "CSV_SCHEMA_HEADER",
     "CSV_COLUMNS",
+    "log_cover_mixture",
+    "log_norm_complexity_mixture",
     "log_mixture_norm_complexity",
     "variant_bounds_for_n",
     "cell_divergences",
@@ -120,6 +118,43 @@ def naming(**cell):
         raise type(error)(f"{where}, {error}") from error
 
 
+def log_cover_mixture(log_masses: Sequence[float],
+                      log_covers: Sequence[float], u: float) -> float:
+    """Log of the cover-count mixture sum_m pi_m^u * N_m."""
+    log_masses = np.asarray(log_masses, dtype=float)
+    log_covers = np.asarray(log_covers, dtype=float)
+    if log_masses.shape != log_covers.shape or log_masses.ndim != 1 or log_masses.size == 0:
+        raise ValueError("need matching nonempty 1-d mass and cover arrays")
+    if np.any(log_covers < -1e-12):
+        raise ValueError("cover counts must be >= 1")
+    return logsumexp(u * log_masses + log_covers)
+
+
+def log_norm_complexity_mixture(log_masses: Sequence[float],
+                                log_norms: Sequence[float], u: float) -> float:
+    """Log of the mixture norm complexity [sum_m (pi_m * N_m)^u]^(1/u)."""
+    log_masses = np.asarray(log_masses, dtype=float)
+    log_norms = np.asarray(log_norms, dtype=float)
+    if log_masses.shape != log_norms.shape or log_masses.ndim != 1 or log_masses.size == 0:
+        raise ValueError("need matching nonempty 1-d mass and norm arrays")
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"u must lie in (0, 1), got {u}")
+    return logsumexp(u * (log_masses + log_norms)) / u
+
+
+def norm_complexity_grid(within: WithinModelPrior, m: int, u: float, n: int) -> float:
+    """ln of model m's grid complexity S^(m/u).  Nothing calls it: it stays
+    because bench/layers.py wraps it here, until ROADMAP item 1."""
+    return m * within.log_cell_sum(n, u) / u
+
+
+def log_norm_complexity_analytic(within: WithinModelPrior, m: int, u: float,
+                                 n: int) -> float:
+    """ln of model m's analytic complexity bound.  Nothing calls it: it stays
+    because bench/layers.py wraps it here, until ROADMAP item 1."""
+    return m * within.log_analytic_sum(n, u) / u
+
+
 def log_mixture_norm_complexity(spec: PriorSpec, u: float, n: int) -> float:
     """ln of the mixture norm complexity at one n, from each model's analytic
     one, m ln A / u for the per-coordinate analytic sum A: the exact sum
@@ -145,7 +180,7 @@ def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
         pen = penalized_divergence_upper(config.truth, spec, config.t, n)
         if variants & {"prop3", "prop7"}:
             log_covers = (np.arange(1, spec.m_max + 1)
-                          * log_covering_number_uniform(1, n, u))
+                          * log_covering_number_uniform(n, u))
             if "prop3" in variants:
                 log_richness["prop3"] = log_cover_mixture(
                     np.zeros_like(log_covers), log_covers, u)

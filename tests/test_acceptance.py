@@ -15,7 +15,7 @@ from ratelab import (DiscreteDensity, PriorSpec, TrueModel, WithinModelPrior,
                      default_delta_grid, default_m_grid,
                      exact_enumeration_oracle, kl_divergence, l1_distance,
                      log_norm_complexity_mixture, model_log_prior,
-                     norm_complexity_grid, parse_config_text,
+                     parse_config_text,
                      penalized_divergence_upper, penalized_value_at,
                      random_oracle_config, run_rate_study, stream)
 from ratelab.models import _grid_spacing
@@ -239,27 +239,24 @@ def test_10_norm_complexity_grid_analytic_and_mixture_growth(capsys):
     worst_rel = 0.0
     u = 0.5
     for n, m in itertools.product((4, 10, 20), (1, 2, 3)):
-        summary = norm_complexity_grid(uniform, m, u, n)
+        log_norm = m * uniform.log_cell_sum(n, u) / u
         h = _grid_spacing(n, u)
         assert abs(round(1.0 / h) - 1.0 / h) < 1e-9
         expected = h ** (m * (u - 1.0) / u)
-        worst_rel = max(worst_rel,
-                        abs(math.exp(summary.log_lu_norm) - expected) / expected)
+        worst_rel = max(worst_rel, abs(math.exp(log_norm) - expected) / expected)
 
     gaussian = WithinModelPrior.log_odds(density="normal", scale=1.0)
     grid_bounded = True
     for n, m, uu in itertools.product((2, 3, 4), (1, 2, 3), (0.5, 1.0 / 3.0)):
-        summary = norm_complexity_grid(gaussian, m, uu, n)
         grid_bounded = grid_bounded and (
-            math.exp(summary.log_lu_norm)
-            <= math.exp(summary.log_analytic_bound) * (1 + 1e-12))
+            math.exp(m * gaussian.log_cell_sum(n, uu) / uu)
+            <= math.exp(m * gaussian.log_analytic_sum(n, uu) / uu) * (1 + 1e-12))
 
     ns = (100, 316, 1000, 3162, 10000)
     log_mixture = []
     for n in ns:
         spec = PriorSpec(n=n, k_model=10.0, m_max=5, within=uniform)
-        log_norms = [norm_complexity_grid(uniform, m, u, n).log_lu_norm
-                     for m in range(1, 6)]
+        log_norms = [m * uniform.log_cell_sum(n, u) / u for m in range(1, 6)]
         log_mixture.append(
             log_norm_complexity_mixture(model_log_prior(spec), log_norms, u))
     exponent = float(np.polyfit(np.log(ns), log_mixture, 1)[0])

@@ -6,19 +6,22 @@ import mpmath
 import numpy as np
 import pytest
 
-import ratelab.complexity as complexity
-from ratelab import (
-    WithinModelPrior,
-    log_covering_number_uniform,
-    log_norm_complexity_analytic,
-    log_norm_complexity_mixture,
-    norm_complexity_grid,
-)
+from ratelab import WithinModelPrior, log_covering_number_uniform, log_norm_complexity_mixture
 from ratelab.models import _grid_spacing
 
 UNIFORM = WithinModelPrior.uniform_box()
 NORMAL = WithinModelPrior.log_odds("normal", 1.0)
 LAPLACE = WithinModelPrior.log_odds("laplace", 1.0)
+
+
+def _log_norm(within, m: int, u: float, n: int) -> float:
+    """ln of model m's grid complexity S^(m/u)."""
+    return m * within.log_cell_sum(n, u) / u
+
+
+def _log_analytic(within, m: int, u: float, n: int) -> float:
+    """ln of model m's analytic complexity bound."""
+    return m * within.log_analytic_sum(n, u) / u
 
 
 def _cell_sum(within, n: int, u: float) -> float:
@@ -42,31 +45,34 @@ def _mp_cell_sum(within, h: float, u: float) -> float:
 class TestCoveringNumbers:
     def test_single_coordinate_count(self):
         # radius n^(-1/u) = 1/16 at n = 4, u = 1/2
-        assert math.exp(log_covering_number_uniform(1, 4, 0.5)) == (
+        assert math.exp(log_covering_number_uniform(4, 0.5)) == (
             pytest.approx(16, rel=1e-14))
 
     def test_power_in_dimension(self):
-        assert math.exp(log_covering_number_uniform(3, 4, 0.5)) == (
+        # model m's cover log is m times the one-coordinate log
+        assert math.exp(3 * log_covering_number_uniform(4, 0.5)) == (
             pytest.approx(16 ** 3, rel=1e-14))
 
     def test_integer_power_path_is_exact(self):
         # n^(1/u) with u = 1/3 and n = 10 must be exactly 1000, not a
         # float ceiling artifact
-        assert log_covering_number_uniform(1, 10, 1.0 / 3.0) == math.log(1000)
+        assert log_covering_number_uniform(10, 1.0 / 3.0) == math.log(1000)
 
     def test_fractional_exponent_uses_ceiling(self):
-        assert log_covering_number_uniform(1, 5, 0.4) == math.log(
+        assert log_covering_number_uniform(5, 0.4) == math.log(
             math.ceil(5 ** 2.5 - 1e-9))
 
     def test_log_form_matches(self):
         # against the log of the integer count ceil(n^(1/u))^m
         for m, n, u, side in [(1, 4, 0.5, 16), (3, 9, 0.5, 81),
                               (2, 8, 1.0 / 3.0, 512)]:
-            assert log_covering_number_uniform(m, n, u) == pytest.approx(
+            assert m * log_covering_number_uniform(n, u) == pytest.approx(
                 math.log(side ** m), rel=1e-14)
 
-    def test_zero_dimensions_is_one_ball(self):
-        assert log_covering_number_uniform(0, 100, 0.5) == 0.0
+    def test_unit_n_is_one_ball(self):
+        # radius 1 at n = 1 covers [0, 1] with a single ball at every u
+        for u in (0.5, 1.0 / 3.0, 0.4):
+            assert log_covering_number_uniform(1, u) == 0.0
 
 
 class TestUniformGridSums:
@@ -76,9 +82,8 @@ class TestUniformGridSums:
         for n in (4, 10, 20):
             h = 4.0 * n ** -2.0
             for m in (1, 2, 3):
-                summary = norm_complexity_grid(UNIFORM, m, 0.5, n)
                 assert _grid_spacing(n, 0.5) == pytest.approx(h, rel=1e-15)
-                assert math.exp(summary.log_lu_norm) == pytest.approx(
+                assert math.exp(_log_norm(UNIFORM, m, 0.5, n)) == pytest.approx(
                     h ** (m * (0.5 - 1.0) / 0.5), rel=1e-9)
 
     def test_partial_cell_contributes_its_own_mass(self):
@@ -120,13 +125,12 @@ class TestUniformGridSums:
             else:  # (n^k / 4)^(1 - u), 4 n^(-k) relative from S
                 log_ref = (1 - u) * (k * mpmath.log(n) - mpmath.log(4))
         assert got == pytest.approx(float(log_ref), rel=1e-15)
-        assert math.isfinite(norm_complexity_grid(UNIFORM, 3, 1.0 / k, n).log_lu_norm)
+        assert math.isfinite(_log_norm(UNIFORM, 3, 1.0 / k, n))
 
     def test_coarse_grid_saturates_at_one(self):
         # h >= 1 means a single cell holding all the mass
-        summary = norm_complexity_grid(UNIFORM, 2, 0.5, 1)
         assert _cell_sum(UNIFORM, 1, 0.5) == pytest.approx(1.0, abs=1e-15)
-        assert math.exp(summary.log_lu_norm) == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(_log_norm(UNIFORM, 2, 0.5, 1)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLogOddsGridSums:
@@ -134,8 +138,8 @@ class TestLogOddsGridSums:
     def test_grid_sum_below_analytic_bound(self, within):
         for n in (2, 3, 4):
             for m in (1, 2, 3):
-                summary = norm_complexity_grid(within, m, 0.5, n)
-                assert summary.log_lu_norm <= summary.log_analytic_bound + 1e-12
+                assert (_log_norm(within, m, 0.5, n)
+                        <= _log_analytic(within, m, 0.5, n) + 1e-12)
 
     def test_refining_the_grid_never_shrinks_the_sum(self):
         # splitting cells can only grow sum(mass^u) by concavity
@@ -144,11 +148,14 @@ class TestLogOddsGridSums:
         assert fine >= coarse - 1e-12
 
     def test_analytic_helper_matches_grid_summary_field(self):
+        # the analytic bound is the grid sum itself under the uniform prior,
+        # and the enclosure's upper end under a log-odds prior
         for within in (UNIFORM, NORMAL, LAPLACE):
             for m, n in [(1, 3), (2, 4), (3, 2)]:
-                summary = norm_complexity_grid(within, m, 0.5, n)
-                assert log_norm_complexity_analytic(within, m, 0.5, n) == (
-                    pytest.approx(summary.log_analytic_bound, rel=1e-14))
+                log_sum = (within.log_cell_sum(n, 0.5) if within is UNIFORM
+                           else math.log(within.enclosure(n, 0.5)[2]))
+                assert _log_analytic(within, m, 0.5, n) == (
+                    pytest.approx(m * log_sum / 0.5, rel=1e-14))
 
     def test_laplace_cell_sum_against_direct_formula(self):
         # Laplace tail is exp(-w)/2, so cell masses are available in
@@ -174,7 +181,7 @@ class TestLogOddsEnclosure:
     @pytest.mark.parametrize("within,u,n", CASES, ids=lambda v: (
         f"{v.name}{v.scale:g}" if isinstance(v, WithinModelPrior) else f"{v:.3g}"))
     def test_exact_sum_lies_inside_the_enclosure(self, within, u, n):
-        summary = norm_complexity_grid(within, 1, u, n)
+        log_analytic = _log_analytic(within, 1, u, n)
         h = _grid_spacing(n, u)
         spread = 2.0 * h * within.peak ** u
         integral = within.u_norm_integral(u)
@@ -182,7 +189,7 @@ class TestLogOddsEnclosure:
         # strictly above the lower end, which is what the normal cap reports
         assert (integral - spread) * h ** (u - 1.0) < total
         assert total <= (integral + spread) * h ** (u - 1.0)
-        assert total <= math.exp(u * summary.log_analytic_bound)
+        assert total <= math.exp(u * log_analytic)
         if n <= 4:
             assert total == pytest.approx(_mp_cell_sum(within, h, u), rel=1e-13)
 
@@ -197,7 +204,7 @@ class TestLaplaceClosedForm:
         # whose u-th powers fall by one ratio r per cell: at 60 digits, from
         # the tails, S = 2 (T(0) - T(h))^u / (1 - r)
         within = WithinModelPrior.log_odds("laplace", scale)
-        summary = norm_complexity_grid(within, 1, u, n)
+        log_analytic = _log_analytic(within, 1, u, n)
         h, total = _grid_spacing(n, u), _cell_sum(within, n, u)
         with mpmath.workdps(60):
             b, hh, uu = (mpmath.mpf(v) for v in (scale, h, u))
@@ -207,7 +214,7 @@ class TestLaplaceClosedForm:
         assert total == pytest.approx(float(ref), rel=1e-14)
         _, lower, upper = within.enclosure(n, u)
         assert total <= upper
-        assert total <= math.exp(u * summary.log_analytic_bound)
+        assert total <= math.exp(u * log_analytic)
         # where the spread 2 h f(0)^u is lost to rounding (b = 1000, u = 1/3,
         # n = 32000) the two float ends coincide, 2.2e-15 above S
         if upper > lower:
@@ -252,10 +259,10 @@ class TestSmallULogForms:
         assert within.log_analytic_sum(n, 1.0 / k) == pytest.approx(float(upper), rel=1e-15)
         if (density, k) != ("normal", 3):  # that one is an exact grid sum
             assert within.log_cell_sum(n, 1.0 / k) == pytest.approx(float(cell), rel=1e-15)
-        summary = norm_complexity_grid(within, 3, 1.0 / k, n)
-        assert math.isfinite(summary.log_lu_norm)
+        log_norm = _log_norm(within, 3, 1.0 / k, n)
+        assert math.isfinite(log_norm)
         # S <= its upper end, which it meets to rounding where h underflows
-        assert summary.log_lu_norm <= summary.log_analytic_bound * (1.0 + 1e-15)
+        assert log_norm <= _log_analytic(within, 3, 1.0 / k, n) * (1.0 + 1e-15)
 
 
 class TestMixtures:
@@ -287,7 +294,9 @@ class TestMixtures:
 
 
 def test_unit_fraction_enforced():
+    # k = round(1 / 0.4) = 2 would give ln S = 1.4708 at n = 10, not ln S = 2.62
+    for log_sum in (UNIFORM.log_cell_sum, UNIFORM.log_analytic_sum):
+        with pytest.raises(ValueError, match="reciprocal of a positive integer"):
+            log_sum(10, 0.4)
     with pytest.raises(ValueError):
-        norm_complexity_grid(UNIFORM, 1, 0.4, 10)
-    with pytest.raises(ValueError):
-        log_covering_number_uniform(-1, 10, 0.5)
+        log_covering_number_uniform(0, 0.5)

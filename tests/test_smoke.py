@@ -217,6 +217,22 @@ def test_study_loads_no_masked_array_module():
     assert proc.stdout.split() == ["False"]
 
 
+def test_bound_loads_no_random_module(tmp_path):
+    # bound draws nothing, so numpy.random (and the secrets and hmac modules
+    # it brings) stays unloaded until a stream is asked for
+    config = tmp_path / "bound.cfg"
+    config.write_text(_config_text("triangle", "uniform"), encoding="utf-8")
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ratelab.cli; "
+         "code = ratelab.cli.main(['bound', '--config', sys.argv[1]]); "
+         "print(code, 'numpy.random' in sys.modules)", str(config)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_cli_import_loads_no_polynomial_or_thread_pool_modules():
     # the quadrature nodes are literals, and cells run in a serial loop
     assert not _modules_loaded_by_cli_import() & {"numpy.polynomial",
