@@ -253,30 +253,22 @@ def _composite_gl(fn, edges: np.ndarray) -> np.ndarray:
     return (vals * _GL_W).sum(axis=-1) * half
 
 
-def _group_sums(panels: np.ndarray, starts):
-    # the whole integral, or one per run of panels beginning at starts
-    if starts is None:
-        return float(panels.sum())
-    return np.add.reduceat(panels, starts, axis=-1)
-
-
-def _integrate_adaptive(fn, edges, starts=None):
+def _integrate_adaptive(fn, edges, starts):
     """Composite 32-node Gauss-Legendre over the given sorted, distinct
     panel edges, bisecting every panel, at most _MAX_REFINE times, until
-    successive estimates agree to within _QUAD_TOL.  With ``starts``, the
-    indices of panels that begin a group, the integral over each group,
-    every one held to _QUAD_TOL."""
+    successive estimates agree to within _QUAD_TOL: the integral over each
+    group of panels, ``starts`` the indices of the panels that begin one,
+    every group held to _QUAD_TOL."""
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         raise ValueError("need at least one panel")
-    est = _group_sums(_composite_gl(fn, edges), starts)
+    est = np.add.reduceat(_composite_gl(fn, edges), starts, axis=-1)
     if np.isinf(est).any():
         return est
     for _ in range(_MAX_REFINE):
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        if starts is not None:
-            starts = 2 * starts  # panel i is now panels 2i and 2i + 1
-        new = _group_sums(_composite_gl(fn, edges), starts)
+        starts = 2 * starts  # panel i is now panels 2i and 2i + 1
+        new = np.add.reduceat(_composite_gl(fn, edges), starts, axis=-1)
         if np.isinf(new).any():
             return new
         if np.all(np.abs(new - est) < _QUAD_TOL):
@@ -308,30 +300,28 @@ def _clamped_eval(mean: MeanFunction, x):
     return vals
 
 
-def _covariate_integral(term, *means: MeanFunction, bins: int = 0):
-    """Integrate term(mu_1(x), ..., mu_k(x)) over x in [0, 1].
+def _covariate_integral(term, *means: MeanFunction, bins: int = 1):
+    """Integrate term(mu_1(x), ..., mu_k(x)) over each of ``bins`` equal
+    bins of [0, 1], as an array (term may return rows, one integral per
+    row and bin); the integral over [0, 1] is element 0 at one bin.
 
     Exact midpoint sum over the union partition when every mean is
     piecewise constant; composite Gauss-Legendre with adaptive bisection
-    on the clamped means, from at least 8 panels, otherwise.  With
-    bins = m > 0 the result is the array of integrals over each of m
-    equal bins (term may return rows, one integral per row and bin), and
-    the adaptive check holds every bin to the tolerance on its own.
+    on the clamped means, from at least 8 panels, otherwise, holding
+    every bin to the tolerance on its own.
     """
-    grid = (PiecewiseConstantMean(np.zeros(bins)),) if bins else ()
+    grid = PiecewiseConstantMean(np.zeros(bins))
     exact = all(isinstance(mean, PiecewiseConstantMean) for mean in means)
-    edges = _union_edges(*means, *grid, min_panels=1 if exact else 8)
-    starts = np.searchsorted(edges, grid[0].edges()[:-1]) if bins else None
+    edges = _union_edges(*means, grid, min_panels=1 if exact else 8)
+    starts = np.searchsorted(edges, grid.edges()[:-1])
     if exact:
         mids = 0.5 * (edges[:-1] + edges[1:])
         vals = term(*(mean(mids) for mean in means))
         # panel lengths are positive and every term is bounded below, so
         # a +inf term (support mismatch) makes the sum +inf
-        if bins:
-            return np.add.reduceat(np.diff(edges) * vals, starts, axis=-1)
-        return float(np.dot(np.diff(edges), vals))
+        return np.add.reduceat(np.diff(edges) * vals, starts, axis=-1)
     fn = lambda x: term(*(_clamped_eval(mean, x) for mean in means))
-    return _integrate_adaptive(fn, edges, starts=starts)
+    return _integrate_adaptive(fn, edges, starts)
 
 
 @functools.lru_cache(maxsize=256)
@@ -405,7 +395,7 @@ def d_t_squared(p, q, t) -> float:
         val = _moment_terms(moments, np.atleast_2d(q.levels), tv).sum(axis=-1) - 1.0
         val = np.where(np.isinf(val), math.inf, val / tv)
         return val if stack else float(val[0])
-    val = _covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv), p, q)
+    val = float(_covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv), p, q)[0])
     if math.isinf(val):
         return math.inf
     return val / tv
@@ -416,7 +406,7 @@ def kl_divergence(p, q) -> float:
     if _pair_kind(p, q) == "discrete":
         val = _log_ratio_term(p.mass, q.mass, 1).sum()
         return float(val)
-    return _covariate_integral(_binary_kl, p, q)
+    return float(_covariate_integral(_binary_kl, p, q)[0])
 
 
 def _kl_limit(p, q, tv: float) -> float:
@@ -426,7 +416,7 @@ def _kl_limit(p, q, tv: float) -> float:
     if _pair_kind(p, q) == "discrete":
         second = float(_log_ratio_term(p.mass, q.mass, 2).sum())
     else:
-        second = _covariate_integral(lambda a, b: _binary_kl(a, b, 2), p, q)
+        second = _covariate_integral(lambda a, b: _binary_kl(a, b, 2), p, q)[0]
     if math.isinf(second):
         return math.inf
     return base + 0.5 * tv * second
@@ -441,12 +431,11 @@ def l1_distance(p, q) -> float:
     if _pair_kind(p, q) == "discrete":
         return float(np.abs(p.mass - q.mass).sum())
     if isinstance(p, PiecewiseConstantMean) and isinstance(q, PiecewiseConstantMean):
-        return 2.0 * _covariate_integral(lambda a, b: np.abs(a - b), p, q)
+        return 2.0 * float(_covariate_integral(lambda a, b: np.abs(a - b), p, q)[0])
     diff = lambda x: np.asarray(p(x), dtype=float) - np.asarray(q(x), dtype=float)
     edges = _union_edges(p, q, min_panels=64)
     cuts = _sign_change_cuts(diff, edges)
-    val = _integrate_adaptive(lambda x: np.abs(diff(x)), cuts)
-    return 2.0 * val
+    return 2.0 * float(_integrate_adaptive(lambda x: np.abs(diff(x)), cuts, np.zeros(1, int))[0])
 
 
 def _sign_change_cuts(diff, edges: np.ndarray) -> np.ndarray:

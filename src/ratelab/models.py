@@ -166,7 +166,7 @@ def _grid_spacing(n: int, u: float) -> float:
 
 
 def _log_grid_spacing(n: int, u: float) -> float:
-    """ln h = ln 4 - ln(n) / u, for where h leaves the normal floats."""
+    """ln h = ln 4 - ln(n) / u, also where h leaves the normal floats."""
     return math.log(4.0) - math.log(n) / u
 
 
@@ -287,7 +287,7 @@ class LogOddsPrior(WithinModelPrior):
 
     def __post_init__(self):
         if not sys.float_info.min <= self.scale < math.inf:  # a subnormal one
-            # overflows the density's peak, 1/(2b) or 1/(b sqrt(2 pi))
+            # overflows 1/b, by which the Laplace slope and log ratio divide
             raise ValueError(f"scale must be positive, finite, not subnormal: {self.scale}")
 
     def bin_log_evidence(self, s, f):
@@ -337,7 +337,7 @@ class LogOddsPrior(WithinModelPrior):
             # the first underflowing box in (delta, bin) order
             i, j = np.argwhere(np.isneginf(log_masses))[0]
             raise FloatingPointError(
-                f"prior mass of bin {j}'s log-odds box [{lo[i, j]:.6g}, {hi[i, j]:.6g}] "
+                f"prior mass of bin {j + 1}'s log-odds box [{lo[i, j]:.6g}, {hi[i, j]:.6g}] "
                 f"underflows float64 at m={approx.log_odds.size}, delta={deltas[i]:.6g} "
                 f"({self.name} prior, scale={self.scale:g})")
         return log_masses.sum(axis=-1)
@@ -368,42 +368,26 @@ class LogOddsPrior(WithinModelPrior):
         rel = np.exp(self.log_ratio(near, np.multiply.outer(1.0 + _GL10_X, half)))
         return self.log_pdf(near) + np.log(half * np.einsum("k,k...", _GL10_W, rel))
 
-    def enclosure(self, n: int, u: float):
-        """h and the ends h^(u-1) (I -+ 2 h f(0)^u), I the integral of f^u, around
-        the cell sum S at n, as floats: a cell's mass is between h f at its outer
-        and inner edge.  None where h or the upper end leaves the normal floats."""
-        h = _grid_spacing(n, u)
-        if h < _TINY:
-            return None
-        spread = 2.0 * h * self.peak ** u
-        u_integral = self.u_norm_integral(u)
-        upper = (spread + u_integral) * h ** (u - 1.0)
-        return (h, (u_integral - spread) * h ** (u - 1.0), upper) if upper < math.inf else None
-
     def _log_enclosure(self, n: int, u: float) -> tuple:
-        """ln of the enclosure's ends as ln(I -+ 2 h f(0)^u) + (u - 1) ln h, for
-        where its floats leave the normal range; where the float I overflows, as
-        ln I + ln(1 -+ 2 h f(0)^u / I) from ln I in closed form."""
-        spread = 2.0 * _grid_spacing(n, u) * self.peak ** u
-        u_integral, log_h = self.u_norm_integral(u), _log_grid_spacing(n, u)
-        if u_integral < math.inf:
-            ends = math.log(u_integral - spread), math.log(spread + u_integral)
-        else:
-            log_integral = self._log_u_norm_integral(u)
-            rel = spread * math.exp(-log_integral)
-            ends = log_integral + math.log1p(-rel), log_integral + math.log1p(rel)
-        return tuple(end + (u - 1.0) * log_h for end in ends)
+        """ln of the ends h^(u-1) (I -+ 2 h f(0)^u), I the integral of f^u, around
+        the cell sum S at n: a cell's mass is between h f at its outer and inner
+        edge.  They come as ln I + ln(1 -+ 2 h f(0)^u / I) + (u - 1) ln h, the
+        lower one -inf where 2 h f(0)^u >= I."""
+        log_integral, log_h = self.log_u_norm_integral(u), _log_grid_spacing(n, u)
+        log_rel = math.log(2.0) + log_h + u * float(self.log_pdf(0.0)) - log_integral
+        lower = math.log1p(-math.exp(log_rel)) if log_rel < 0.0 else -math.inf
+        upper = float(np.logaddexp(0.0, log_rel))  # ln(1 + rel), rel past the floats too
+        return tuple(log_integral + end + (u - 1.0) * log_h for end in (lower, upper))
 
     def log_analytic_sum(self, n: int, u: float) -> float:
         """ln of the enclosure's upper end, the analytic bound on the cell sum."""
-        ends = self.enclosure(n, u)
-        return math.log(ends[2]) if ends else self._log_enclosure(n, u)[1]
+        return self._log_enclosure(n, u)[1]
 
-    def u_norm_integral(self, u: float) -> float:
-        """Closed form of the integral of f^u over the real line."""
+    def log_u_norm_integral(self, u: float) -> float:
+        """ln of the integral of f^u over the real line, in closed form."""
         if not 0.0 < u < 1.0:
             raise ValueError(f"u must lie in (0, 1), got {u}")
-        return self._u_norm_integral(u)
+        return self._log_u_norm_integral(u)
 
 
 @dataclass(frozen=True)
@@ -417,10 +401,6 @@ class NormalPrior(LogOddsPrior):
         if self.scale > _MAX_NORMAL_SCALE:  # the slope and log_ratio square it
             raise ValueError(f"scale must be at most {_MAX_NORMAL_SCALE:.6g} under a normal "
                              f"prior, where its square overflows float64: {self.scale:g}")
-
-    @property
-    def peak(self) -> float:
-        return 1.0 / (self.scale * math.sqrt(2.0 * math.pi))
 
     @property
     def curvature(self) -> float:
@@ -448,10 +428,6 @@ class NormalPrior(LogOddsPrior):
     def log_ratio(self, near, x):  # ln f(near + x) - ln f(near)
         return x * (x + 2.0 * near) * (-0.5 / self.scale ** 2)
 
-    def _u_norm_integral(self, u: float) -> float:
-        s = self.scale
-        return (2.0 * math.pi * s * s) ** (0.5 * (1.0 - u)) / math.sqrt(u)
-
     def _log_u_norm_integral(self, u: float) -> float:
         log_width = math.log(self.scale) + 0.5 * math.log(2.0 * math.pi)  # ln(s sqrt(2 pi))
         return (1.0 - u) * log_width - 0.5 * math.log(u)
@@ -460,17 +436,15 @@ class NormalPrior(LogOddsPrior):
         """ln of the cell-mass^u sum S over the cells [j*h, (j+1)*h) of the grid
         at n: the first J cells per side, J the least that puts the rest, at most
         the upper end times e^(-u (J h)^2 / (2 s^2)), below _TAIL_TOL of
-        max(1, lower end) <= S; past _MAX_CELLS, the lower end.  Where h or the
-        upper end leaves the normal floats, J passes the cap at any scale above
-        1e-301, and S is the lower end at every scale."""
-        ends = self.enclosure(n, u)
-        if ends is None:
-            return self._log_enclosure(n, u)[0]
-        h, lower, upper = ends
-        decay = math.log(upper / (_TAIL_TOL * max(1.0, lower))) / u
-        cells = math.ceil(self.scale * math.sqrt(2.0 * decay) / h)
-        if cells > _MAX_CELLS:
-            return math.log(lower)
+        max(1, lower end) <= S; past _MAX_CELLS, the lower end.  Where h leaves
+        the normal floats, J passes the cap at any scale above 1e-301."""
+        log_lower, log_upper = self._log_enclosure(n, u)
+        decay = (log_upper - math.log(_TAIL_TOL) - max(0.0, log_lower)) / u
+        reach = self.scale * math.sqrt(2.0 * decay)  # J h
+        if math.log(reach) - _log_grid_spacing(n, u) > math.log(_MAX_CELLS):
+            return log_lower
+        h = _grid_spacing(n, u)
+        cells = math.ceil(reach / h)
         chunks = (np.arange(start, min(start + _CELL_CHUNK, cells) + 1, dtype=float) * h
                   for start in range(0, cells, _CELL_CHUNK))
         total = sum(float(np.exp(u * self.log_interval_mass(edges[:-1], edges[1:])).sum())
@@ -484,10 +458,6 @@ class LaplacePrior(LogOddsPrior):
 
     name, kinked, curvature = "laplace", True, 0.0
 
-    @property
-    def peak(self) -> float:
-        return 1.0 / (2.0 * self.scale)
-
     def log_pdf(self, w):
         return -np.abs(np.asarray(w, dtype=float)) / self.scale - math.log(2.0 * self.scale)
 
@@ -499,9 +469,6 @@ class LaplacePrior(LogOddsPrior):
 
     def log_ratio(self, near, x):  # ln f(near + x) - ln f(near), x >= 0
         return -x / self.scale
-
-    def _u_norm_integral(self, u: float) -> float:
-        return 2.0 ** (1.0 - u) * self.scale ** (1.0 - u) / u
 
     def _log_u_norm_integral(self, u: float) -> float:
         return (1.0 - u) * (math.log(2.0) + math.log(self.scale)) - math.log(u)

@@ -46,8 +46,6 @@ class RateBoundBreakdown:
     """
 
     variant: str
-    u: float
-    t: float
     n: int
     penalized: PenalizedDivergenceResult
     complexity_term: float
@@ -149,7 +147,7 @@ def rate_bound(variant: str, u: float, t: float, n: int,
     richness = log_richness if variant in _NORM_VARIANTS else log_richness / u
     complexity = (richness + 2.0 * (1.0 / u + 1.0 / t) * math.log(n)) / n
     return RateBoundBreakdown(
-        variant=variant, u=u, t=t, n=n, penalized=penalized,
+        variant=variant, n=n, penalized=penalized,
         complexity_term=complexity,
         epsilon_n=penalized_div + complexity,
         log_richness=log_richness)

@@ -94,7 +94,6 @@ class StudySummary:
     """Pooled per-n medians, the fitted log-log rate, and worst-case
     exceedance per variant over the post-burn-in grid."""
 
-    n_grid: tuple
     pooled_medians: tuple
     fit: SlopeFit
     max_exceedance: tuple
@@ -267,7 +266,6 @@ def run_rate_study(config: ExperimentConfig) -> StudyResult:
         max_exceed.append((variant, worst))
 
     summary = StudySummary(
-        n_grid=config.n_grid,
         pooled_medians=tuple(pooled),
         fit=fit,
         max_exceedance=tuple(max_exceed),

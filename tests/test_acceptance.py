@@ -201,7 +201,7 @@ def test_08_sparse_truth_near_parametric_rate(capsys):
     result = run_rate_study(parse_config_text(SPARSE_STUDY))
     elapsed = time.perf_counter() - start
     fit = result.summary.fit
-    ns = np.array(result.summary.n_grid, dtype=float)
+    ns = np.array(result.config.n_grid, dtype=float)
     medians = np.array(result.summary.pooled_medians, dtype=float)
     scaled = ns * medians / np.log(ns)
     top = ns >= ns[-1] / 10.0

@@ -225,7 +225,7 @@ class TestBound:
                         encoding="utf-8")
         code, out, err = _run(["bound", "--config", str(path)], capsys)
         assert code == 2 and out == ""
-        assert err == ("numerical failure: n=500, prior mass of bin 0's "
+        assert err == ("numerical failure: n=500, prior mass of bin 1's "
                        "log-odds box [-0.946462, -0.942462] underflows float64 "
                        "at m=1, delta=0.002 (normal prior, scale=0.02)\n")
 

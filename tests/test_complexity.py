@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ratelab import WithinModelPrior, log_covering_number_uniform, log_norm_complexity_mixture
+from ratelab import WithinModelPrior, cli, log_covering_number_uniform, log_norm_complexity_mixture
 from ratelab.models import _grid_spacing
 
 UNIFORM = WithinModelPrior.uniform_box()
@@ -153,7 +153,7 @@ class TestLogOddsGridSums:
         for within in (UNIFORM, NORMAL, LAPLACE):
             for m, n in [(1, 3), (2, 4), (3, 2)]:
                 log_sum = (within.log_cell_sum(n, 0.5) if within is UNIFORM
-                           else math.log(within.enclosure(n, 0.5)[2]))
+                           else within._log_enclosure(n, 0.5)[1])
                 assert _log_analytic(within, m, 0.5, n) == (
                     pytest.approx(m * log_sum / 0.5, rel=1e-14))
 
@@ -183,8 +183,8 @@ class TestLogOddsEnclosure:
     def test_exact_sum_lies_inside_the_enclosure(self, within, u, n):
         log_analytic = _log_analytic(within, 1, u, n)
         h = _grid_spacing(n, u)
-        spread = 2.0 * h * within.peak ** u
-        integral = within.u_norm_integral(u)
+        spread = 2.0 * h * math.exp(within.log_pdf(0.0)) ** u
+        integral = math.exp(within.log_u_norm_integral(u))
         total = _cell_sum(within, n, u)
         # strictly above the lower end, which is what the normal cap reports
         assert (integral - spread) * h ** (u - 1.0) < total
@@ -192,6 +192,49 @@ class TestLogOddsEnclosure:
         assert total <= math.exp(u * log_analytic)
         if n <= 4:
             assert total == pytest.approx(_mp_cell_sum(within, h, u), rel=1e-13)
+
+    @pytest.mark.parametrize("density", ["normal", "laplace"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lower_end_is_minus_inf_where_the_spread_passes_the_integral(self, density, n):
+        # at h = 4 / n^2 >= 0.44 a scale of 0.01 puts 2 h f(0)^(1/2) above I,
+        # so the lower end h^(u-1) (I - 2 h f(0)^u) is not positive
+        within = WithinModelPrior.log_odds(density, 0.01)
+        assert 2.0 * _grid_spacing(n, 0.5) * math.exp(0.5 * within.log_pdf(0.0)) > math.exp(
+            within.log_u_norm_integral(0.5))
+        lower, upper = within._log_enclosure(n, 0.5)
+        assert lower == -math.inf and math.isfinite(upper)
+        assert within.log_cell_sum(n, 0.5) <= upper
+
+    # the m = 1 rows of `complexity` on n_grid = 2, 3, 500 at u = 1/2, from
+    # the float enclosure the log one replaced: the grid sums keep their bits,
+    # the analytic columns move by rounding
+    ROWS = {("normal", 0.02): ["0.6931471805599454,4.4490492802487154,7.2345151646382568",
+                               "0.6931471805599454,3.7219269896106488,5.2962244234070504",
+                               "8.7429845707276304,8.7438870437375922,8.7581047141332018"],
+            ("normal", 1.5): ["2.0355490669786946,2.6560959974468581,4.2336461049879377",
+                              "2.8321178421675843,3.1376404148360875,4.4100326309419611",
+                              "13.060472657602014,13.060484693605508,13.187043289223432"],
+            ("laplace", 0.02): ["0.69314718058772129,4.6836116122946541,7.6511232030400631",
+                                "0.69317707123699723,3.9665953622538677,5.6798903299225234",
+                                "9.2103403853095163,9.2111402120188366,9.2291164480978978"],
+            ("laplace", 1.5): ["2.4941063601040105,3.0602707946915619,4.878730325871782",
+                               "3.2976635174525226,3.5721375429659634,5.0649821878792691",
+                               "13.527828485514863,13.527839152150715,13.68908840482457"]}
+
+    @pytest.mark.parametrize("density,scale", list(ROWS))
+    def test_complexity_rows_are_pinned(self, density, scale, tmp_path, capsys):
+        path = tmp_path / "rows.cfg"
+        path.write_text("[truth]\nkind = triangle\namplitude = 0.22\npeak = 0.45\n\n"
+                        f"[prior]\nwithin = {density}\nscale = {scale}\n\n"
+                        "[run]\nn_grid = 2, 3, 500\n", encoding="utf-8")
+        assert cli.main(["complexity", "--config", str(path)]) == 0
+        rows = [line.split(",")[3:] for line in capsys.readouterr().out.splitlines()[1:]
+                if line.startswith("1,")]
+        for got, want in zip(rows, self.ROWS[density, scale], strict=True):
+            want = want.split(",")
+            assert got[0] == want[0]
+            assert [float(v) for v in got[1:]] == pytest.approx(
+                [float(v) for v in want[1:]], rel=1e-15)
 
 
 
@@ -212,7 +255,7 @@ class TestLaplaceClosedForm:
             first, second = tail(0) - tail(hh), tail(hh) - tail(2 * hh)
             ref = 2 * first ** uu / (1 - (second / first) ** uu)
         assert total == pytest.approx(float(ref), rel=1e-14)
-        _, lower, upper = within.enclosure(n, u)
+        lower, upper = (math.exp(end) for end in within._log_enclosure(n, u))
         assert total <= upper
         assert total <= math.exp(u * log_analytic)
         # where the spread 2 h f(0)^u is lost to rounding (b = 1000, u = 1/3,
@@ -237,7 +280,7 @@ class TestSmallULogForms:
             integral = (2 * mpmath.pi * s * s) ** ((1 - u) / 2) / mpmath.sqrt(u)
         else:
             integral = (2 * s) ** (1 - u) / u
-        spread = 2 * h * within.peak ** u
+        spread = 2 * h * math.exp(within.log_pdf(0.0)) ** u
         return [mpmath.log(integral + sign * spread) + (u - 1) * mpmath.log(h)
                 for sign in (-1, 1)]
 

@@ -319,7 +319,7 @@ def _hellinger_closed_form(mu, levels):
 def _generic_d2(truth, draw, t):
     # the covariate integral of the full integrand, no bin moments
     term = lambda a, b: divergence._binary_power_minus1(a, b, t)
-    return divergence._covariate_integral(term, truth.mean, draw) / t
+    return divergence._covariate_integral(term, truth.mean, draw)[0] / t
 
 
 class TestBinMoments:

@@ -354,7 +354,7 @@ class TestGridEqualsLoop:
         truth = TrueModel.sparse([0.5, 0.3])
         spec = PriorSpec(n=400, m_max=6,
                          within=WithinModelPrior.log_odds("normal", 0.02))
-        message = ("prior mass of bin 1's log-odds box [-0.867298, -0.827298] "
+        message = ("prior mass of bin 2's log-odds box [-0.867298, -0.827298] "
                    "underflows float64 at m=2, delta=0.02 "
                    "(normal prior, scale=0.02)")
         with pytest.raises(FloatingPointError) as grid:
