@@ -8,7 +8,6 @@ failure (including a failed bound verification).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -133,6 +132,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _oracle_digest(cfg: dict) -> str:
+    # imported here: only verify-prop2 digests, and at the top of the module
+    # hashlib adds ~4 MB of peak RSS to every command
+    import hashlib
+
     parts = [
         " ".join(_g17(v) for v in cfg["p0"].mass),
         "|".join(" ".join(_g17(v) for v in a.mass) for a in cfg["atoms"]),

@@ -179,27 +179,32 @@ def log_covering_number_uniform(n: int, u: float) -> float:
         raise ValueError(f"u must lie in (0, 1), got {u}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    inv = 1.0 / u
-    k = round(inv)
-    if abs(inv - k) < 1e-9 and float(n).is_integer():
+    k = _nearest_unit_k(u)
+    if k is not None and float(n).is_integer():
         n = int(n)
         return k * math.log(n) if k * n.bit_length() > 1 << 21 else math.log(n ** k)
-    return math.log(math.ceil(n ** inv - 1e-9))
+    return math.log(math.ceil(n ** (1.0 / u) - 1e-9))
+
+
+def _nearest_unit_k(u: float) -> Optional[int]:
+    """k = round(1/u) where |k u - 1| <= 1e-9, the one rule that reads u as 1/k;
+    else None.  Relative, as past k = 4.5e6 one ulp of 1/u passes 1e-9."""
+    k = round(1.0 / u)
+    return k if k >= 1 and abs(k * u - 1.0) <= 1e-9 else None
 
 
 def _unit_fraction(u: float) -> int:
-    """The integer k with u = 1/k, within 1e-9 on the reciprocal."""
-    k = 1.0 / u
-    k_round = round(k)
-    if k_round < 1 or abs(k - k_round) > 1e-9:
+    """The integer k with u = 1/k by _nearest_unit_k; any other u is refused."""
+    k = _nearest_unit_k(u)
+    if k is None:
         raise ValueError(f"u must be the reciprocal of a positive integer, got {u}")
-    return int(k_round)
+    return k
 
 
 # the smallest normal float: below it a float keeps fewer than 53 bits
 _TINY = sys.float_info.min
-# the largest normal-prior scale whose square is finite
-_MAX_NORMAL_SCALE = math.sqrt(sys.float_info.max)
+# the normal-prior scales whose square is a normal float
+_MIN_NORMAL_SCALE, _MAX_NORMAL_SCALE = math.sqrt(_TINY), math.sqrt(sys.float_info.max)
 
 
 class WithinModelPrior:
@@ -306,7 +311,7 @@ class LogOddsPrior(WithinModelPrior):
                                    self) - peak for z in (_SPAN, _SPAN - 1.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             tails = np.where(inside > end, np.exp(end) / (inside - end), np.inf).sum(axis=0)
-            certified = (np.abs(fine - coarse) <= _EVIDENCE_TOL * fine) & (
+            certified = (fine > 0.0) & (np.abs(fine - coarse) <= _EVIDENCE_TOL * fine) & (
                 tails <= _EVIDENCE_TOL * fine)
             log_ev[live] = np.where(certified, peak + np.log(scale) + np.log(fine), np.nan)
         missed = np.flatnonzero(np.isnan(log_ev))  # the uncertified bins
@@ -401,6 +406,9 @@ class NormalPrior(LogOddsPrior):
         if self.scale > _MAX_NORMAL_SCALE:  # the slope and log_ratio square it
             raise ValueError(f"scale must be at most {_MAX_NORMAL_SCALE:.6g} under a normal "
                              f"prior, where its square overflows float64: {self.scale:g}")
+        if self.scale < _MIN_NORMAL_SCALE:  # and the curvature inverts the square
+            raise ValueError(f"scale must be at least {_MIN_NORMAL_SCALE:.6g} under a normal "
+                             f"prior, where its square is not a normal float: {self.scale:g}")
 
     @property
     def curvature(self) -> float:

@@ -3,8 +3,7 @@
 The writer emits plain SVG 1.1 with a fixed element vocabulary so
 tests can parse the files structurally: every data series is a
 <polyline class="series" data-name="..."> with matching <circle
-class="pt"> markers, axes live in <g class="axes">, and the single-n
-degenerate layout uses <rect class="bar"> elements instead.
+class="pt"> markers, and axes live in <g class="axes">.
 """
 
 from __future__ import annotations
@@ -67,12 +66,6 @@ class _Canvas:
                 f'<circle class="pt" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
                 f'fill="{color}"/>')
 
-    def bar(self, x, y, width, height, name, color):
-        self._parts.append(
-            f'<rect class="bar" data-name="{escape(name)}" x="{_fmt(x)}" '
-            f'y="{_fmt(y)}" width="{_fmt(width)}" height="{_fmt(height)}" '
-            f'fill="{color}"/>')
-
     def render(self) -> str:
         return "\n".join(self._parts + ["</svg>"]) + "\n"
 
@@ -106,11 +99,11 @@ class _LogAxis:
 
 
 class _LinearAxis:
-    def __init__(self, values, lo_px, hi_px, floor=0.0):
-        hi = max([v for v in values if math.isfinite(v)] + [floor])
-        if hi <= floor:
-            hi = floor + 1.0
-        self.lo, self.hi = floor, hi * 1.1
+    def __init__(self, values, lo_px, hi_px):
+        hi = max([v for v in values if math.isfinite(v)] + [0.0])
+        if hi <= 0.0:
+            hi = 1.0
+        self.lo, self.hi = 0.0, hi * 1.1
         self.lo_px, self.hi_px = lo_px, hi_px
 
     def __call__(self, value: float) -> float:
@@ -163,9 +156,6 @@ def rates_plot_svg(result: StudyResult) -> str:
     n_grid = result.config.n_grid
     medians = result.summary.pooled_medians
     eps, _ = _series_by_variant(result)
-    if len(n_grid) == 1:
-        return _single_n_bars(result, medians, eps)
-
     canvas = _Canvas("median divergence and bound vs sample size")
     values = list(medians)
     for series in eps.values():
@@ -181,32 +171,6 @@ def rates_plot_svg(result: StudyResult) -> str:
         pts = [(x_axis(n), y_axis(max(min(v, 10.0 ** y_axis.hi), floor)))
                for n, v in zip(n_grid, series)]
         canvas.polyline(pts, f"epsilon_{variant}", _PALETTE[(i + 1) % len(_PALETTE)])
-    return canvas.render()
-
-
-def _single_n_bars(result: StudyResult, medians, eps) -> str:
-    canvas = _Canvas(f"divergence vs bound at n = {result.config.n_grid[0]}")
-    names = ["median_d2"] + [f"epsilon_{v}" for v in result.config.variants]
-    heights = [medians[0]] + [eps[v][0] for v in result.config.variants]
-    heights = [h if math.isfinite(h) else 0.0 for h in heights]
-    y_axis = _LinearAxis(heights, _HEIGHT - _BOTTOM, _TOP)
-    x0, x1 = _LEFT, _WIDTH - _RIGHT
-    base = _HEIGHT - _BOTTOM
-    slot = (x1 - x0) / len(names)
-    canvas.open_group("axes")
-    canvas.line(x0, base, x1, base)
-    canvas.line(x0, base, x0, _TOP)
-    for value, label in y_axis.ticks():
-        py = y_axis(value)
-        canvas.line(x0 - 4, py, x0, py)
-        canvas.text(x0 - 8, py + 4, label, anchor="end")
-    canvas.close_group()
-    for i, (name, height) in enumerate(zip(names, heights)):
-        left = x0 + slot * (i + 0.2)
-        top = y_axis(height)
-        canvas.bar(left, top, slot * 0.6, base - top, name,
-                   _PALETTE[i % len(_PALETTE)])
-        canvas.text(left + slot * 0.3, base + 18, name)
     return canvas.render()
 
 
@@ -231,10 +195,9 @@ def exceedance_plot_svg(result: StudyResult) -> str:
 
 def render_plots(result: StudyResult, prefix: str) -> tuple:
     """Write the rates and exceedance plots; returns the file paths."""
-    if not result.rows:
-        raise ValueError("no rows to plot")
     paths = f"{prefix}_rates.svg", f"{prefix}_exceedance.svg"
     for path, plot in zip(paths, (rates_plot_svg, exceedance_plot_svg)):
+        text = plot(result)
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(plot(result))
+            handle.write(text)
     return paths

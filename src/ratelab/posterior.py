@@ -153,8 +153,8 @@ def model_posterior(data: Dataset, spec: PriorSpec) -> PosteriorState:
     log_post = log_post - logsumexp(log_post)
     weights = np.exp(log_post)
     weights = weights / weights.sum()
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise RuntimeError("posterior weights failed to normalize")
+    if not abs(float(weights.sum()) - 1.0) <= 1e-12:  # NaN fails too
+        raise FloatingPointError("posterior weights failed to normalize")
     cdf = weights.cumsum()
     cdf /= cdf[-1]
     for array in (weights, cdf, trials, successes):

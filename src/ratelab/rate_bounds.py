@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .divergence import _safe_exp
-from .models import _unit_fraction
+from .models import _nearest_unit_k, _unit_fraction
 from .penalized import PenalizedDivergenceResult
 from .special import logsumexp
 
@@ -60,14 +60,14 @@ class RateBoundBreakdown:
 def floor_to_unit_fraction(u_raw: float) -> float:
     """Largest u = 1/k (k a positive integer) with u <= u_raw.
 
-    Robust to float noise: reciprocals within 1e-9 of an integer snap
-    to that integer instead of tipping to the next one.
+    Robust to float noise: a u_raw that _nearest_unit_k reads as 1/k
+    gives 1/k instead of tipping to 1/(k + 1).
     """
     u_raw = float(u_raw)
     if not 0.0 < u_raw < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u_raw}")
-    k = math.ceil(1.0 / u_raw - 1e-9)
-    return 1.0 / k
+    k = _nearest_unit_k(u_raw)
+    return 1.0 / (math.ceil(1.0 / u_raw) if k is None else k)
 
 
 def _checked_orders(u: float, t: float) -> tuple:

@@ -377,6 +377,27 @@ class TestSimulate:
                            "bin 1: log-odds evidence of the bin with 1 successes "
                            "and 0 failures missed tolerance 1e-10\n")
 
+    def test_vanishing_evidence_names_its_cell(self, tmp_path, capsys):
+        # under a Laplace prior of scale 1e-10 every panel mass of a nonempty
+        # bin is 0, which once passed as certified and left NaN weights
+        path = tmp_path / "narrow.cfg"
+        path.write_text(WIDE_LAPLACE.replace("scale = 3000", "scale = 1e-10")
+                        .replace("n_grid = 2, 3, 4", "n_grid = 2"), encoding="utf-8")
+        code, _, err = _run(["simulate", "--config", str(path)], capsys)
+        assert code == 2
+        assert err == ("numerical failure: n=2, replicate=0, model size m=1, bin 1: "
+                       "log-odds evidence of the bin with 1 successes and 1 failures "
+                       "missed tolerance 1e-10\n")
+
+    def test_nan_weights_name_their_cell(self, config_path, monkeypatch, capsys):
+        # a NaN evidence makes NaN weights, whose sum fails the normalization check
+        monkeypatch.setattr(UniformPrior, "bin_log_evidence",
+                            lambda self, s, f: np.full(s.shape, np.nan))
+        code, _, err = _run(["simulate", "--config", config_path], capsys)
+        assert code == 2
+        assert err == ("numerical failure: n=50, replicate=0, "
+                       "posterior weights failed to normalize\n")
+
     def test_unsolved_quantile_names_its_cell(self, tmp_path, monkeypatch, capsys):
         # one Newton step leaves a draw's bin quantile short of 1e-12
         path = tmp_path / "laplace.cfg"

@@ -235,11 +235,12 @@ def test_prior_section_validation(tmp_path):
     assert "scale must be positive" in str(
         _error(head + "within = normal\nscale = -1" + tail))
     # a scale that is not a finite positive number, or a normal one whose
-    # square overflows float64, names its own line, 6, and the CLI exits
-    # with the validation code 1
+    # square overflows float64 or falls below the normal floats, names its
+    # own line, 6, and the CLI exits with the validation code 1
     for scale, within, fragment in (("nan", "laplace", "scale must be positive"),
                                     ("inf", "laplace", "scale must be positive"),
-                                    ("1e200", "normal", "scale must be at most")):
+                                    ("1e200", "normal", "scale must be at most"),
+                                    ("1e-200", "normal", "scale must be at least")):
         text = head + f"scale = {scale}\nwithin = {within}" + tail
         err = _error(text)
         assert err.line == 6 and fragment in str(err)

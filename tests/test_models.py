@@ -296,11 +296,13 @@ class TestWithinModelPrior:
                 WithinModelPrior.log_odds(density, scale)
 
     def test_subnormal_scale_is_refused(self):
-        # 1/b of a subnormal scale overflows float64, and the Laplace slope divides by b
-        for density in ("normal", "laplace"):
+        # 1/b of a subnormal scale overflows float64, and the Laplace slope divides
+        # by b; the smallest normal scale is the root of the smallest normal float
+        tiny = sys.float_info.min
+        for density, least in (("normal", math.sqrt(tiny)), ("laplace", tiny)):
             with pytest.raises(ValueError, match="not subnormal"):
                 WithinModelPrior.log_odds(density, 1e-310)
-            smallest = WithinModelPrior.log_odds(density, sys.float_info.min)
+            smallest = WithinModelPrior.log_odds(density, least)
             assert math.isfinite(smallest.log_analytic_sum(500, 0.5))
 
     def test_normal_scale_with_an_overflowing_square_is_refused(self):
@@ -310,6 +312,11 @@ class TestWithinModelPrior:
         with pytest.raises(ValueError, match="scale must be at most"):
             WithinModelPrior.log_odds("normal", math.nextafter(largest, math.inf))
         assert WithinModelPrior.log_odds("laplace", 1e300).slope(1.0) < 0.0
+        # and below: the curvature 1/s^2 of a square under the normal floats overflows
+        smallest = math.sqrt(sys.float_info.min)
+        assert WithinModelPrior.log_odds("normal", smallest).curvature < math.inf
+        with pytest.raises(ValueError, match="scale must be at least"):
+            WithinModelPrior.log_odds("normal", math.nextafter(smallest, 0.0))
 
 
 class TestSimulation:

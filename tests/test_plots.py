@@ -70,7 +70,7 @@ class TestExceedancePlot:
             2 * len(result.config.n_grid))
 
 
-def test_single_n_grid_falls_back_to_bars():
+def test_single_n_grid_draws_one_point_series():
     cfg = parse_config_text("""
 [truth]
 kind = constant
@@ -83,10 +83,16 @@ seed = 21
 variants = prop7, remark8
 """)
     svg = rates_plot_svg(run_rate_study(cfg))
-    bars = _elements(svg, "rect", "bar")
-    assert {el.get("data-name") for el in bars} == {
-        "median_d2", "epsilon_prop7", "epsilon_remark8"}
-    assert not _elements(svg, "polyline", "series")
+    series = _elements(svg, "polyline", "series")
+    assert [el.get("data-name") for el in series] == [
+        "median_d2", "epsilon_prop7", "epsilon_remark8"]
+    assert len(_elements(svg, "circle", "pt")) == 3
+    assert not _elements(svg, "rect", "bar")
+    # on the log axis d2 stays visible beside the bounds it sits far under
+    y = {el.get("data-name"): float(el.get("points").split(",")[1])
+         for el in series}
+    for variant in ("prop7", "remark8"):
+        assert abs(y["median_d2"] - y[f"epsilon_{variant}"]) >= 100.0
 
 
 def test_render_plots_writes_both_files(result, tmp_path):

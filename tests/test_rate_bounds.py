@@ -17,6 +17,7 @@ from ratelab import (
     rate_bound,
     variant_bounds_for_n,
 )
+from ratelab.models import _unit_fraction
 from ratelab.study import log_mixture_norm_complexity
 
 
@@ -34,6 +35,14 @@ class TestUnitFractionFloor:
     def test_float_noise_snaps_instead_of_tipping(self):
         assert floor_to_unit_fraction(1.0 / 3.0) == pytest.approx(1.0 / 3.0)
         assert floor_to_unit_fraction(1.0 / 3.0 + 1e-12) == pytest.approx(1.0 / 3.0)
+
+    def test_unit_fractions_read_back_at_any_k(self):
+        # past k = 4.5e6 one ulp of 1/u is wider than 1e-9, where an absolute
+        # test on the reciprocal once tipped 1/k to 1/(k + 1) or refused it
+        seeded = np.random.default_rng(34).integers(2000, 10**8, size=2000).tolist()
+        for k in list(range(2, 2000)) + seeded + [14084845, 23796405]:
+            assert floor_to_unit_fraction(1.0 / k) == 1.0 / k, k
+            assert _unit_fraction(1.0 / k) == k, k
 
     def test_result_never_exceeds_input(self):
         for raw in np.linspace(0.02, 0.98, 49):

@@ -122,7 +122,10 @@ ITEM4_PRIORS = [pytest.param("uniform", None, id="uniform")] + [
     for within in ("normal", "laplace") for scale in (0.0127, 0.02, 0.1, 1.5)]
 
 
-@pytest.mark.parametrize("u", [0.5, 0.1, 0.01, 1e-8], ids=lambda u: f"u{u:g}")
+# 7.099830066629974e-08 floors to 1/14084845, where 1/u is more than 1e-9
+# from its integer
+@pytest.mark.parametrize("u", [0.5, 0.1, 0.01, 1e-8, 7.099830066629974e-08],
+                         ids=lambda u: f"u{u:g}")
 @pytest.mark.parametrize("within,scale", ITEM4_PRIORS)
 def test_bound_runs_at_small_u_and_narrow_priors(within, scale, u, tmp_path, capsys):
     path = tmp_path / "limits.cfg"
@@ -219,18 +222,20 @@ def test_study_loads_no_masked_array_module():
 
 def test_bound_loads_no_random_module(tmp_path):
     # bound draws nothing, so numpy.random (and the secrets and hmac modules
-    # it brings) stays unloaded until a stream is asked for
+    # it brings) stays unloaded until a stream is asked for; nor does it
+    # digest anything, so _hashlib waits for verify-prop2
     config = tmp_path / "bound.cfg"
     config.write_text(_config_text("triangle", "uniform"), encoding="utf-8")
     src = str(Path(ratelab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, ratelab.cli; "
          "code = ratelab.cli.main(['bound', '--config', sys.argv[1]]); "
-         "print(code, 'numpy.random' in sys.modules)", str(config)],
+         "print(code, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)",
+         str(config)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert proc.stdout.split()[-3:] == ["0", "False", "False"]
 
 
 def test_cli_import_loads_no_polynomial_or_thread_pool_modules():
