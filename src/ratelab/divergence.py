@@ -11,11 +11,11 @@ supported: probability masses on a finite outcome set
 (``DiscreteDensity``), and the joint density of a binary response with a
 uniform covariate on [0, 1], which its mean function fixes, so the mean
 stands for the density: ``PiecewiseConstantMean`` on equal bins, or
-``SmoothMean`` with a certified derivative bound.  Against a
-piecewise-constant mean on m equal bins, any mean, smooth or piecewise,
-enters only through two integrals per bin, tabulated once per
-(mean, m, t): the posterior draws of one size m, stacked as rows of
-levels, then take one pass over that table together.
+``SmoothMean`` with a certified derivative bound.  Regression divergences
+compare any mean (the truth) with a piecewise-constant working mean on m
+equal bins; the first mean enters only through two integrals per bin,
+tabulated once per (mean, m, t): the posterior draws of one size m,
+stacked as rows of levels, then take one pass over that table together.
 
 +infinity is a legitimate value here (support mismatch with t > 0),
 not an error.  All functions are pure and the value types immutable.
@@ -26,11 +26,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
-
-from .special import bisect
 
 __all__ = [
     "QuadratureError",
@@ -82,13 +80,6 @@ class DiscreteDensity:
         mass = mass.copy()
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
-
-    @classmethod
-    def bernoulli(cls, p: float) -> "DiscreteDensity":
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"success probability must lie in [0, 1], got {p}")
-        return cls(np.array([1.0 - p, p]))
 
     @property
     def size(self) -> int:
@@ -188,9 +179,8 @@ def _power_term(a, b, t):
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         val = a ** (1.0 + t) * b ** (-t)
-        if t > 0:
-            # a^(1+t) may underflow to 0 against b^(-t) = inf
-            val = np.where(b == 0, math.inf, val)
+        # for t > 0, a^(1+t) may underflow to 0 against b^(-t) = inf (b tiny or 0)
+        val = np.where(np.isnan(val), np.exp((1.0 + t) * np.log(a) - t * np.log(b)), val)
         return np.where(a > 0, val, 0.0)
 
 
@@ -359,14 +349,15 @@ def _pair_kind(p, q) -> str:
         if p.size != q.size:
             raise ValueError("discrete densities must have the same size")
         return "discrete"
-    if isinstance(p, MeanFunction) and isinstance(q, MeanFunction):
+    if isinstance(p, MeanFunction) and isinstance(q, PiecewiseConstantMean):
         return "mean"
-    raise ValueError("need two DiscreteDensity or two mean functions "
-                     "(PiecewiseConstantMean or SmoothMean)")
+    raise ValueError("need two DiscreteDensity, or a mean function "
+                     "(PiecewiseConstantMean or SmoothMean) against a PiecewiseConstantMean")
 
 
 def d_t_squared(p, q, t) -> float:
-    """Order-t divergence between two densities of the same representation.
+    """Order-t divergence between two discrete densities, or between a
+    mean and a piecewise-constant mean.
 
     Orders with |t| below 1e-8 are evaluated through the t -> 0 limit
     plus its first-order correction, which is exact at t = 0 (the KL
@@ -375,8 +366,8 @@ def d_t_squared(p, q, t) -> float:
     per row, each equal to the value for that row alone.
     """
     tv = float(t)
-    if not tv > -1.0:
-        raise ValueError(f"order must satisfy t > -1, got {tv}")
+    if not -1.0 < tv < math.inf:
+        raise ValueError(f"order must be finite and satisfy t > -1, got {tv}")
     stack = isinstance(q, PiecewiseConstantMean) and q.levels.ndim == 2
     if abs(tv) < _SMALL_T:
         if stack:
@@ -388,17 +379,12 @@ def d_t_squared(p, q, t) -> float:
         if math.isinf(total):
             return math.inf
         return (float(total) - 1.0) / tv
-    if isinstance(q, PiecewiseConstantMean):
-        # posterior draws: the integrand factors bin by bin, and a row per
-        # draw takes the moments as (2, 1, m) against (2, k, m) terms
-        moments = _bin_moments(p, q.m, tv)[:, None]
-        val = _moment_terms(moments, np.atleast_2d(q.levels), tv).sum(axis=-1) - 1.0
-        val = np.where(np.isinf(val), math.inf, val / tv)
-        return val if stack else float(val[0])
-    val = float(_covariate_integral(lambda a, b: _binary_power_minus1(a, b, tv), p, q)[0])
-    if math.isinf(val):
-        return math.inf
-    return val / tv
+    # posterior draws: the integrand factors bin by bin, and a row per
+    # draw takes the moments as (2, 1, m) against (2, k, m) terms
+    moments = _bin_moments(p, q.m, tv)[:, None]
+    val = _moment_terms(moments, np.atleast_2d(q.levels), tv).sum(axis=-1) - 1.0
+    val = np.where(np.isinf(val), math.inf, val / tv)
+    return val if stack else float(val[0])
 
 
 def kl_divergence(p, q) -> float:
@@ -423,33 +409,10 @@ def _kl_limit(p, q, tv: float) -> float:
 
 
 def l1_distance(p, q) -> float:
-    """L1 distance between the densities; always in [0, 2].
-
-    For two means this equals 2 * integral of |mu_p - mu_q| and is
-    evaluated exactly when both are piecewise constant.
-    """
-    if _pair_kind(p, q) == "discrete":
-        return float(np.abs(p.mass - q.mass).sum())
-    if isinstance(p, PiecewiseConstantMean) and isinstance(q, PiecewiseConstantMean):
-        return 2.0 * float(_covariate_integral(lambda a, b: np.abs(a - b), p, q)[0])
-    diff = lambda x: np.asarray(p(x), dtype=float) - np.asarray(q(x), dtype=float)
-    edges = _union_edges(p, q, min_panels=64)
-    cuts = _sign_change_cuts(diff, edges)
-    return 2.0 * float(_integrate_adaptive(lambda x: np.abs(diff(x)), cuts, np.zeros(1, int))[0])
-
-
-def _sign_change_cuts(diff, edges: np.ndarray) -> np.ndarray:
-    """Panel edges augmented with the roots of diff, so that |diff| is
-    smooth on every panel.  Every bracket of a sign change on a fine grid
-    is bisected at once."""
-    xs = np.linspace(0.0, 1.0, 2049)
-    sign = np.sign(diff(xs))
-    at = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
-    lo = xs[at]
-    if at.size:
-        left = sign[at]  # the root lies right of mid where diff has this sign
-        lo, _ = bisect(lambda mid: np.sign(diff(mid)) == left, lo, xs[at + 1])
-    return np.array(sorted(set(edges.tolist()) | set(lo.tolist())))
+    """L1 distance between two discrete densities; always in [0, 2]."""
+    if _pair_kind(p, q) != "discrete":
+        raise ValueError("need two DiscreteDensity")
+    return float(np.abs(p.mass - q.mass).sum())
 
 
 def d_t_squared_product(p, q, t, n: int) -> float:

@@ -309,7 +309,7 @@ class LogOddsPrior(WithinModelPrior):
         # last unit of z inside, so the mass out there is below e^end / drop
         end, inside = (_log_target(mode + scale * np.array([[-z], [z]]), s[live], f[live],
                                    self) - peak for z in (_SPAN, _SPAN - 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             tails = np.where(inside > end, np.exp(end) / (inside - end), np.inf).sum(axis=0)
             certified = (fine > 0.0) & (np.abs(fine - coarse) <= _EVIDENCE_TOL * fine) & (
                 tails <= _EVIDENCE_TOL * fine)
@@ -553,8 +553,9 @@ def _bin_panels(s, f, within: LogOddsPrior):
     def density(v, at):  # exp(target - peak) dz/dv of the bins at
         z, dz_dv = _z_of_v(v)
         theta = mode[at, None] + scale[at, None] * z
-        return dz_dv * np.exp(_log_target(theta, s[at, None], f[at, None], within)
-                              - peak[at, None])
+        with np.errstate(over="ignore"):  # an +inf mass fails certification
+            return dz_dv * np.exp(_log_target(theta, s[at, None], f[at, None], within)
+                                  - peak[at, None])
 
     return np.stack([mode, scale, peak]), start, width, density
 

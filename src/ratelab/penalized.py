@@ -59,7 +59,10 @@ def _box_sups(truth: TrueModel, approx: BestApproximation,
     ends = half_widths[:, None]  # box ends: a row per half-width, a column per bin
     worst = np.maximum(_moment_terms(moments, approx.levels - ends, t),
                        _moment_terms(moments, approx.levels + ends, t))
-    return (worst.sum(axis=-1) - 1.0) / t
+    sups = (worst.sum(axis=-1) - 1.0) / t
+    # a truth's bin moments and a box's supremum are positive: a moment that
+    # underflowed to 0, or a supremum lost to rounding, certifies only +inf
+    return np.where((moments > 0).all() & (sups > 0), sups, math.inf)
 
 
 def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float, n: int,

@@ -17,7 +17,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -242,17 +242,13 @@ class OracleResult:
 def exact_enumeration_oracle(p0: DiscreteDensity, atoms: Sequence[DiscreteDensity],
                              prior_masses: Sequence[float], n: int,
                              event: Sequence[int], anchor: Sequence[int],
-                             u: float, t: float,
-                             cover: Optional[Sequence[Sequence[int]]] = None,
-                             ) -> OracleResult:
+                             u: float, t: float) -> OracleResult:
     """Brute-force check of the posterior-mass bound on a finite prior.
 
     Enumerates every dataset of length n, averages the posterior mass of
     the event under the truth, and compares (lhs/4)^(1 + u/t) against
-    the covered right-hand side.  Balls default to singletons over the
-    event's atoms, which are trivially convex; callers supplying wider
-    balls are responsible for their convexity (the worst-case divergence
-    is evaluated over the listed members).
+    the right-hand side covered by singleton balls over the event's
+    atoms, which are trivially convex.
     """
     n = int(n)
     if n < 1 or n > 6:
@@ -291,15 +287,8 @@ def exact_enumeration_oracle(p0: DiscreteDensity, atoms: Sequence[DiscreteDensit
         numer = float(np.dot(masses[event], liks[event]))
         lhs += truth_prob * numer / denom
 
-    if cover is None:
-        cover = [(i,) for i in event]
-    entries = []
-    for ball in cover:
-        ball = [int(i) for i in ball]
-        if not ball:
-            raise ValueError("cover balls must be nonempty")
-        worst = min(d_t_squared(p0, atoms[i], -u) for i in ball)
-        entries.append((worst, math.log(float(masses[ball].sum()))))
+    entries = [(d_t_squared(p0, atoms[i], -u), math.log(float(masses[i])))
+               for i in event]
     sup_d = max(d_t_squared(p0, atoms[i], t) for i in anchor)
     k_term = (sup_d, math.log(float(masses[anchor].sum())))
     rhs = posterior_mass_bound_rhs(entries, k_term, u, t, n)

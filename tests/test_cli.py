@@ -4,6 +4,7 @@ import math
 import shutil
 import signal
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -389,6 +390,20 @@ class TestSimulate:
                        "log-odds evidence of the bin with 1 successes and 1 failures "
                        "missed tolerance 1e-10\n")
 
+    def test_overflowing_evidence_fails_without_warnings(self, tmp_path, capsys):
+        # under a normal prior of scale 1e-30 the framed density and the tail
+        # bound overflow; the +inf mass fails certification, and only the
+        # error that names the cell is printed
+        path = tmp_path / "narrow.cfg"
+        path.write_text(WIDE_LAPLACE.replace("laplace\nscale = 3000", "normal\nscale = 1e-30")
+                        .replace("n_grid = 2, 3, 4", "n_grid = 2"), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = _run(["simulate", "--config", str(path)], capsys)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code == 2
+        assert err.startswith("numerical failure: n=2, replicate=0, model size m=1, bin 1: ")
+
     def test_nan_weights_name_their_cell(self, config_path, monkeypatch, capsys):
         # a NaN evidence makes NaN weights, whose sum fails the normalization check
         monkeypatch.setattr(UniformPrior, "bin_log_evidence",
@@ -491,6 +506,14 @@ class TestRateStudy:
         code, _, err = _run(["rate-study", "--config", config_path], capsys)
         assert code == 2
         assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "rate-study"])
+def test_unwritable_output_exits_one(command, config_path, tmp_path, capsys):
+    out = tmp_path / "missing" / "b.txt"
+    code, _, err = _run([command, "--config", config_path, "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_no_arguments_exits_one(capsys):

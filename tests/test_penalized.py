@@ -226,6 +226,15 @@ class TestPenalizedUpper:
             penalized_divergence_upper(LINEAR, spec, 1.0, 200,
                                        delta_grid=(0.4, 0.9))
 
+    @pytest.mark.parametrize("t", [3000.0, 1e-300])
+    def test_suprema_float64_cannot_certify_read_inf(self, t):
+        # at t = 3000 every bin moment underflows to 0; at t = 1e-300 the
+        # rounding of the moment sums swamps t times the supremum
+        truth = TrueModel.triangle(amplitude=0.22, peak=0.45)
+        res = penalized_divergence_upper(truth, PriorSpec(n=500), t, 500)
+        assert res.value == math.inf
+        assert res.approx_term == math.inf
+
     def test_default_grids_cover_m0(self):
         truth = TrueModel.sparse([0.3, 0.7, 0.45])
         spec = PriorSpec(n=8, m_max=6)

@@ -621,21 +621,21 @@ class TestDivergenceQuantiles:
             empirical_divergence_quantiles(truth, state, 0.5, 0, stream(1))
 
 
-BERN_ATOMS = [DiscreteDensity.bernoulli(p) for p in (0.3, 0.55, 0.8)]
+BERN_ATOMS = [DiscreteDensity([1.0 - p, p]) for p in (0.3, 0.55, 0.8)]
 BERN_MASSES = np.array([0.2, 0.5, 0.3])
 
 
 class TestEnumerationOracle:
     def test_empty_event_is_trivially_bounded(self):
         res = exact_enumeration_oracle(
-            DiscreteDensity.bernoulli(0.6), BERN_ATOMS, BERN_MASSES,
+            DiscreteDensity([1.0 - 0.6, 0.6]), BERN_ATOMS, BERN_MASSES,
             3, [], [1], 0.5, 1.0)
         assert res.lhs == 0.0
         assert res.holds
 
     def test_full_event_has_unit_mass(self):
         res = exact_enumeration_oracle(
-            DiscreteDensity.bernoulli(0.6), BERN_ATOMS, BERN_MASSES,
+            DiscreteDensity([1.0 - 0.6, 0.6]), BERN_ATOMS, BERN_MASSES,
             3, [0, 1, 2], [1], 0.5, 1.0)
         assert res.lhs == pytest.approx(1.0, abs=1e-12)
         assert res.holds
@@ -645,7 +645,7 @@ class TestEnumerationOracle:
         # density from its posterior; the event frequency estimates the
         # enumerated average posterior mass
         res = exact_enumeration_oracle(
-            DiscreteDensity.bernoulli(0.6), BERN_ATOMS, BERN_MASSES,
+            DiscreteDensity([1.0 - 0.6, 0.6]), BERN_ATOMS, BERN_MASSES,
             4, [0, 2], [1], 0.5, 1.0)
         rng = stream(909, 2)
         reps = 100_000
@@ -658,12 +658,6 @@ class TestEnumerationOracle:
         picks = (rng.random(reps)[:, None] > np.cumsum(post, axis=1)).sum(axis=1)
         freq = float(np.isin(picks, [0, 2]).mean())
         assert abs(freq - res.lhs) <= 4.0 * math.sqrt(res.lhs * (1 - res.lhs) / reps)
-
-    def test_explicit_singleton_cover_matches_default(self):
-        args = (DiscreteDensity.bernoulli(0.6), BERN_ATOMS, BERN_MASSES,
-                4, [0, 2], [1], 0.5, 1.0)
-        assert exact_enumeration_oracle(*args).rhs == (
-            exact_enumeration_oracle(*args, cover=[(0,), (2,)]).rhs)
 
     def test_random_configs_respect_the_bound(self, rng):
         for _ in range(30):
@@ -686,7 +680,7 @@ class TestEnumerationOracle:
         assert 1 <= a["n"] <= 6 and 2 <= len(a["atoms"]) <= 4
 
     def test_validation(self):
-        p0 = DiscreteDensity.bernoulli(0.6)
+        p0 = DiscreteDensity([1.0 - 0.6, 0.6])
         with pytest.raises(ValueError):
             exact_enumeration_oracle(p0, BERN_ATOMS, BERN_MASSES, 7,
                                      [0], [1], 0.5, 1.0)
@@ -715,10 +709,7 @@ class TestEnumerationOracle:
                 p0, [DiscreteDensity(np.full(3, 1.0 / 3.0))],
                 [1.0], 3, [0], [0], 0.5, 1.0)
         with pytest.raises(ValueError):
-            exact_enumeration_oracle(p0, BERN_ATOMS, BERN_MASSES, 3,
-                                     [0], [1], 0.5, 1.0, cover=[[]])
-        with pytest.raises(ValueError):
             exact_enumeration_oracle(
-                p0, [DiscreteDensity.bernoulli(q) for q in
+                p0, [DiscreteDensity([1.0 - q, q]) for q in
                      (0.2, 0.3, 0.4, 0.5, 0.6)],
                 np.full(5, 0.2), 3, [0], [1], 0.5, 1.0)

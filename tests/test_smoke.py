@@ -153,16 +153,12 @@ def test_bound_runs_at_small_u_and_narrow_priors(within, scale, u, tmp_path, cap
 # names of the scipy modules it loaded.
 NO_SCIPY_SCRIPT = """
 import json, sys
-import numpy as np
-from ratelab import SmoothMean, l1_distance, parse_config_text, run_rate_study
+from ratelab import parse_config_text, run_rate_study
 from ratelab.cli import main
 
 texts, config_path, csv_path = json.loads(sys.argv[1])
 for text in texts:
     run_rate_study(parse_config_text(text))
-wave = lambda x: np.sin(6.0 * np.pi * x + 0.4)
-l1_distance(SmoothMean(lambda x: 0.5 + 0.15 * wave(x), 2.9, 0.25),
-            SmoothMean(lambda x: 0.5 - 0.05 * wave(x), 1.0, 0.25))
 for args in (["divergence", "--p", "0.3,0.7", "--q", "0.5,0.5", "--t=-0.5,0,1"],
              ["bound", "--config", config_path],
              ["complexity", "--config", config_path],
