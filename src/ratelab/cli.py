@@ -8,6 +8,8 @@ failure (including a failed bound verification).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -50,6 +52,12 @@ def _emit(lines, out_path: Optional[str]):
             handle.write(body)
     else:
         sys.stdout.write(body)
+
+
+def _check_directory(path: Optional[str]) -> None:
+    # the error open() would raise after the work, raised before it
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _g17(value: float) -> str:
@@ -109,7 +117,7 @@ def _cmd_complexity(args) -> int:
     for n in config.n_grid:
         spec = config.prior_for(n)
         with naming(n=n):  # model m's logs are m times the per-coordinate ones, over u
-            log_mixture = log_mixture_norm_complexity(spec, u, n)
+            log_mixture = log_mixture_norm_complexity(spec, u)
             log_sum = spec.within.log_cell_sum(n, u)
             log_analytic = spec.within.log_analytic_sum(n, u)
         lines.extend(",".join([str(m), _g17(u), str(n), _g17(m * log_sum / u),
@@ -175,6 +183,7 @@ def _cmd_verify_prop2(args) -> int:
 
 def _cmd_rate_study(args) -> int:
     config = _load_study_config(args)
+    _check_directory(config.csv_path)  # the SVGs share its directory
     result = run_rate_study(config)
     write_study_csv(result, config.csv_path)
     print(f"rows: {len(result.rows)}")
@@ -252,6 +261,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_directory(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .models import PriorSpec, TrueModel, WithinModelPrior
+from .models import (LaplacePrior, NormalPrior, PriorSpec, TrueModel, UniformPrior,
+                     WithinModelPrior)
 from .rate_bounds import VARIANTS, floor_to_unit_fraction
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
@@ -199,7 +200,7 @@ def _build_truth(take: Callable) -> TrueModel:
             f"got {kind!r}", kind_line)
     d_bound, d_line = take("d_bound", -1.0)
     if d_line is not None:
-        if truth.kind != "smooth":
+        if truth.m0 is not None:
             raise ConfigError("d_bound applies only to smooth truths", d_line)
         truth = _at(d_line, TrueModel.smooth, truth.mean.fn, d_bound=d_bound,
                     margin=margin, breakpoints=truth.mean.breakpoints)
@@ -212,10 +213,10 @@ def _build_within(take: Callable) -> WithinModelPrior:
     if within == "uniform":
         if scale_line is not None:
             raise ConfigError("scale requires a log-odds prior", scale_line)
-        return WithinModelPrior.uniform_box()
-    if within in ("normal", "laplace"):
-        return _at(scale_line, WithinModelPrior.log_odds, density=within,
-                   scale=scale)
+        return UniformPrior()
+    log_odds = {"normal": NormalPrior, "laplace": LaplacePrior}
+    if within in log_odds:
+        return _at(scale_line, log_odds[within], scale)
     raise ConfigError(
         f"within must be uniform|normal|laplace, got {within!r}", within_line)
 
@@ -248,8 +249,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}", rep_line)
     u_raw, u_line = take("u", 0.5)
-    if not 0.0 < u_raw < 1.0:
-        raise ConfigError(f"u must lie in (0, 1), got {u_raw}", u_line)
+    u = _at(u_line, floor_to_unit_fraction, u_raw)
     t, t_line = take("t", 1.0)
     if not 0 < t < math.inf:
         raise ConfigError(f"t must be positive and finite, got {t}", t_line)
@@ -285,7 +285,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         truth=truth, within=within, k_model=k_model, m_max=m_max,
         n_grid=n_grid, draws=draws, replicates=replicates,
-        u=floor_to_unit_fraction(u_raw), t=t, seed=seed,
+        u=u, t=t, seed=seed,
         variants=tuple(dict.fromkeys(variants)), burn_in=burn_in,
         csv_path=csv_path, plot=plot,
     )

@@ -47,22 +47,23 @@ __all__ = [
 class TrueModel:
     """True response mean, either smooth or piecewise constant ("sparse").
 
-    ``margin`` keeps the mean inside (margin, 1 - margin); smooth means
-    additionally declare a derivative bound ``d_bound``.
+    ``margin`` keeps the mean inside (margin, 1 - margin).  The slope bound
+    of a smooth truth is its mean's ``d_bound``; ``m0`` is a sparse one's m.
     """
 
-    kind: str
-    margin: float
     mean: Union[SmoothMean, PiecewiseConstantMean]
-    d_bound: float
-    m0: Optional[int] = None
+    margin: float
+
+    @property
+    def m0(self) -> Optional[int]:
+        return self.mean.m if isinstance(self.mean, PiecewiseConstantMean) else None
 
     @classmethod
     def smooth(cls, fn: Callable, d_bound: float, margin: float,
                breakpoints: tuple = ()) -> "TrueModel":
         mean = SmoothMean(fn, float(d_bound), float(margin),
                           breakpoints=breakpoints)
-        return cls("smooth", float(margin), mean, float(d_bound))
+        return cls(mean, float(margin))
 
     @classmethod
     def sine(cls, center: float = 0.5, amplitude: float = 0.15,
@@ -113,8 +114,7 @@ class TrueModel:
             raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
         if not np.all((levels > margin) & (levels < 1.0 - margin)):  # NaN too
             raise ValueError("sparse levels must lie strictly inside (margin, 1 - margin)")
-        mean = PiecewiseConstantMean(levels)
-        return cls("sparse", margin, mean, 0.0, int(levels.size))
+        return cls(PiecewiseConstantMean(levels), margin)
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,8 @@ def best_approximation(truth: TrueModel, m: int) -> BestApproximation:
 def _best_approximation(truth: TrueModel, m: int) -> BestApproximation:
     left = np.arange(m) / m
     levels = np.asarray(truth.mean(left), dtype=float)
-    if truth.kind == "smooth":
-        bound = truth.d_bound / m
+    if truth.m0 is None:
+        bound = truth.mean.d_bound / m
     else:
         approx = PiecewiseConstantMean(levels)
         edges = _union_edges(truth.mean, approx, min_panels=1)
@@ -209,22 +209,10 @@ _MIN_NORMAL_SCALE, _MAX_NORMAL_SCALE = math.sqrt(_TINY), math.sqrt(sys.float_inf
 
 class WithinModelPrior:
     """Prior on the m bin levels of a working model, alike and independent
-    per bin: ``uniform_box()`` on [0, 1], or ``log_odds(density, scale)``,
-    a symmetric density f on the log-odds scale decreasing away from 0.
-    Each class owns the box masses, cell sums and bin posteriors: the log
-    evidence of bins from their successes and failures, bin_log_evidence(s, f),
-    and bin_draws(s, f, rng), one model size's draw rows and their levels."""
-
-    @staticmethod
-    def uniform_box() -> "UniformPrior":
-        return UniformPrior()
-
-    @staticmethod
-    def log_odds(density: str = "normal", scale: float = 1.0) -> "LogOddsPrior":
-        prior = {"normal": NormalPrior, "laplace": LaplacePrior}.get(density)
-        if prior is None:
-            raise ValueError(f"unknown log-odds density {density!r}")
-        return prior(float(scale))
+    per bin: ``UniformPrior()`` on [0, 1], or ``NormalPrior(scale)`` or
+    ``LaplacePrior(scale)``, a symmetric log-odds density decreasing away
+    from 0.  Each class owns its box masses, cell sums and bin posteriors:
+    bin_log_evidence(s, f) and bin_draws(s, f, rng)."""
 
 
 @dataclass(frozen=True)
@@ -628,7 +616,7 @@ class PriorSpec:
     n: int
     k_model: float = 3.0
     m_max: int = 0
-    within: WithinModelPrior = WithinModelPrior.uniform_box()
+    within: WithinModelPrior = UniformPrior()
 
     def __post_init__(self):
         if int(self.n) < 1:

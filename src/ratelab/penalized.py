@@ -43,12 +43,9 @@ class PenalizedDivergenceResult:
 
 def _box_sups(truth: TrueModel, approx: BestApproximation,
               half_widths: np.ndarray, t: float) -> np.ndarray:
-    # sup of d_t^2(p0, q) over each mean half-width's box: a closed form at
-    # t = 1, else per bin the worse box end (its integral is convex in level)
-    outside = ~((0.0 < half_widths) & (half_widths < truth.margin))
-    if outside.any():
-        raise ValueError(f"delta must lie in (0, margin={truth.margin}), "
-                         f"got {float(half_widths[outside][0])}")
+    # sup of d_t^2(p0, q) over each mean half-width's box, each in (0, margin):
+    # a closed form at t = 1, else per bin the worse box end (its integral is
+    # convex in level)
     if not t > 0:
         raise ValueError(f"box supremum needs a positive order, got t={t}")
     if abs(t - 1.0) <= 1e-12:
@@ -65,15 +62,15 @@ def _box_sups(truth: TrueModel, approx: BestApproximation,
     return np.where((moments > 0).all() & (sups > 0), sups, math.inf)
 
 
-def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float, n: int,
+def penalized_value_at(truth: TrueModel, spec: PriorSpec, t: float,
                        m: int, delta: float) -> PenalizedDivergenceResult:
     """The bound of the single box candidate (m, delta): the grid scorer on
     a one-point grid."""
-    return penalized_divergence_upper(truth, spec, t, n, (m,), (delta,))
+    return penalized_divergence_upper(truth, spec, t, (m,), (delta,))
 
 
-def default_m_grid(truth: TrueModel, spec: PriorSpec, n: int) -> tuple:
-    top = min(spec.m_max, int(math.ceil(2.0 * n ** (1.0 / 3.0))))
+def default_m_grid(truth: TrueModel, spec: PriorSpec) -> tuple:
+    top = min(spec.m_max, int(math.ceil(2.0 * spec.n ** (1.0 / 3.0))))
     grid = set(range(1, top + 1))
     if truth.m0 is not None and truth.m0 <= spec.m_max:
         grid.add(truth.m0)
@@ -89,11 +86,11 @@ def default_delta_grid(truth: TrueModel, n: int) -> tuple:
 
 
 def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
-                               n: int, m_grid: Optional[Sequence[int]] = None,
+                               m_grid: Optional[Sequence[int]] = None,
                                delta_grid: Optional[Sequence[float]] = None,
                                ) -> PenalizedDivergenceResult:
     """Minimize the boxed penalized-divergence bound over a grid of
-    (m, delta) candidates.
+    (m, delta) candidates, with the 1/n penalty at the spec's n.
 
     The result is an upper bound on the penalized divergence of the
     mixture prior: any single candidate set is admissible in the
@@ -102,13 +99,10 @@ def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
     grid with none left raises.  Ties prefer the smallest m, then the
     smallest delta: the first minimum of the table in row-major order.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if m_grid is None:
-        m_grid = default_m_grid(truth, spec, n)
+        m_grid = default_m_grid(truth, spec)
     if delta_grid is None:
-        delta_grid = default_delta_grid(truth, n)
+        delta_grid = default_delta_grid(truth, spec.n)
     ms = sorted(set(int(m) for m in m_grid))
     deltas = np.array(sorted(set(float(d) for d in delta_grid)))
     if not ms or not deltas.size:
@@ -126,8 +120,8 @@ def penalized_divergence_upper(truth: TrueModel, spec: PriorSpec, t: float,
     deltas, half_widths = deltas[fits], half_widths[fits]
     approxes = [best_approximation(truth, m) for m in ms]
     approx_terms = np.array([_box_sups(truth, a, half_widths, t) for a in approxes])
-    box_terms = -np.array([spec.within.log_box_masses(deltas, a) for a in approxes]) / n
-    model_terms = -model_log_prior(spec)[np.array(ms)[:, None] - 1] / n
+    box_terms = -np.array([spec.within.log_box_masses(deltas, a) for a in approxes]) / spec.n
+    model_terms = -model_log_prior(spec)[np.array(ms)[:, None] - 1] / spec.n
     values = approx_terms + box_terms + model_terms
     i, j = np.unravel_index(np.argmin(values), values.shape)
     return PenalizedDivergenceResult(

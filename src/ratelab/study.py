@@ -154,11 +154,11 @@ def log_norm_complexity_analytic(within: WithinModelPrior, m: int, u: float,
     return m * within.log_analytic_sum(n, u) / u
 
 
-def log_mixture_norm_complexity(spec: PriorSpec, u: float, n: int) -> float:
-    """ln of the mixture norm complexity at one n, from each model's analytic
-    one, m ln A / u for the per-coordinate analytic sum A: the exact sum
-    under the uniform prior, an upper bound under log-odds."""
-    log_norms = np.arange(1, spec.m_max + 1) * spec.within.log_analytic_sum(n, u) / u
+def log_mixture_norm_complexity(spec: PriorSpec, u: float) -> float:
+    """ln of the mixture norm complexity at the spec's n, from each model's
+    analytic one, m ln A / u for the per-coordinate analytic sum A: the exact
+    sum under the uniform prior, an upper bound under log-odds."""
+    log_norms = np.arange(1, spec.m_max + 1) * spec.within.log_analytic_sum(spec.n, u) / u
     return log_norm_complexity_mixture(model_log_prior(spec), log_norms, u)
 
 
@@ -176,7 +176,7 @@ def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
     variants = set(config.variants)
     log_richness = {}
     with naming(n=n):  # inside it, the penalized bound names its m and delta
-        pen = penalized_divergence_upper(config.truth, spec, config.t, n)
+        pen = penalized_divergence_upper(config.truth, spec, config.t)
         if variants & {"prop3", "prop7"}:
             log_covers = (np.arange(1, spec.m_max + 1)
                           * log_covering_number_uniform(n, u))
@@ -187,7 +187,7 @@ def variant_bounds_for_n(config: ExperimentConfig, n: int) -> tuple:
                 log_richness["prop7"] = log_cover_mixture(
                     model_log_prior(spec), log_covers, u)
         if variants & {"remark8", "remark10"}:
-            log_norm = log_mixture_norm_complexity(spec, u, n)
+            log_norm = log_mixture_norm_complexity(spec, u)
             log_richness.update(remark8=log_norm, remark10=log_norm)
         return tuple(rate_bound(variant, u, config.t, n, pen, log_richness[variant])
                      for variant in config.variants)

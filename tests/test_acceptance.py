@@ -10,8 +10,9 @@ import time
 
 import numpy as np
 
-from ratelab import (DiscreteDensity, PriorSpec, TrueModel, WithinModelPrior,
-                     bound_prefactor, d_t_squared, d_t_squared_product,
+from ratelab import (DiscreteDensity, LaplacePrior, NormalPrior, PriorSpec,
+                     TrueModel, UniformPrior, bound_prefactor, d_t_squared,
+                     d_t_squared_product,
                      default_delta_grid, default_m_grid,
                      exact_enumeration_oracle, kl_divergence, l1_distance,
                      log_norm_complexity_mixture, model_log_prior,
@@ -221,10 +222,10 @@ def test_09_penalized_bound_scaling_bands(capsys):
     for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
         m = int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
         spec = PriorSpec(n=n, k_model=3.0, m_max=m)
-        value = penalized_value_at(dense, spec, 1.0, n, m, 1.0 / n).value
+        value = penalized_value_at(dense, spec, 1.0, m, 1.0 / n).value
         dense_ratios.append(value / (n ** (-2.0 / 3.0) * math.log(n)))
         spec = PriorSpec(n=n, k_model=1.0, m_max=3)
-        value = penalized_value_at(sparse, spec, 1.0, n, 3, 1.0 / n).value
+        value = penalized_value_at(sparse, spec, 1.0, 3, 1.0 / n).value
         sparse_ratios.append(value / (3.0 * math.log(n) / n))
     dense_band = max(dense_ratios) / min(dense_ratios)
     sparse_band = max(sparse_ratios) / min(sparse_ratios)
@@ -235,7 +236,7 @@ def test_09_penalized_bound_scaling_bands(capsys):
 
 
 def test_10_norm_complexity_grid_analytic_and_mixture_growth(capsys):
-    uniform = WithinModelPrior.uniform_box()
+    uniform = UniformPrior()
     worst_rel = 0.0
     u = 0.5
     for n, m in itertools.product((4, 10, 20), (1, 2, 3)):
@@ -245,7 +246,7 @@ def test_10_norm_complexity_grid_analytic_and_mixture_growth(capsys):
         expected = h ** (m * (u - 1.0) / u)
         worst_rel = max(worst_rel, abs(math.exp(log_norm) - expected) / expected)
 
-    gaussian = WithinModelPrior.log_odds(density="normal", scale=1.0)
+    gaussian = NormalPrior(1.0)
     grid_bounded = True
     for n, m, uu in itertools.product((2, 3, 4), (1, 2, 3), (0.5, 1.0 / 3.0)):
         grid_bounded = grid_bounded and (
@@ -290,9 +291,9 @@ def _random_truth(rng, margin):
 def _random_within(rng):
     kind = str(rng.choice(["uniform", "normal", "laplace"]))
     if kind == "uniform":
-        return WithinModelPrior.uniform_box()
-    return WithinModelPrior.log_odds(density=kind,
-                                     scale=float(rng.uniform(0.5, 2.0)))
+        return UniformPrior()
+    return {"normal": NormalPrior, "laplace": LaplacePrior}[kind](
+        float(rng.uniform(0.5, 2.0)))
 
 
 def test_11_mixture_bound_no_worse_than_single_model_candidates(capsys):
@@ -304,22 +305,22 @@ def test_11_mixture_bound_no_worse_than_single_model_candidates(capsys):
         # non-unit orders use the slower numeric box supremum, so they
         # are exercised only on piecewise-constant truths
         order = 1.0
-        if i % 2 and truth.kind == "sparse":
+        if i % 2 and truth.m0 is not None:
             order = float(rng.choice([0.5, 2.0]))
         n = int(rng.integers(50, 5001))
         spec = PriorSpec(n=n, k_model=float(rng.uniform(0.5, 4.0)),
                          m_max=int(rng.integers(3, 9)),
                          within=_random_within(rng))
-        mixture = penalized_divergence_upper(truth, spec, order, n).value
+        mixture = penalized_divergence_upper(truth, spec, order).value
         log_prior = model_log_prior(spec)
         best_single = math.inf
-        for m in default_m_grid(truth, spec, n):
+        for m in default_m_grid(truth, spec):
             per_model = math.inf
             for delta in default_delta_grid(truth, n):
                 mean_delta = spec.within.mean_half_width(delta)
                 if not 0.0 < mean_delta < truth.margin:
                     continue
-                result = penalized_value_at(truth, spec, order, n, m, delta)
+                result = penalized_value_at(truth, spec, order, m, delta)
                 per_model = min(per_model,
                                 result.approx_term + result.box_term)
             best_single = min(best_single,

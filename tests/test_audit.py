@@ -13,8 +13,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from ratelab import WithinModelPrior
+from ratelab import LaplacePrior, NormalPrior
 
+LOG_ODDS = {"normal": NormalPrior, "laplace": LaplacePrior}
 CASES = 1000  # random boxes per prior
 REL = 1e-13
 
@@ -39,7 +40,7 @@ def _reference(density, scale, lo, hi):
 def _audit(density, scale, lo, hi):
     """Check each log mass is right to REL relative."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    got = WithinModelPrior.log_odds(density, scale).log_interval_mass(lo, hi)
+    got = LOG_ODDS[density](scale).log_interval_mass(lo, hi)
     for g, a, b in zip(got.tolist(), lo.tolist(), hi.tolist()):
         ref = _reference(density, scale, a, b)
         err = float((g - ref) / abs(ref))

@@ -516,6 +516,26 @@ def test_unwritable_output_exits_one(command, config_path, tmp_path, capsys):
     assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+@pytest.mark.parametrize("command,where", [("rate-study", "--out"), ("simulate", "--out"),
+                                           ("rate-study", "[output] csv")])
+def test_missing_output_directory_is_refused_before_the_work(command, where, tmp_path,
+                                                             monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_rate_study", no_work)
+    monkeypatch.setattr(cli, "cell_divergences", no_work)
+    out = tmp_path / "missing" / "b.csv"
+    config = tmp_path / "study.cfg"
+    in_config = where == "[output] csv"
+    config.write_text(CONFIG + (f"\n[output]\ncsv = {out}\n" if in_config else ""),
+                      encoding="utf-8")
+    argv = [command, "--config", str(config)] + ([] if in_config else ["--out", str(out)])
+    code, _, err = _run(argv, capsys)
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 def test_no_arguments_exits_one(capsys):
     code, _, err = _run([], capsys)
     assert code == 1 and "error" in err

@@ -6,12 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from ratelab import WithinModelPrior, cli, log_covering_number_uniform, log_norm_complexity_mixture
+from ratelab import (LaplacePrior, NormalPrior, UniformPrior, WithinModelPrior, cli,
+                     log_covering_number_uniform, log_norm_complexity_mixture)
 from ratelab.models import _grid_spacing
 
-UNIFORM = WithinModelPrior.uniform_box()
-NORMAL = WithinModelPrior.log_odds("normal", 1.0)
-LAPLACE = WithinModelPrior.log_odds("laplace", 1.0)
+UNIFORM = UniformPrior()
+NORMAL = NormalPrior(1.0)
+LAPLACE = LaplacePrior(1.0)
+LOG_ODDS = {"normal": NormalPrior, "laplace": LaplacePrior}
 
 
 def _log_norm(within, m: int, u: float, n: int) -> float:
@@ -175,8 +177,8 @@ class TestLogOddsEnclosure:
     CASES = ([(w, u, n) for w in (NORMAL, LAPLACE) for u in (0.5, 1.0 / 3.0)
               for n in (2, 3, 4)]
              + [(NORMAL, 0.5, 500), (LAPLACE, 0.5, 500),
-                (WithinModelPrior.log_odds("normal", 0.01), 1.0 / 3.0, 500),
-                (WithinModelPrior.log_odds("laplace", 0.001), 1.0 / 3.0, 500)])
+                (NormalPrior(0.01), 1.0 / 3.0, 500),
+                (LaplacePrior(0.001), 1.0 / 3.0, 500)])
 
     @pytest.mark.parametrize("within,u,n", CASES, ids=lambda v: (
         f"{v.name}{v.scale:g}" if isinstance(v, WithinModelPrior) else f"{v:.3g}"))
@@ -198,7 +200,7 @@ class TestLogOddsEnclosure:
     def test_lower_end_is_minus_inf_where_the_spread_passes_the_integral(self, density, n):
         # at h = 4 / n^2 >= 0.44 a scale of 0.01 puts 2 h f(0)^(1/2) above I,
         # so the lower end h^(u-1) (I - 2 h f(0)^u) is not positive
-        within = WithinModelPrior.log_odds(density, 0.01)
+        within = LOG_ODDS[density](0.01)
         assert 2.0 * _grid_spacing(n, 0.5) * math.exp(0.5 * within.log_pdf(0.0)) > math.exp(
             within.log_u_norm_integral(0.5))
         lower, upper = within._log_enclosure(n, 0.5)
@@ -246,7 +248,7 @@ class TestLaplaceClosedForm:
         # the cells j >= 0 hold masses T(jh) - T((j+1)h), T(x) = e^(-x/b) / 2,
         # whose u-th powers fall by one ratio r per cell: at 60 digits, from
         # the tails, S = 2 (T(0) - T(h))^u / (1 - r)
-        within = WithinModelPrior.log_odds("laplace", scale)
+        within = LaplacePrior(scale)
         log_analytic = _log_analytic(within, 1, u, n)
         h, total = _grid_spacing(n, u), _cell_sum(within, n, u)
         with mpmath.workdps(60):
@@ -290,7 +292,7 @@ class TestSmallULogForms:
                                                ("laplace", 1.5), ("laplace", 1000.0),
                                                ("laplace", 1e300)])
     def test_log_sums_against_mpmath(self, density, scale, n, k):
-        within = WithinModelPrior.log_odds(density, scale)
+        within = LOG_ODDS[density](scale)
         with mpmath.workdps(60):
             lower, upper = self._mp_log_ends(within, n, k)
             if density == "laplace":

@@ -3,7 +3,7 @@
 import pytest
 
 import ratelab.cli as cli
-from ratelab import (ConfigError, WithinModelPrior, load_config,
+from ratelab import (ConfigError, NormalPrior, UniformPrior, load_config,
                      parse_config_text)
 
 MINIMAL = """
@@ -18,9 +18,9 @@ n_grid = 10, 20, 40
 
 def test_minimal_config_fills_defaults():
     cfg = parse_config_text(MINIMAL)
-    assert cfg.truth.kind == "smooth"
+    assert cfg.truth.m0 is None
     assert cfg.truth.margin == 0.25
-    assert cfg.within == WithinModelPrior.uniform_box()
+    assert cfg.within == UniformPrior()
     assert cfg.k_model == 3.0
     assert cfg.m_max == 0
     assert cfg.n_grid == (10, 20, 40)
@@ -65,10 +65,9 @@ workers = 2
 csv = out.csv
 plot = yes
 """)
-    assert cfg.truth.kind == "sparse"
     assert cfg.truth.m0 == 3
     assert cfg.truth.margin == 0.2
-    assert cfg.within == WithinModelPrior.log_odds("normal", 0.8)
+    assert cfg.within == NormalPrior(0.8)
     assert cfg.k_model == 1.5
     assert cfg.m_max == 12
     assert cfg.u == pytest.approx(1.0 / 3.0)
@@ -213,7 +212,7 @@ def test_d_bound_override_on_smooth_truth():
     base = "\n[run]\nn_grid = 10, 20\n"
     cfg = parse_config_text(
         "[truth]\nkind = sine\namplitude = 0.1\nd_bound = 2.0" + base)
-    assert cfg.truth.d_bound == 2.0
+    assert cfg.truth.mean.d_bound == 2.0
     # 0.1 amplitude sine has slope up to 0.2*pi, so 0.1 understates it
     err = _error("[truth]\nkind = sine\namplitude = 0.1\nd_bound = 0.1" + base)
     assert "exceeds declared bound" in str(err)
@@ -221,7 +220,7 @@ def test_d_bound_override_on_smooth_truth():
     # the override keeps the triangle's declared kink
     cfg = parse_config_text(
         "[truth]\nkind = triangle\npeak = 0.45\nd_bound = 3.0" + base)
-    assert cfg.truth.d_bound == 3.0
+    assert cfg.truth.mean.d_bound == 3.0
     assert cfg.truth.mean.breakpoints == (0.45,)
 
 

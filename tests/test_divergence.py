@@ -250,6 +250,13 @@ TRIANGLE_HELLINGER_ORACLE = {
     7: 0.03107018307794482069564992,
     20: 0.03008327763915610849291714,
 }
+# (KL, the second-order term: the integral of a ln^2(a/b) summed over both
+# outcomes) between the same pairs, built the same way
+TRIANGLE_KL_ORACLE = {
+    3: (0.06144014172362352013875377, 0.1234170214472511802084056),
+    7: (0.06234251070936158325711824, 0.1265206667604329954347395),
+    20: (0.06016124999684475806253812, 0.1219269374062028773926416),
+}
 TRIANGLE = TrueModel.triangle(amplitude=0.22, peak=0.45)
 
 
@@ -263,6 +270,15 @@ class TestDeclaredBreakpoints:
     def test_triangle_against_mpmath(self, m):
         got = d_t_squared(TRIANGLE.mean, _triangle_draw(m), -0.5)
         assert abs(got - TRIANGLE_HELLINGER_ORACLE[m]) <= 1e-14
+
+    @pytest.mark.parametrize("m", sorted(TRIANGLE_KL_ORACLE))
+    def test_triangle_kl_limit_against_mpmath(self, m):
+        # below |t| = 1e-8 the order-t divergence is KL + (t / 2) times the
+        # second-order term
+        kl, second = TRIANGLE_KL_ORACLE[m]
+        assert abs(kl_divergence(TRIANGLE.mean, _triangle_draw(m)) - kl) <= 1e-14
+        got = d_t_squared(TRIANGLE.mean, _triangle_draw(m), -1e-9)
+        assert abs(got - (kl - 0.5e-9 * second)) <= 1e-14
 
     @pytest.mark.parametrize("m", (3, 7, 20))
     def test_kink_panel_needs_no_bisection(self, m, monkeypatch):

@@ -12,7 +12,10 @@ from scipy.integrate import quad
 from ratelab import (
     Dataset,
     PriorSpec,
+    LaplacePrior,
+    NormalPrior,
     TrueModel,
+    UniformPrior,
     WithinModelPrior,
     best_approximation,
     log_odds_to_mean,
@@ -22,6 +25,8 @@ from ratelab import (
 )
 from ratelab import models
 from ratelab.special import ndtr
+
+LOG_ODDS = {"normal": NormalPrior, "laplace": LaplacePrior}
 
 
 class TestBestApproximation:
@@ -52,7 +57,7 @@ class TestBestApproximation:
 class TestTruthConstructors:
     def test_triangle_meets_declared_derivative_bound(self):
         truth = TrueModel.triangle(amplitude=0.22, peak=0.45)
-        assert truth.d_bound == pytest.approx(2 * 0.22 / 0.45, abs=1e-15)
+        assert truth.mean.d_bound == pytest.approx(2 * 0.22 / 0.45, abs=1e-15)
         xs = np.array([0.0, 0.45, 1.0])
         assert np.allclose(truth.mean(xs), [0.28, 0.72, 0.28], atol=1e-12)
 
@@ -72,7 +77,7 @@ class TestTruthConstructors:
 
     def test_constant_has_zero_derivative_bound(self):
         truth = TrueModel.constant(0.4)
-        assert truth.d_bound == 0.0
+        assert truth.mean.d_bound == 0.0
         assert truth.m0 is None
 
     def test_sparse_records_m0(self):
@@ -115,8 +120,7 @@ class TestModelPrior:
 
     def test_memoized_prior_is_shared_and_read_only(self):
         uniform = PriorSpec(n=400, k_model=2.0)
-        normal = PriorSpec(n=400, k_model=2.0,
-                           within=WithinModelPrior.log_odds("normal", 1.5))
+        normal = PriorSpec(n=400, k_model=2.0, within=NormalPrior(1.5))
         first, second = model_log_prior(uniform), model_log_prior(normal)
         assert np.array_equal(first, second)
         assert not first.flags.writeable
@@ -134,14 +138,14 @@ class TestModelPrior:
 class TestWithinModelPrior:
     def test_uniform_rejects_log_odds_operations(self):
         with pytest.raises(AttributeError):
-            WithinModelPrior.uniform_box().log_pdf(0.0)
+            UniformPrior().log_pdf(0.0)
         with pytest.raises(AttributeError):
-            WithinModelPrior.uniform_box().log_interval_mass(0.0, 1.0)
+            UniformPrior().log_interval_mass(0.0, 1.0)
 
     @pytest.mark.parametrize("density,scale", [("normal", 1.0), ("normal", 2.5),
                                                ("laplace", 1.0), ("laplace", 0.7)])
     def test_u_norm_integral_closed_form(self, density, scale):
-        within = WithinModelPrior.log_odds(density=density, scale=scale)
+        within = LOG_ODDS[density](scale)
         for u in (0.5, 1.0 / 3.0):
             # integrate one symmetric half; the truncation at 100 scales
             # is below 1e-14 relative for both densities at these orders
@@ -152,8 +156,8 @@ class TestWithinModelPrior:
                 2.0 * half, rel=1e-12)
 
     def test_u_norm_integral_frozen_values(self):
-        normal = WithinModelPrior.log_odds("normal", 1.0)
-        laplace = WithinModelPrior.log_odds("laplace", 1.0)
+        normal = NormalPrior(1.0)
+        laplace = LaplacePrior(1.0)
         assert math.exp(normal.log_u_norm_integral(0.5)) == pytest.approx(
             2.2390302698404954, abs=1e-14)
         assert math.exp(laplace.log_u_norm_integral(0.5)) == pytest.approx(
@@ -186,7 +190,7 @@ class TestWithinModelPrior:
             mass = tail(a) - tail(b) if a >= 0 else 1 - tail(-a) - tail(b)
             log_ref = float(mpmath.log(mass))
             mass = float(mass)
-        got = float(WithinModelPrior.log_odds(density, scale)
+        got = float(LOG_ODDS[density](scale)
                     .log_interval_mass(lo, hi))
         assert got == pytest.approx(log_ref, rel=rel)
         assert math.exp(got) == pytest.approx(mass, rel=rel)
@@ -201,7 +205,7 @@ class TestWithinModelPrior:
         scale = 0.0247
         lo = distance * scale
         hi = lo + 0.002
-        within = WithinModelPrior.log_odds("normal", scale)
+        within = NormalPrior(scale)
         got = within.log_interval_mass(np.array([lo, -hi]), np.array([hi, -lo]))
         with mpmath.workdps(40):
             tail = lambda w: mpmath.erfc(w / (scale * mpmath.sqrt(2))) / 2
@@ -216,7 +220,7 @@ class TestWithinModelPrior:
         scale = 0.0247
         lo = 38.1 * scale
         hi = lo + 5e-4
-        within = WithinModelPrior.log_odds("normal", scale)
+        within = NormalPrior(scale)
         got = within.log_interval_mass(np.array([lo, -hi]), np.array([hi, -lo]))
         with mpmath.workdps(40):
             tail = lambda w: mpmath.erfc(w / (scale * mpmath.sqrt(2))) / 2
@@ -237,7 +241,7 @@ class TestWithinModelPrior:
             tail = ((lambda w: mpmath.exp(-mpmath.mpf(w) / b) / 2) if density == "laplace"
                     else (lambda w: mpmath.erfc(mpmath.mpf(w) / (b * mpmath.sqrt(2))) / 2))
             log_ref = float(mpmath.log(tail(lo) - tail(hi)))
-        within = WithinModelPrior.log_odds(density, scale)
+        within = LOG_ODDS[density](scale)
         got = within.log_interval_mass(np.array([lo, -hi]), np.array([hi, -lo]))
         assert got == pytest.approx([log_ref, log_ref], rel=1e-13)
 
@@ -251,7 +255,7 @@ class TestWithinModelPrior:
         # ln ndtr(-x) up to 37.5 scales, ln phi(x) + ln R(x) past it, where
         # the float tail turns subnormal and from 38.5 scales reads 0
         x = np.concatenate([np.linspace(30.0, 45.0, 61), np.geomspace(45.0, 1e6, 40)])
-        within = WithinModelPrior.log_odds("normal", scale)
+        within = NormalPrior(scale)
         got = within.log_tail(x * scale)
         with mpmath.workdps(60):
             ref = [float(mpmath.log(mpmath.erfc(mpmath.mpf(v) / mpmath.sqrt(2)) / 2))
@@ -266,7 +270,7 @@ class TestWithinModelPrior:
             return ndtr(x)
 
         monkeypatch.setattr(models, "ndtr", counted)
-        within = WithinModelPrior.log_odds("normal", 1.5)
+        within = NormalPrior(1.5)
         assert math.isfinite(within.log_cell_sum(1000, 0.5))  # 4.4 M cells a side
         assert math.isfinite(within.log_interval_mass(0.9, 1.9))
         assert calls == []
@@ -276,24 +280,22 @@ class TestWithinModelPrior:
     @pytest.mark.parametrize("density,scale", [("normal", 0.1), ("normal", 1.5),
                                                ("laplace", 0.01), ("laplace", 100.0)])
     def test_mirrored_boxes_give_equal_bits(self, density, scale):
-        within = WithinModelPrior.log_odds(density, scale)
+        within = LOG_ODDS[density](scale)
         lo = np.array([0.0, 0.3, 0.815, 2.0, -0.2, -1.5])
         hi = np.array([0.4, 0.9, 1.065, 7.5, 0.5, 0.25])
         assert np.array_equal(within.log_interval_mass(lo, hi),
                               within.log_interval_mass(-hi, -lo))
 
     def test_unknown_kind_rejected(self):
-        # a prior is built by its factory or its class, never from a kind
+        # a prior is built by its class, never from a kind
         with pytest.raises(TypeError):
             WithinModelPrior("beta")
-        with pytest.raises(ValueError):
-            WithinModelPrior.log_odds("cauchy")
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_scale_must_be_positive_and_finite(self, scale):
         for density in ("normal", "laplace"):
             with pytest.raises(ValueError, match="scale must be positive"):
-                WithinModelPrior.log_odds(density, scale)
+                LOG_ODDS[density](scale)
 
     def test_subnormal_scale_is_refused(self):
         # 1/b of a subnormal scale overflows float64, and the Laplace slope divides
@@ -301,22 +303,22 @@ class TestWithinModelPrior:
         tiny = sys.float_info.min
         for density, least in (("normal", math.sqrt(tiny)), ("laplace", tiny)):
             with pytest.raises(ValueError, match="not subnormal"):
-                WithinModelPrior.log_odds(density, 1e-310)
-            smallest = WithinModelPrior.log_odds(density, least)
+                LOG_ODDS[density](1e-310)
+            smallest = LOG_ODDS[density](least)
             assert math.isfinite(smallest.log_analytic_sum(500, 0.5))
 
     def test_normal_scale_with_an_overflowing_square_is_refused(self):
         # the normal slope and log ratio divide by s^2; a Laplace scale has no cap
         largest = math.sqrt(sys.float_info.max)
-        assert WithinModelPrior.log_odds("normal", largest).slope(1.0) < 0.0
+        assert NormalPrior(largest).slope(1.0) < 0.0
         with pytest.raises(ValueError, match="scale must be at most"):
-            WithinModelPrior.log_odds("normal", math.nextafter(largest, math.inf))
-        assert WithinModelPrior.log_odds("laplace", 1e300).slope(1.0) < 0.0
+            NormalPrior(math.nextafter(largest, math.inf))
+        assert LaplacePrior(1e300).slope(1.0) < 0.0
         # and below: the curvature 1/s^2 of a square under the normal floats overflows
         smallest = math.sqrt(sys.float_info.min)
-        assert WithinModelPrior.log_odds("normal", smallest).curvature < math.inf
+        assert NormalPrior(smallest).curvature < math.inf
         with pytest.raises(ValueError, match="scale must be at least"):
-            WithinModelPrior.log_odds("normal", math.nextafter(smallest, 0.0))
+            NormalPrior(math.nextafter(smallest, 0.0))
 
 
 class TestSimulation:

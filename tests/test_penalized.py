@@ -9,10 +9,12 @@ from scipy.integrate import quad
 import ratelab.divergence as divergence
 from ratelab import (
     BestApproximation,
+    LaplacePrior,
+    NormalPrior,
     PiecewiseConstantMean,
     PriorSpec,
     TrueModel,
-    WithinModelPrior,
+    UniformPrior,
     best_approximation,
     default_delta_grid,
     default_m_grid,
@@ -21,7 +23,6 @@ from ratelab import (
     penalized_divergence_upper,
     penalized_value_at,
 )
-from ratelab.models import NormalPrior
 from ratelab.penalized import _box_sups
 
 LINEAR = TrueModel.linear(intercept=0.3, slope=0.4)
@@ -50,12 +51,6 @@ class TestBoxSupremum:
         val = box_sup(LINEAR, m=4, delta=0.05, t=1.0)
         assert val == pytest.approx(0.15 ** 2 / (0.2 * 0.8), abs=1e-15)
         assert val == pytest.approx(0.140625, abs=1e-15)
-
-    def test_delta_must_stay_inside_margin(self):
-        with pytest.raises(ValueError):
-            box_sup(LINEAR, m=4, delta=0.25)
-        with pytest.raises(ValueError):
-            box_sup(LINEAR, m=4, delta=0.0)
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -156,15 +151,14 @@ class TestBoxPriorMass:
         expected = float(model_log_prior(spec)[m - 1]) + m * math.log(2 * delta)
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_uniform_box_may_not_escape_support(self):
+    def test_uniform_prior_box_may_not_escape_support(self):
         spec = PriorSpec(n=64, m_max=4)
         with pytest.raises(ValueError):
             box_log_mass(spec, 2, 0.2, centers=[0.1, 0.5])
 
     def test_log_odds_box_around_even_odds(self):
         # the normal(1) mass of (-0.1, 0.1) is 2 ndtr(0.1) - 1 per bin
-        spec = PriorSpec(n=64, m_max=4,
-                         within=WithinModelPrior.log_odds("normal", 1.0))
+        spec = PriorSpec(n=64, m_max=4, within=NormalPrior(1.0))
         val = box_log_mass(spec, 2, 0.1, centers=[0.5, 0.5])
         expected = (float(model_log_prior(spec)[1])
                     + 2 * math.log(math.erf(0.1 / math.sqrt(2.0))))
@@ -172,13 +166,13 @@ class TestBoxPriorMass:
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
-            penalized_value_at(LINEAR, PriorSpec(n=64, m_max=4), 1.0, 64, 2, 0.0)
+            penalized_value_at(LINEAR, PriorSpec(n=64, m_max=4), 1.0, 2, 0.0)
 
 
 class TestPenalizedValue:
     def test_decomposition_is_exact(self):
         spec = PriorSpec(n=500, k_model=3.0, m_max=20)
-        res = penalized_value_at(LINEAR, spec, t=1.0, n=500, m=5, delta=0.03)
+        res = penalized_value_at(LINEAR, spec, t=1.0, m=5, delta=0.03)
         assert res.value == pytest.approx(
             res.approx_term + res.box_term + res.model_term, abs=1e-15)
         assert res.box_term == pytest.approx(-5 * math.log(0.06) / 500, abs=1e-12)
@@ -188,9 +182,8 @@ class TestPenalizedValue:
             box_sup(LINEAR, 5, 0.03), abs=1e-15)
 
     def test_log_odds_delta_shrinks_on_mean_scale(self):
-        spec = PriorSpec(n=500, m_max=20,
-                         within=WithinModelPrior.log_odds("normal", 1.0))
-        res = penalized_value_at(LINEAR, spec, t=1.0, n=500, m=5, delta=0.4)
+        spec = PriorSpec(n=500, m_max=20, within=NormalPrior(1.0))
+        res = penalized_value_at(LINEAR, spec, t=1.0, m=5, delta=0.4)
         # the logistic map is 1/4-Lipschitz: log-odds half-width 0.4 maps
         # into a mean box of half-width at most 0.1
         assert res.approx_term == pytest.approx(
@@ -199,16 +192,16 @@ class TestPenalizedValue:
     def test_model_index_bounds(self):
         spec = PriorSpec(n=100, m_max=4)
         with pytest.raises(ValueError):
-            penalized_value_at(LINEAR, spec, 1.0, 100, 5, 0.05)
+            penalized_value_at(LINEAR, spec, 1.0, 5, 0.05)
 
 
 class TestPenalizedUpper:
     def test_minimum_over_explicit_grid(self):
         spec = PriorSpec(n=200, m_max=10)
         m_grid, delta_grid = (1, 2, 4, 8), (0.01, 0.05, 0.1)
-        best = penalized_divergence_upper(LINEAR, spec, 1.0, 200,
+        best = penalized_divergence_upper(LINEAR, spec, 1.0,
                                           m_grid=m_grid, delta_grid=delta_grid)
-        values = [penalized_value_at(LINEAR, spec, 1.0, 200, m, d).value
+        values = [penalized_value_at(LINEAR, spec, 1.0, m, d).value
                   for m in m_grid for d in delta_grid]
         assert best.value == pytest.approx(min(values), abs=1e-15)
 
@@ -217,28 +210,33 @@ class TestPenalizedUpper:
         # adds prior cost, so the minimizer must sit at m = 1
         truth = TrueModel.constant(0.5)
         spec = PriorSpec(n=300, m_max=12)
-        best = penalized_divergence_upper(truth, spec, 1.0, 300)
+        best = penalized_divergence_upper(truth, spec, 1.0)
         assert best.m == 1
+
+    def test_n_comes_from_the_prior_spec(self):
+        # the dense triangle's n = 1000 row of bench/reference.json
+        truth = TrueModel.triangle(amplitude=0.22, peak=0.45)
+        res = penalized_divergence_upper(truth, PriorSpec(n=1000), 1.0)
+        assert res.value == 0.26942798500795107
 
     def test_infeasible_grids_raise(self):
         spec = PriorSpec(n=200, m_max=10)
         with pytest.raises(ValueError):
-            penalized_divergence_upper(LINEAR, spec, 1.0, 200,
-                                       delta_grid=(0.4, 0.9))
+            penalized_divergence_upper(LINEAR, spec, 1.0, delta_grid=(0.4, 0.9))
 
     @pytest.mark.parametrize("t", [3000.0, 1e-300])
     def test_suprema_float64_cannot_certify_read_inf(self, t):
         # at t = 3000 every bin moment underflows to 0; at t = 1e-300 the
         # rounding of the moment sums swamps t times the supremum
         truth = TrueModel.triangle(amplitude=0.22, peak=0.45)
-        res = penalized_divergence_upper(truth, PriorSpec(n=500), t, 500)
+        res = penalized_divergence_upper(truth, PriorSpec(n=500), t)
         assert res.value == math.inf
         assert res.approx_term == math.inf
 
     def test_default_grids_cover_m0(self):
         truth = TrueModel.sparse([0.3, 0.7, 0.45])
         spec = PriorSpec(n=8, m_max=6)
-        assert truth.m0 in default_m_grid(truth, spec, 8)
+        assert truth.m0 in default_m_grid(truth, spec)
         deltas = default_delta_grid(truth, 8)
         assert all(0 < d < truth.margin for d in deltas)
 
@@ -253,21 +251,21 @@ class TestPenalizedUpper:
                 truth = TrueModel.sparse(rng.uniform(0.3, 0.7, size=3))
             spec = PriorSpec(n=n, k_model=float(rng.uniform(0.5, 3.0)),
                              m_max=int(rng.integers(4, 12)))
-            mixture = penalized_divergence_upper(truth, spec, 1.0, n)
-            m_grid = default_m_grid(truth, spec, n)
+            mixture = penalized_divergence_upper(truth, spec, 1.0)
+            m_grid = default_m_grid(truth, spec)
             delta_grid = default_delta_grid(truth, n)
             log_prior = model_log_prior(spec)
             per_model_best = math.inf
             for m in m_grid:
                 for delta in delta_grid:
-                    res = penalized_value_at(truth, spec, 1.0, n, m, delta)
+                    res = penalized_value_at(truth, spec, 1.0, m, delta)
                     charged = (res.approx_term + res.box_term
                                - float(log_prior[m - 1]) / n)
                     per_model_best = min(per_model_best, charged)
             assert mixture.value <= per_model_best + 1e-12
 
 
-def _loop_minimum(truth, spec, t, n, m_grid, delta_grid):
+def _loop_minimum(truth, spec, t, m_grid, delta_grid):
     """The grid minimum one candidate at a time: (m, delta) in sorted
     order, infeasible half-widths skipped, strict improvements only."""
     best = None
@@ -276,7 +274,7 @@ def _loop_minimum(truth, spec, t, n, m_grid, delta_grid):
             half = spec.within.mean_half_width(delta)
             if not 0.0 < half < truth.margin:
                 continue
-            cand = penalized_value_at(truth, spec, t, n, m, delta)
+            cand = penalized_value_at(truth, spec, t, m, delta)
             if best is None or cand.value < best.value:
                 best = cand
     return best
@@ -295,18 +293,18 @@ class TestGridEqualsLoop:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("truth,within,k_model", [
-        (TRIANGLE, WithinModelPrior.uniform_box(), 3.0),
-        (TrueModel.sparse([0.3, 0.7, 0.45]), WithinModelPrior.uniform_box(), 1.0),
-        (TRIANGLE, WithinModelPrior.log_odds("normal", 1.5), 3.0),
-        (TRIANGLE, WithinModelPrior.log_odds("laplace", 1.5), 3.0),
+        (TRIANGLE, UniformPrior(), 3.0),
+        (TrueModel.sparse([0.3, 0.7, 0.45]), UniformPrior(), 1.0),
+        (TRIANGLE, NormalPrior(1.5), 3.0),
+        (TRIANGLE, LaplacePrior(1.5), 3.0),
     ], ids=["dense", "sparse", "logodds-normal", "logodds-laplace"])
     @pytest.mark.parametrize("n", [500, 4000])
     def test_default_grids(self, truth, within, k_model, t, n):
         spec = PriorSpec(n=n, k_model=k_model, within=within)
-        m_grid = default_m_grid(truth, spec, n)
+        m_grid = default_m_grid(truth, spec)
         delta_grid = default_delta_grid(truth, n)
-        got = penalized_divergence_upper(truth, spec, t, n)
-        want = _loop_minimum(truth, spec, t, n, m_grid, delta_grid)
+        got = penalized_divergence_upper(truth, spec, t)
+        want = _loop_minimum(truth, spec, t, m_grid, delta_grid)
         assert _fields(got) == _fields(want)
 
     def test_exact_tie_takes_the_smallest_m_then_delta(self):
@@ -315,40 +313,35 @@ class TestGridEqualsLoop:
         # term of the constant truth is below half an ulp of the total:
         # every candidate has the same value
         truth = TrueModel.constant(0.5)
-        spec = PriorSpec(n=1, m_max=6,
-                         within=WithinModelPrior.log_odds("normal", 1e-10))
+        spec = PriorSpec(n=1, m_max=6, within=NormalPrior(1e-10))
         m_grid, delta_grid = (4, 2, 6, 1, 3), (1.2e-8, 1e-8, 1.1e-8)
-        values = {penalized_value_at(truth, spec, 1.0, 1, m, d).value
+        values = {penalized_value_at(truth, spec, 1.0, m, d).value
                   for m in m_grid for d in delta_grid}
         assert len(values) == 1
-        got = penalized_divergence_upper(truth, spec, 1.0, 1, m_grid, delta_grid)
+        got = penalized_divergence_upper(truth, spec, 1.0, m_grid, delta_grid)
         assert (got.m, got.delta) == (1, 1e-8)
         assert _fields(got) == _fields(
-            _loop_minimum(truth, spec, 1.0, 1, m_grid, delta_grid))
+            _loop_minimum(truth, spec, 1.0, m_grid, delta_grid))
 
-    @pytest.mark.parametrize("within", [WithinModelPrior.uniform_box(),
-                                        WithinModelPrior.log_odds("normal", 1.0)],
+    @pytest.mark.parametrize("within", [UniformPrior(), NormalPrior(1.0)],
                              ids=["uniform", "normal"])
     def test_infeasible_deltas_are_skipped(self, within):
         # 0, a negative width and half-widths of the margin or more
         spec = PriorSpec(n=300, m_max=10, within=within)
         m_grid = (1, 3, 5)
         delta_grid = (0.0, -0.01, 0.02, 0.07, 0.25, 0.6, 1.0, 2.0)
-        got = penalized_divergence_upper(LINEAR, spec, 2.0, 300, m_grid,
-                                         delta_grid)
-        want = _loop_minimum(LINEAR, spec, 2.0, 300, m_grid, delta_grid)
+        got = penalized_divergence_upper(LINEAR, spec, 2.0, m_grid, delta_grid)
+        want = _loop_minimum(LINEAR, spec, 2.0, m_grid, delta_grid)
         assert _fields(got) == _fields(want)
         with pytest.raises(ValueError, match="delta must lie in"):
-            penalized_value_at(LINEAR, spec, 2.0, 300, 3,
-                               1.0 / within.mean_half_width(1.0))
+            penalized_value_at(LINEAR, spec, 2.0, 3, 1.0 / within.mean_half_width(1.0))
 
     def test_out_of_range_log_odds_delta_is_named_as_passed(self):
         # a log-odds delta maps to the mean half-width delta / 4, and the
         # message names the delta the caller passed
-        spec = PriorSpec(n=300, m_max=10,
-                         within=WithinModelPrior.log_odds("normal", 1.0))
+        spec = PriorSpec(n=300, m_max=10, within=NormalPrior(1.0))
         with pytest.raises(ValueError) as err:
-            penalized_value_at(LINEAR, spec, 2.0, 300, 3, 4.0)
+            penalized_value_at(LINEAR, spec, 2.0, 3, 4.0)
         assert str(err.value).startswith("delta must lie in (0, 1) ")
         assert str(err.value).endswith("got 4.0")
 
@@ -361,19 +354,17 @@ class TestGridEqualsLoop:
         monkeypatch.setattr(NormalPrior, "log_tail", lambda self, w: np.where(
             np.asarray(w) / self.scale > 37.5, -np.inf, log_tail(self, w)))
         truth = TrueModel.sparse([0.5, 0.3])
-        spec = PriorSpec(n=400, m_max=6,
-                         within=WithinModelPrior.log_odds("normal", 0.02))
+        spec = PriorSpec(n=400, m_max=6, within=NormalPrior(0.02))
         message = ("prior mass of bin 2's log-odds box [-0.867298, -0.827298] "
                    "underflows float64 at m=2, delta=0.02 "
                    "(normal prior, scale=0.02)")
         with pytest.raises(FloatingPointError) as grid:
-            penalized_divergence_upper(truth, spec, 1.0, 400, (3, 1, 2),
-                                       (0.3, 0.05, 0.02))
+            penalized_divergence_upper(truth, spec, 1.0, (3, 1, 2), (0.3, 0.05, 0.02))
         assert str(grid.value) == message
         with pytest.raises(FloatingPointError) as single:
-            penalized_value_at(truth, spec, 1.0, 400, 2, 0.02)
+            penalized_value_at(truth, spec, 1.0, 2, 0.02)
         assert str(single.value) == message
-        assert penalized_value_at(truth, spec, 1.0, 400, 1, 0.02).m == 1
+        assert penalized_value_at(truth, spec, 1.0, 1, 0.02).m == 1
 
     def test_escaping_box_keeps_its_message(self):
         spec = PriorSpec(n=64, m_max=4)

@@ -15,10 +15,12 @@ from scipy.optimize import brentq
 from ratelab import (
     Dataset,
     DiscreteDensity,
+    LaplacePrior,
+    NormalPrior,
     PriorSpec,
     QuadratureError,
     TrueModel,
-    WithinModelPrior,
+    UniformPrior,
     d_t_squared,
     empirical_divergence_quantiles,
     exact_enumeration_oracle,
@@ -37,8 +39,9 @@ from ratelab.rng import stream
 # must not depend on which log-sum-exp rule the installed scipy uses
 from ratelab.special import logsumexp
 
-NORMAL = WithinModelPrior.log_odds("normal", 1.0)
-LAPLACE = WithinModelPrior.log_odds("laplace", 0.7)
+NORMAL = NormalPrior(1.0)
+LAPLACE = LaplacePrior(0.7)
+LOG_ODDS = {"normal": NormalPrior, "laplace": LaplacePrior}
 
 EMPTY = Dataset(x=np.zeros(0), z=np.zeros(0, dtype=np.int8))
 
@@ -139,8 +142,8 @@ class TestOnePassBinning:
         _check_every_model(data, state, 1024)
 
     @DATASETS
-    @pytest.mark.parametrize("within", [WithinModelPrior.uniform_box(),
-                                        WithinModelPrior.log_odds("normal", 1.5)],
+    @pytest.mark.parametrize("within", [UniformPrior(),
+                                        NormalPrior(1.5)],
                              ids=["uniform", "normal"])
     def test_weights_match_per_model_log_evidence(self, data, within):
         spec = replace(_every_model(data), within=within)
@@ -170,8 +173,8 @@ def _unscreened(within, n):
 # log-odds priors at n = 32000 leave out k_model = 0.5, which keeps nearly
 # every bin: it is the unscreened case, at 3 s a posterior
 SCREENED = [(within, n, k_model)
-            for within in (WithinModelPrior.uniform_box(),
-                           WithinModelPrior.log_odds("normal", 1.5), LAPLACE)
+            for within in (UniformPrior(),
+                           NormalPrior(1.5), LAPLACE)
             for n in (500, 4000, 32000) for k_model in (0.5, 1.0, 3.0)
             if (n, k_model) != (32000, 0.5) or within.name == "uniform"]
 
@@ -180,9 +183,9 @@ SCREENED = [(within, n, k_model)
 # tally TestBinCounts checks against np.bincount: tallying all 1024 sizes
 # directly takes 15 s on a 2-core VM; the normal prior stops at m_max = 32,
 # where every bin's evidence takes 0.1 s
-SCREENED_2_20 = [(WithinModelPrior.uniform_box(), 0, 1.0),
-                 (WithinModelPrior.uniform_box(), 0, 3.0),
-                 (WithinModelPrior.log_odds("normal", 1.5), 32, 3.0)]
+SCREENED_2_20 = [(UniformPrior(), 0, 1.0),
+                 (UniformPrior(), 0, 3.0),
+                 (NormalPrior(1.5), 32, 3.0)]
 
 
 def _screened_evaluations(data, spec, per_bin, monkeypatch):
@@ -330,12 +333,12 @@ class TestFramedLogOddsBins:
     @pytest.mark.parametrize("density,scale,s,f,expected", MPMATH_BIN_LOG_EVIDENCE)
     def test_bin_evidence_against_mpmath(self, density, scale, s, f, expected):
         got = log_evidence(np.array([s + f]), np.array([s]),
-                           WithinModelPrior.log_odds(density, scale))
+                           LOG_ODDS[density](scale))
         assert abs(got - expected) <= 1e-10
 
-    @pytest.mark.parametrize("within", [WithinModelPrior.log_odds("normal", 1.5),
-                                        WithinModelPrior.log_odds("laplace", 1.0),
-                                        WithinModelPrior.log_odds("laplace", 5.0)],
+    @pytest.mark.parametrize("within", [NormalPrior(1.5),
+                                        LaplacePrior(1.0),
+                                        LaplacePrior(5.0)],
                              ids=["normal", "laplace1", "laplace5"])
     def test_bin_alone_matches_bin_in_batch(self, within):
         rng = np.random.default_rng(808)
@@ -360,12 +363,12 @@ class TestFramedLogOddsBins:
         # farther out than the span reaches
         with pytest.raises(QuadratureError, match="1e-10"):
             log_evidence(np.array([1]), np.array([1]),
-                         WithinModelPrior.log_odds("laplace", 1e4))
+                         LaplacePrior(1e4))
 
     def test_sampled_sd_of_large_bin_matches_laplace_sd(self):
         # s = f: the mode is 0 by symmetry, the curvature there is
         # (s + f) / 4 + 1 / 1.5^2; quantiles at 200000 evenly spread units
-        within = WithinModelPrior.log_odds("normal", 1.5)
+        within = NormalPrior(1.5)
         sd = 1.0 / math.sqrt(32000 / 4 + 1 / 1.5 ** 2)
         units = (np.arange(200_000) + 0.5) / 200_000
         theta = _log_odds_quantiles(16000, 16000, within, units[:, None])
@@ -378,7 +381,7 @@ class TestFramedLogOddsBins:
     @pytest.mark.parametrize("density", ["normal", "laplace"])
     @pytest.mark.parametrize("scale", [0.1, 1.5, 1000.0])
     def test_quantiles_against_mpmath_cdf(self, density, scale):
-        within = WithinModelPrior.log_odds(density, scale)
+        within = LOG_ODDS[density](scale)
         levels = np.linspace(0.01, 0.99, 9)
         for s, f in ((0, 0), (1, 0), (3, 1), (40, 7), (2000, 1500)):
             theta = _log_odds_quantiles(s, f, within, levels[:, None])[:, 0]
@@ -546,7 +549,7 @@ class TestSampling:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
-BATCH_PRIORS = {"uniform": WithinModelPrior.uniform_box(), "normal": NORMAL,
+BATCH_PRIORS = {"uniform": UniformPrior(), "normal": NORMAL,
                 "laplace": LAPLACE}
 BATCH_TRUTHS = {"triangle": TrueModel.triangle(amplitude=0.22, peak=0.45),
                 "sparse": TrueModel.sparse([0.3, 0.7, 0.45])}

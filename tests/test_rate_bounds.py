@@ -299,7 +299,7 @@ variants = prop3, prop7, remark8, remark10
     prop7 = mp.log(sum(mp.sqrt(w / total) * mp.mpf(256) ** m
                        for m, w in zip(range(1, 5), weights)))
     assert rows["prop7"].log_richness == pytest.approx(float(prop7), rel=1e-14)
-    log_norm = log_mixture_norm_complexity(spec, u, n)
+    log_norm = log_mixture_norm_complexity(spec, u)
     assert rows["remark8"].log_richness == log_norm
     assert rows["remark10"].log_richness == log_norm
 

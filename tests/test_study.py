@@ -271,7 +271,7 @@ def _counting_triangle(calls):
         calls.append(np.size(x))
         return base.mean.fn(x)
 
-    return TrueModel.smooth(fn, base.d_bound, base.margin,
+    return TrueModel.smooth(fn, base.mean.d_bound, base.margin,
                             breakpoints=base.mean.breakpoints)
 
 

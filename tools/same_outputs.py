@@ -5,13 +5,16 @@
 Unpacks REV (default HEAD) with `git archive` into a temporary directory
 and runs one matrix of ratelab commands on that copy and then on the
 working tree, one process at a time.  The matrix is the DENSE, SPARSE and
-LOGODDS acceptance studies (LOGODDS on one replicate) and DENSE at
-t = 0.5, every bound variant, seeds 3, 5 and 11.  Per config and seed it
-keeps the `rate-study --plot` CSV and SVG files and the `bound` and
-`complexity` stdout.  It prints one line per file, `identical`, or `moved`
-with the largest relative move per CSV column, then a summary, and exits
-1 unless every file is identical.  Everything it writes goes to the
-temporary directory.
+LOGODDS acceptance studies (LOGODDS on one replicate), DENSE at t = 0.5,
+and DENSE at u = 1e-9 on n = 500 and 2000 with two replicates, where the
+draws take the KL limit of the divergence; every bound variant, seeds 3,
+5 and 11.  Per config and seed it keeps the `rate-study --plot` CSV and
+SVG files and the `bound`, `complexity` and `simulate` stdout.  Once per
+tree it keeps the stdout of the README's `divergence` and `verify-prop2`
+lines: 92 files in all.  It prints one line per file, `identical`, or
+`moved` with the largest relative move per CSV column, then a summary,
+and exits 1 unless every file is identical.  Everything it writes goes to
+the temporary directory.
 """
 
 from __future__ import annotations
@@ -26,17 +29,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 TRIANGLE = "[truth]\nkind = triangle\namplitude = 0.22\npeak = 0.45\n"
-RUN = ("\n[run]\nn_grid = 500, 1000, 2000, 4000, 8000, 16000, 32000\ndraws = 50\n"
-       "replicates = {replicates}\nseed = 1\nvariants = prop3, prop7, remark8, remark10\n")
+RUN = ("\n[run]\nn_grid = {n_grid}\ndraws = 50\nreplicates = {replicates}\nseed = 1\n"
+       "variants = prop3, prop7, remark8, remark10\n")
+FULL_GRID = "500, 1000, 2000, 4000, 8000, 16000, 32000"
 CONFIGS = {
-    "dense": TRIANGLE + RUN.format(replicates=5),
+    "dense": TRIANGLE + RUN.format(n_grid=FULL_GRID, replicates=5),
     "sparse": "[truth]\nkind = sparse\nlevels = 0.3, 0.7, 0.45\n\n[prior]\nk_model = 1\n"
-              + RUN.format(replicates=5),
+              + RUN.format(n_grid=FULL_GRID, replicates=5),
     "logodds": TRIANGLE + "\n[prior]\nwithin = normal\nscale = 1.5\n"
-               + RUN.format(replicates=1),
-    "dense_t05": TRIANGLE + RUN.format(replicates=5) + "t = 0.5\n",
+               + RUN.format(n_grid=FULL_GRID, replicates=1),
+    "dense_t05": TRIANGLE + RUN.format(n_grid=FULL_GRID, replicates=5) + "t = 0.5\n",
+    "small_u": TRIANGLE + RUN.format(n_grid="500, 2000", replicates=2) + "u = 1e-9\n",
 }
 SEEDS = (3, 5, 11)
+# the commands that take no config, run once per tree: the README's lines
+ONCE = {
+    "divergence": ("divergence", "--p", "0.3,0.7", "--q", "0.5,0.5", "--t=-0.5,0,1"),
+    "verify_prop2": ("verify-prop2", "--count", "100", "--seed", "0"),
+}
 
 
 def unpack(rev: str, into: Path) -> None:
@@ -69,10 +79,12 @@ def run_matrix(tree: Path, out: Path) -> None:
         for seed in SEEDS:
             stem, common = f"{name}_seed{seed}", ("--config", config.name, "--seed", str(seed))
             ratelab("rate-study", *common, "--out", f"{stem}.csv", "--plot")
-            for command in ("bound", "complexity"):
+            for command in ("bound", "complexity", "simulate"):
                 (out / f"{stem}_{command}.txt").write_text(ratelab(command, *common),
                                                            encoding="utf-8")
         config.unlink()
+    for name, args in ONCE.items():
+        (out / f"{name}.txt").write_text(ratelab(*args), encoding="utf-8")
 
 
 def column_moves(old: str, new: str) -> str:
