@@ -23,9 +23,6 @@ draws = 50
 replicates = 5
 seed = 1
 variants = prop7
-
-[output]
-csv = rates.csv
 CFG
 ratelab bound --config study.cfg --variant prop7
 ratelab rate-study --config study.cfg --out rates.csv --plot

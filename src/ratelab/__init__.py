@@ -1,90 +1,18 @@
 """Divergence bounds and posterior rate studies for binned binary regression."""
 
-from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
-from .divergence import (DiscreteDensity, PiecewiseConstantMean,
-                         QuadratureError, SmoothMean, d_t_squared,
-                         d_t_squared_product, kl_divergence, l1_distance)
-from .models import (BestApproximation, Dataset, LaplacePrior, NormalPrior,
-                     PriorSpec, TrueModel, UniformPrior, WithinModelPrior,
-                     best_approximation, log_covering_number_uniform,
-                     log_odds_to_mean, mean_to_log_odds, model_log_prior,
-                     simulate_data)
-from .penalized import (PenalizedDivergenceResult, default_delta_grid,
-                        default_m_grid, penalized_divergence_upper,
-                        penalized_value_at)
-from .posterior import (DivergenceSummary, OracleResult, PosteriorState,
-                        empirical_divergence_quantiles,
-                        exact_enumeration_oracle, log_evidence,
-                        model_posterior, random_oracle_config,
-                        sample_posterior_density)
-from .rate_bounds import (VARIANTS, RateBoundBreakdown, bound_prefactor,
-                          floor_to_unit_fraction, posterior_mass_bound_rhs,
-                          rate_bound)
-from .rng import stream
-from .study import (SlopeFit, StudyResult, StudyRow, StudySummary,
-                    fit_slope, format_study_csv, log_cover_mixture,
-                    log_norm_complexity_mixture, run_rate_study,
-                    variant_bounds_for_n, write_study_csv)
+from . import config, divergence, models, penalized, posterior, rate_bounds, rng, study
+from .config import *
+from .divergence import *
+from .models import *
+from .penalized import *
+from .posterior import *
+from .rate_bounds import *
+from .rng import *
+from .study import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BestApproximation",
-    "ConfigError",
-    "Dataset",
-    "DiscreteDensity",
-    "DivergenceSummary",
-    "ExperimentConfig",
-    "LaplacePrior",
-    "NormalPrior",
-    "OracleResult",
-    "PenalizedDivergenceResult",
-    "PiecewiseConstantMean",
-    "PosteriorState",
-    "PriorSpec",
-    "QuadratureError",
-    "RateBoundBreakdown",
-    "SlopeFit",
-    "SmoothMean",
-    "StudyResult",
-    "StudyRow",
-    "StudySummary",
-    "TrueModel",
-    "UniformPrior",
-    "VARIANTS",
-    "WithinModelPrior",
-    "best_approximation",
-    "bound_prefactor",
-    "d_t_squared",
-    "default_delta_grid",
-    "default_m_grid",
-    "d_t_squared_product",
-    "empirical_divergence_quantiles",
-    "exact_enumeration_oracle",
-    "fit_slope",
-    "floor_to_unit_fraction",
-    "format_study_csv",
-    "kl_divergence",
-    "l1_distance",
-    "load_config",
-    "log_cover_mixture",
-    "log_covering_number_uniform",
-    "log_evidence",
-    "log_norm_complexity_mixture",
-    "log_odds_to_mean",
-    "mean_to_log_odds",
-    "model_log_prior",
-    "model_posterior",
-    "parse_config_text",
-    "penalized_divergence_upper",
-    "penalized_value_at",
-    "posterior_mass_bound_rhs",
-    "random_oracle_config",
-    "rate_bound",
-    "run_rate_study",
-    "sample_posterior_density",
-    "simulate_data",
-    "stream",
-    "variant_bounds_for_n",
-    "write_study_csv",
-]
+# each public name is listed once, in its own module's __all__
+__all__ = [name for module in (config, divergence, models, penalized, posterior,
+                               rate_bounds, rng, study)
+           for name in module.__all__]

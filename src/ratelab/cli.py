@@ -71,10 +71,7 @@ def _load_study_config(args) -> ExperimentConfig:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ConfigError("--seed must be >= 0")
-    return config.with_overrides(
-        seed=seed,
-        csv_path=getattr(args, "out", None),
-        plot=True if getattr(args, "plot", False) else None)
+    return config.with_overrides(seed=seed)
 
 
 def _cmd_divergence(args) -> int:
@@ -182,20 +179,18 @@ def _cmd_verify_prop2(args) -> int:
 
 
 def _cmd_rate_study(args) -> int:
-    config = _load_study_config(args)
-    _check_directory(config.csv_path)  # the SVGs share its directory
-    result = run_rate_study(config)
-    write_study_csv(result, config.csv_path)
+    result = run_rate_study(_load_study_config(args))
+    write_study_csv(result, args.out)
     print(f"rows: {len(result.rows)}")
-    print(f"csv: {config.csv_path}")
+    print(f"csv: {args.out}")
     fit = result.summary.fit
     print(f"slope: {fit.slope:.6g} intercept: {fit.intercept:.6g} "
           f"r2: {fit.r_squared:.6g}")
     for variant, worst in result.summary.max_exceedance:
         print(f"exceedance[{variant}]: {worst:.6g} "
               f"(n >= {result.summary.burn_in_n})")
-    if config.plot:
-        prefix = config.csv_path
+    if args.plot:
+        prefix = args.out
         if prefix.endswith(".csv"):
             prefix = prefix[:-4]
         paths = render_plots(result, prefix)
@@ -248,11 +243,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify_prop2)
 
     p = sub.add_parser("rate-study", help="full study: simulate, bound, "
-                       "fit the rate, write CSV")
+                       "fit the rate, write CSV (--out, default rate_study.csv)")
     p.add_argument("--plot", action="store_true",
                    help="also write SVG plots next to the CSV")
     _common(p)
-    p.set_defaults(func=_cmd_rate_study)
+    p.set_defaults(func=_cmd_rate_study, out="rate_study.csv")
 
     return parser
 

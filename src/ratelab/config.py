@@ -21,7 +21,7 @@ from .rate_bounds import VARIANTS, floor_to_unit_fraction
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
 
-_SECTIONS = ("truth", "prior", "run", "output")
+_SECTIONS = ("truth", "prior", "run")
 
 
 class ConfigError(ValueError):
@@ -58,24 +58,13 @@ class ExperimentConfig:
     seed: int
     variants: tuple
     burn_in: int
-    csv_path: str
-    plot: bool
 
     def prior_for(self, n: int) -> PriorSpec:
         return PriorSpec(n=n, k_model=self.k_model, m_max=self.m_max,
                          within=self.within)
 
-    def with_overrides(self, seed: Optional[int] = None,
-                       csv_path: Optional[str] = None,
-                       plot: Optional[bool] = None) -> "ExperimentConfig":
-        out = self
-        if seed is not None:
-            out = replace(out, seed=int(seed))
-        if csv_path is not None:
-            out = replace(out, csv_path=csv_path)
-        if plot is not None:
-            out = replace(out, plot=bool(plot))
-        return out
+    def with_overrides(self, seed: Optional[int] = None) -> "ExperimentConfig":
+        return self if seed is None else replace(self, seed=int(seed))
 
 
 def _tokenize(text: str) -> dict:
@@ -116,15 +105,6 @@ def _strict_int(value: str) -> int:
     return int(value)
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(value)
-
-
 def _split_list(value: str, caster: Callable) -> tuple:
     parts = [p.strip() for p in value.split(",")]
     if any(not p for p in parts):
@@ -136,7 +116,7 @@ _FLOATS = functools.partial(_split_list, caster=float)
 _INTS = functools.partial(_split_list, caster=_strict_int)
 _STRS = functools.partial(_split_list, caster=str)
 _EXPECTS = {float: "a number", _strict_int: "an integer", str: "a string",
-            _parse_bool: "true/false", _FLOATS: "a comma-separated number list",
+            _FLOATS: "a comma-separated number list",
             _INTS: "a comma-separated integer list", _STRS: "a comma-separated list"}
 
 
@@ -185,26 +165,18 @@ def _build_truth(take: Callable) -> TrueModel:
                           margin_line)
     if kind == "sparse":
         levels, levels_line = take("levels", None, _FLOATS)
-        truth = _at(levels_line, TrueModel.sparse, levels, margin=margin)
-    elif kind in _SMOOTH:
-        build, defaults = _SMOOTH[kind]
-        args = {key: take(key, default) for key, default in defaults.items()}
-        peak, peak_line = args.get("peak", (0.5, None))  # a triangle's
-        if not 0.0 < peak < 1.0:
-            raise ConfigError(f"peak must lie in (0, 1), got {peak}", peak_line)
-        truth = _at(kind_line, build, margin=margin,
-                    **{key: value for key, (value, _) in args.items()})
-    else:
+        return _at(levels_line, TrueModel.sparse, levels, margin=margin)
+    if kind not in _SMOOTH:
         raise ConfigError(
             "kind must be sine|triangle|linear|constant|sparse, "
             f"got {kind!r}", kind_line)
-    d_bound, d_line = take("d_bound", -1.0)
-    if d_line is not None:
-        if truth.m0 is not None:
-            raise ConfigError("d_bound applies only to smooth truths", d_line)
-        truth = _at(d_line, TrueModel.smooth, truth.mean.fn, d_bound=d_bound,
-                    margin=margin, breakpoints=truth.mean.breakpoints)
-    return truth
+    build, defaults = _SMOOTH[kind]
+    args = {key: take(key, default) for key, default in defaults.items()}
+    peak, peak_line = args.get("peak", (0.5, None))  # a triangle's
+    if not 0.0 < peak < 1.0:
+        raise ConfigError(f"peak must lie in (0, 1), got {peak}", peak_line)
+    return _at(kind_line, build, margin=margin,
+               **{key: value for key, (value, _) in args.items()})
 
 
 def _build_within(take: Callable) -> WithinModelPrior:
@@ -270,10 +242,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}", workers_line)
 
-    take = _taker(sections, "output")
-    csv_path, _ = take("csv", "rate_study.csv", str)
-    plot, _ = take("plot", False, _parse_bool)
-
     for name, entries in sections.items():  # what no take popped
         for key, (_, line) in entries.items():
             raise ConfigError(f"unknown key '{key}' in [{name}]", line)
@@ -287,7 +255,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         n_grid=n_grid, draws=draws, replicates=replicates,
         u=u, t=t, seed=seed,
         variants=tuple(dict.fromkeys(variants)), burn_in=burn_in,
-        csv_path=csv_path, plot=plot,
     )
 
 

@@ -122,10 +122,10 @@ class PiecewiseConstantMean:
 
 @dataclass(frozen=True, eq=False)
 class SmoothMean:
-    """Smooth mean with a certified derivative bound and margin from {0, 1}.
+    """Smooth mean with values in [0, 1] and a certified derivative bound.
 
-    The margin and the derivative bound are declared attributes; both
-    are checked on a dense grid at construction time.  ``breakpoints``
+    Both are checked on a dense grid at construction time; the margin
+    from {0, 1} is the truth's (``TrueModel``).  ``breakpoints``
     declares the sorted points inside (0, 1) where the mean is
     continuous but not smooth (a kink); quadrature starts a panel at
     each of them.
@@ -133,7 +133,6 @@ class SmoothMean:
 
     fn: Callable
     d_bound: float
-    margin: float
     breakpoints: tuple = ()
 
     def __post_init__(self):
@@ -144,14 +143,12 @@ class SmoothMean:
             raise ValueError(
                 f"breakpoints must be sorted without duplicates, got {points}")
         object.__setattr__(self, "breakpoints", points)
-        if not 0.0 < self.margin < 0.5:
-            raise ValueError(f"margin must lie in (0, 0.5), got {self.margin}")
         xs = np.linspace(0.0, 1.0, _VALIDATION_GRID)
         vals = np.asarray(self.fn(xs), dtype=float)
         if vals.shape != xs.shape:
             raise ValueError("mean function must map arrays to arrays elementwise")
-        if not np.all((vals > self.margin) & (vals < 1.0 - self.margin)):  # NaN too
-            raise ValueError("mean leaves (margin, 1 - margin) on the check grid")
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN too
+            raise ValueError("mean leaves [0, 1] on the check grid")
         if not 0.0 <= self.d_bound < math.inf:
             raise ValueError(
                 f"derivative bound must be nonnegative and finite, got {self.d_bound}")

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .divergence import (_GL_W, _GL_X, MEAN_CLAMP, PiecewiseConstantMean, QuadratureError,
-                         SmoothMean, _composite_gl, _union_edges)
+from .divergence import (_GL_W, _GL_X, _VALIDATION_GRID, MEAN_CLAMP, PiecewiseConstantMean,
+                         QuadratureError, SmoothMean, _composite_gl, _union_edges)
 from .rng import stream
 from .special import bisect, expit, log_beta_counts, logit, logsumexp, ndtr
 
@@ -47,12 +47,22 @@ __all__ = [
 class TrueModel:
     """True response mean, either smooth or piecewise constant ("sparse").
 
-    ``margin`` keeps the mean inside (margin, 1 - margin).  The slope bound
-    of a smooth truth is its mean's ``d_bound``; ``m0`` is a sparse one's m.
+    The mean stays strictly inside (margin, 1 - margin), checked on a
+    sparse truth's levels and on a smooth one's check grid.  The slope
+    bound of a smooth truth is its mean's ``d_bound``; ``m0`` is a sparse
+    one's m.
     """
 
     mean: Union[SmoothMean, PiecewiseConstantMean]
     margin: float
+
+    def __post_init__(self):
+        if not 0.0 < self.margin < 0.5:
+            raise ValueError(f"margin must lie in (0, 0.5), got {self.margin}")
+        values = (self.mean.levels if self.m0 else
+                  self.mean(np.linspace(0.0, 1.0, _VALIDATION_GRID)))
+        if not np.all((values > self.margin) & (values < 1.0 - self.margin)):  # NaN too
+            raise ValueError("the mean must stay strictly inside (margin, 1 - margin)")
 
     @property
     def m0(self) -> Optional[int]:
@@ -61,9 +71,7 @@ class TrueModel:
     @classmethod
     def smooth(cls, fn: Callable, d_bound: float, margin: float,
                breakpoints: tuple = ()) -> "TrueModel":
-        mean = SmoothMean(fn, float(d_bound), float(margin),
-                          breakpoints=breakpoints)
-        return cls(mean, float(margin))
+        return cls(SmoothMean(fn, float(d_bound), breakpoints=breakpoints), float(margin))
 
     @classmethod
     def sine(cls, center: float = 0.5, amplitude: float = 0.15,
@@ -108,13 +116,7 @@ class TrueModel:
 
     @classmethod
     def sparse(cls, levels: Sequence[float], margin: float = 0.25) -> "TrueModel":
-        levels = np.asarray(levels, dtype=float)
-        margin = float(margin)
-        if not 0.0 < margin < 0.5:
-            raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
-        if not np.all((levels > margin) & (levels < 1.0 - margin)):  # NaN too
-            raise ValueError("sparse levels must lie strictly inside (margin, 1 - margin)")
-        return cls(PiecewiseConstantMean(levels), margin)
+        return cls(PiecewiseConstantMean(levels), float(margin))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["stream"]
+
 
 def stream(*key: int) -> np.random.Generator:
     """Return the Philox generator addressed by an integer key tuple.

@@ -81,9 +81,6 @@ draws = 50
 replicates = 5
 seed = 1
 variants = prop7
-
-[output]
-csv = rates.csv
 """
 
 
@@ -516,9 +513,8 @@ def test_unwritable_output_exits_one(command, config_path, tmp_path, capsys):
     assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
-@pytest.mark.parametrize("command,where", [("rate-study", "--out"), ("simulate", "--out"),
-                                           ("rate-study", "[output] csv")])
-def test_missing_output_directory_is_refused_before_the_work(command, where, tmp_path,
+@pytest.mark.parametrize("command", ["rate-study", "simulate"])
+def test_missing_output_directory_is_refused_before_the_work(command, tmp_path,
                                                              monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the work ran before the output path was checked")
@@ -527,11 +523,8 @@ def test_missing_output_directory_is_refused_before_the_work(command, where, tmp
     monkeypatch.setattr(cli, "cell_divergences", no_work)
     out = tmp_path / "missing" / "b.csv"
     config = tmp_path / "study.cfg"
-    in_config = where == "[output] csv"
-    config.write_text(CONFIG + (f"\n[output]\ncsv = {out}\n" if in_config else ""),
-                      encoding="utf-8")
-    argv = [command, "--config", str(config)] + ([] if in_config else ["--out", str(out)])
-    code, _, err = _run(argv, capsys)
+    config.write_text(CONFIG, encoding="utf-8")
+    code, _, err = _run([command, "--config", str(config), "--out", str(out)], capsys)
     assert code == 1
     assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 

@@ -31,8 +31,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.seed == 17
     assert cfg.variants == ("prop7",)
     assert cfg.burn_in == 0
-    assert cfg.csv_path == "rate_study.csv"
-    assert cfg.plot is False
 
 
 def test_full_config_round_trip():
@@ -60,10 +58,6 @@ seed = 99
 variants = prop3, prop7, prop3
 burn_in = 1
 workers = 2
-
-[output]
-csv = out.csv
-plot = yes
 """)
     assert cfg.truth.m0 == 3
     assert cfg.truth.margin == 0.2
@@ -76,8 +70,6 @@ plot = yes
     assert cfg.variants == ("prop3", "prop7")
     assert cfg.burn_in == 1
     assert not hasattr(cfg, "workers")  # the workers = 2 line is read and dropped
-    assert cfg.csv_path == "out.csv"
-    assert cfg.plot is True
 
 
 def test_u_is_floored_to_a_unit_fraction():
@@ -94,10 +86,10 @@ def test_prior_for_auto_sizes_the_model_list():
 
 def test_with_overrides_replaces_only_named_fields():
     cfg = parse_config_text(MINIMAL)
-    out = cfg.with_overrides(seed=5, csv_path="x.csv", plot=True)
-    assert (out.seed, out.csv_path, out.plot) == (5, "x.csv", True)
+    out = cfg.with_overrides(seed=5)
+    assert out.seed == 5
     assert out.n_grid == cfg.n_grid and out.u == cfg.u
-    assert (cfg.seed, cfg.csv_path, cfg.plot) == (17, "rate_study.csv", False)
+    assert cfg.seed == 17
     assert cfg.with_overrides() == cfg
 
 
@@ -203,25 +195,14 @@ def test_truth_validation():
     assert err.line == 4
     assert "inside (margin, 1 - margin)" in str(
         _error("[truth]\nkind = sparse\nlevels = 0.2, 0.7, 0.45" + base))
-    assert "d_bound applies only to smooth" in str(
-        _error("[truth]\nkind = sparse\nlevels = 0.3, 0.7, 0.45\nd_bound = 1.0"
-               + base))
 
 
-def test_d_bound_override_on_smooth_truth():
-    base = "\n[run]\nn_grid = 10, 20\n"
-    cfg = parse_config_text(
-        "[truth]\nkind = sine\namplitude = 0.1\nd_bound = 2.0" + base)
-    assert cfg.truth.mean.d_bound == 2.0
-    # 0.1 amplitude sine has slope up to 0.2*pi, so 0.1 understates it
-    err = _error("[truth]\nkind = sine\namplitude = 0.1\nd_bound = 0.1" + base)
-    assert "exceeds declared bound" in str(err)
+@pytest.mark.parametrize("kind", ["sine\namplitude = 0.1", "sparse\nlevels = 0.3, 0.7"])
+def test_d_bound_is_an_unknown_key(kind):
+    # each kind computes its own slope bound; a key could only restate or loosen it
+    err = _error(f"[truth]\nkind = {kind}\nd_bound = 2.0\n[run]\nn_grid = 10, 20\n")
+    assert "unknown key 'd_bound' in [truth]" in str(err)
     assert err.line == 4
-    # the override keeps the triangle's declared kink
-    cfg = parse_config_text(
-        "[truth]\nkind = triangle\npeak = 0.45\nd_bound = 3.0" + base)
-    assert cfg.truth.mean.d_bound == 3.0
-    assert cfg.truth.mean.breakpoints == (0.45,)
 
 
 def test_prior_section_validation(tmp_path):
@@ -270,15 +251,13 @@ RUN = "\n[run]\nn_grid = 10, 20\n"
     ("[truth]\nkind = triangle\ncenter = nan" + RUN, 2, "mean leaves"),
     ("[truth]\nkind = constant\nlevel = nan" + RUN, 2, "mean leaves"),
     ("[truth]\nkind = linear\nintercept = 0.4\nslope = nan" + RUN, 2, "mean leaves"),
-    ("[truth]\nkind = sine\nd_bound = nan" + RUN, 3, "derivative bound"),
-    ("[truth]\nkind = sine\nd_bound = inf" + RUN, 3, "derivative bound"),
     ("[truth]\nkind = sparse\nlevels = 0.3, nan" + RUN, 3, "inside (margin, 1 - margin)"),
     # a smooth truth's own refusals name its kind line
-    ("[truth]\nkind = constant\nlevel = 0.9" + RUN, 2, "mean leaves"),
-    ("[truth]\nkind = sine\namplitude = 0.5" + RUN, 2, "mean leaves"),
+    ("[truth]\nkind = constant\nlevel = 0.9" + RUN, 2, "inside (margin, 1 - margin)"),
+    ("[truth]\nkind = sine\namplitude = 0.5" + RUN, 2, "inside (margin, 1 - margin)"),
     ("[truth]\nmargin = 0.2\nkind = triangle\ncenter = 0.9" + RUN, 3, "mean leaves"),
 ], ids=["k_model_nan", "k_model_inf", "amplitude_nan",
-        "center_nan", "level_nan", "slope_nan", "d_bound_nan", "d_bound_inf",
+        "center_nan", "level_nan", "slope_nan",
         "levels_nan", "constant_0.9", "sine_0.5", "triangle_0.9"])
 def test_refusals_name_their_line(text, line, fragment):
     err = _error(text)
@@ -293,9 +272,12 @@ def test_cli_refusal_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 9: t must be positive")
 
 
-def test_output_section_validation():
-    assert "'plot' expects true/false" in str(
-        _error(MINIMAL + "\n[output]\nplot = maybe\n"))
+def test_output_section_is_unknown(tmp_path, capsys):
+    # the output path and the plots are rate-study's --out and --plot
+    path = tmp_path / "study.cfg"
+    path.write_text(MINIMAL + "\n[output]\ncsv = out.csv\n", encoding="utf-8")
+    assert cli.main(["rate-study", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 9: unknown section [output]\n"
 
 
 def test_load_config_reads_files(tmp_path):

@@ -229,13 +229,15 @@ class TestRegressionDensities:
 
     def test_smooth_mean_declared_bound_enforced(self):
         with pytest.raises(ValueError):
-            SmoothMean(lambda x: 0.5 + 0.2 * np.sin(2 * np.pi * x),
-                       d_bound=0.1, margin=0.2)
+            SmoothMean(lambda x: 0.5 + 0.2 * np.sin(2 * np.pi * x), d_bound=0.1)
 
     def test_smooth_mean_margin_enforced(self):
-        with pytest.raises(ValueError):
-            SmoothMean(lambda x: 0.5 + 0.4 * np.sin(2 * np.pi * x),
-                       d_bound=3.0, margin=0.25)
+        # the margin is the truth's; the mean itself only has to stay in [0, 1]
+        wide = SmoothMean(lambda x: 0.5 + 0.4 * np.sin(2 * np.pi * x), d_bound=3.0)
+        with pytest.raises(ValueError, match=r"inside \(margin, 1 - margin\)"):
+            TrueModel(wide, 0.25)
+        with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+            SmoothMean(lambda x: 0.5 + 0.6 * np.sin(2 * np.pi * x), d_bound=4.0)
 
     def test_piecewise_levels_validated(self):
         with pytest.raises(ValueError):
@@ -301,8 +303,7 @@ class TestDeclaredBreakpoints:
     @pytest.mark.parametrize("points", [(1.2,), (0.0,), (0.6, 0.3), (0.4, 0.4)])
     def test_breakpoints_validated(self, points):
         with pytest.raises(ValueError):
-            SmoothMean(lambda x: 0.5 + 0.1 * x, d_bound=0.1, margin=0.25,
-                       breakpoints=points)
+            SmoothMean(lambda x: 0.5 + 0.1 * x, d_bound=0.1, breakpoints=points)
 
 
 def _hellinger_closed_form(mu, levels):

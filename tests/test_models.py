@@ -14,6 +14,8 @@ from ratelab import (
     PriorSpec,
     LaplacePrior,
     NormalPrior,
+    PiecewiseConstantMean,
+    SmoothMean,
     TrueModel,
     UniformPrior,
     WithinModelPrior,
@@ -74,6 +76,20 @@ class TestTruthConstructors:
     def test_sparse_levels_must_clear_margin(self):
         with pytest.raises(ValueError):
             TrueModel.sparse([0.2, 0.6])
+
+    @pytest.mark.parametrize("build,fragment", [
+        # its own t = 1 box corner has a larger d_t^2 than the approx term
+        # certified under the margin 0.25
+        (lambda: TrueModel(PiecewiseConstantMean([0.05, 0.95]), 0.25),
+         "inside (margin, 1 - margin)"),
+        (lambda: TrueModel(SmoothMean(lambda x: 0.5 + 0.3 * x, 0.3), 0.25),
+         "inside (margin, 1 - margin)"),
+        (lambda: TrueModel(PiecewiseConstantMean([0.3, 0.7]), 0.6),
+         "margin must lie in (0, 0.5)"),
+    ], ids=["sparse_outside", "smooth_outside", "margin_0.6"])
+    def test_truth_checks_its_own_margin(self, build, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            build()
 
     def test_constant_has_zero_derivative_bound(self):
         truth = TrueModel.constant(0.4)

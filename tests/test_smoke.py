@@ -251,3 +251,10 @@ def test_benchmark_wrapped_names_resolve():
     resolved = layers.originals()  # getattr on every target
     assert set(resolved) == {(mod, attr) for mod, attr, _ in layers.TARGETS}
     assert all(map(callable, resolved.values()))
+
+
+def test_package_names_are_listed_once_and_resolve():
+    # the package __all__ joins its modules' lists; a name in two of them
+    # would let one module's object shadow the other's without a word
+    assert len(ratelab.__all__) == len(set(ratelab.__all__))
+    assert all(hasattr(ratelab, name) for name in ratelab.__all__)

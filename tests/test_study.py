@@ -206,18 +206,16 @@ class TestDeterminism:
         dense = ("[truth]\nkind = triangle\namplitude = 0.22\npeak = 0.45\n\n"
                  "[run]\nn_grid = 500, 1000, 2000\ndraws = 20\nreplicates = 2\n"
                  "seed = 3\nvariants = prop3, prop7, remark8, remark10\n")
-        configs = []
+        stems = []
         for name, key in (("serial", ""), ("pool2", "workers = 2\n")):
-            path = tmp_path / f"{name}.cfg"
-            path.write_text(f"{dense}{key}\n[output]\ncsv = {tmp_path / name}.csv\n",
-                            encoding="utf-8")
-            configs.append(str(path))
+            (tmp_path / f"{name}.cfg").write_text(f"{dense}{key}", encoding="utf-8")
+            stems.append(str(tmp_path / name))
         src = str(Path(ratelab.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, ratelab.cli as cli; "
-             "print([cli.main(['rate-study', '--config', path]) "
-             "for path in sys.argv[1:]], 'concurrent.futures' in sys.modules)",
-             *configs],
+             "print([cli.main(['rate-study', '--config', stem + '.cfg', '--out', "
+             "stem + '.csv']) for stem in sys.argv[1:]], 'concurrent.futures' in sys.modules)",
+             *stems],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
             timeout=60)
         assert proc.returncode == 0, proc.stderr

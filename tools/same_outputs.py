@@ -6,15 +6,17 @@ Unpacks REV (default HEAD) with `git archive` into a temporary directory
 and runs one matrix of ratelab commands on that copy and then on the
 working tree, one process at a time.  The matrix is the DENSE, SPARSE and
 LOGODDS acceptance studies (LOGODDS on one replicate), DENSE at t = 0.5,
-and DENSE at u = 1e-9 on n = 500 and 2000 with two replicates, where the
-draws take the KL limit of the divergence; every bound variant, seeds 3,
-5 and 11.  Per config and seed it keeps the `rate-study --plot` CSV and
-SVG files and the `bound`, `complexity` and `simulate` stdout.  Once per
-tree it keeps the stdout of the README's `divergence` and `verify-prop2`
-lines: 92 files in all.  It prints one line per file, `identical`, or
-`moved` with the largest relative move per CSV column, then a summary,
-and exits 1 unless every file is identical.  Everything it writes goes to
-the temporary directory.
+DENSE at u = 1e-9 on n = 500 and 2000 with two replicates, where the
+draws take the KL limit of the divergence, a sine truth under the Laplace
+prior of scale 0.7 on n = 500, 4000 and 32000, and the README's narrow
+normal prior (scale 0.02) on n = 500 and 2000, these two on one
+replicate; every bound variant, seeds 3, 5 and 11.  Per config and seed
+it keeps the `rate-study --plot` CSV and SVG files and the `bound`,
+`complexity` and `simulate` stdout.  Once per tree it keeps the stdout of
+the README's `divergence` and `verify-prop2` lines: 128 files in all.  It
+prints one line per file, `identical`, or `moved` with the largest
+relative move per CSV column, then a summary, and exits 1 unless every
+file is identical.  Everything it writes goes to the temporary directory.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ CONFIGS = {
                + RUN.format(n_grid=FULL_GRID, replicates=1),
     "dense_t05": TRIANGLE + RUN.format(n_grid=FULL_GRID, replicates=5) + "t = 0.5\n",
     "small_u": TRIANGLE + RUN.format(n_grid="500, 2000", replicates=2) + "u = 1e-9\n",
+    "laplace_sine": "[truth]\nkind = sine\n\n[prior]\nwithin = laplace\nscale = 0.7\n"
+                    + RUN.format(n_grid="500, 4000, 32000", replicates=1),
+    "narrow_normal": TRIANGLE + "\n[prior]\nwithin = normal\nscale = 0.02\n"
+                     + RUN.format(n_grid="500, 2000", replicates=1),
 }
 SEEDS = (3, 5, 11)
 # the commands that take no config, run once per tree: the README's lines
