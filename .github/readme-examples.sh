@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The README's example commands, run from the working directory with the
+# The README's example commands, run from the root of the checkout with the
 # installed `ratelab` script; they write study.cfg, logodds.cfg,
 # laplace.cfg, narrow.cfg, small_u.cfg, normal.cfg, rates.csv, normal.csv
 # and the SVGs.
@@ -105,3 +105,4 @@ CFG
 ratelab bound --config normal.cfg
 ratelab complexity --config normal.cfg
 ratelab rate-study --config normal.cfg --out normal.csv
+python tools/slope_table.py

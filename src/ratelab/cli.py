@@ -179,6 +179,8 @@ def _cmd_verify_prop2(args) -> int:
 
 
 def _cmd_rate_study(args) -> int:
+    if not args.out:
+        raise ConfigError(f"--out must name the CSV file, got {args.out!r}")
     result = run_rate_study(_load_study_config(args))
     write_study_csv(result, args.out)
     print(f"rows: {len(result.rows)}")

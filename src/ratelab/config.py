@@ -11,12 +11,13 @@ key names the offending line.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .models import (LaplacePrior, NormalPrior, PriorSpec, TrueModel, UniformPrior,
-                     WithinModelPrior)
+from .models import (LaplacePrior, LogOddsPrior, NormalPrior, PriorSpec, TrueModel,
+                     UniformPrior, WithinModelPrior)
 from .rate_bounds import VARIANTS, floor_to_unit_fraction
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
@@ -146,51 +147,49 @@ def _at(line: Optional[int], build: Callable, *args, **kwargs):
         raise ConfigError(str(exc), line)
 
 
-# smooth truth kinds: constructor and its keys' defaults (None: required)
-_SMOOTH = {
-    "sine": (TrueModel.sine, {"center": 0.5, "amplitude": 0.15}),
-    "triangle": (TrueModel.triangle, {"center": 0.5, "amplitude": 0.24, "peak": 0.5}),
-    "linear": (TrueModel.linear, {"intercept": None, "slope": None}),
-    "constant": (TrueModel.constant, {"level": None}),
-}
+# each truth kind's factory: its parameters are the kind's [truth] keys, with
+# the factory's defaults, and one without a default is required
+_KINDS = {"sine": TrueModel.sine, "triangle": TrueModel.triangle,
+          "linear": TrueModel.linear, "constant": TrueModel.constant,
+          "sparse": TrueModel.sparse}
+_WITHIN = {prior.name: prior for prior in (UniformPrior, NormalPrior, LaplacePrior)}
 
 
 def _build_truth(take: Callable) -> TrueModel:
-    """The truth; a constructor's refusal names the levels line of a sparse
-    truth and the kind line of a smooth one."""
+    """The truth; a factory's refusal names the line of the key it starts
+    with (a triangle's peak), else a sparse truth's levels line, else the
+    kind line."""
     kind, kind_line = take("kind", None, str)
-    margin, margin_line = take("margin", 0.25)
+    if kind not in _KINDS:
+        raise ConfigError(f"kind must be {'|'.join(_KINDS)}, got {kind!r}", kind_line)
+    params = inspect.signature(_KINDS[kind]).parameters
+    margin, margin_line = take("margin", params["margin"].default)
     if not 0.0 < margin < 0.5:
         raise ConfigError(f"margin must lie in (0, 0.5), got {margin}",
                           margin_line)
-    if kind == "sparse":
-        levels, levels_line = take("levels", None, _FLOATS)
-        return _at(levels_line, TrueModel.sparse, levels, margin=margin)
-    if kind not in _SMOOTH:
-        raise ConfigError(
-            "kind must be sine|triangle|linear|constant|sparse, "
-            f"got {kind!r}", kind_line)
-    build, defaults = _SMOOTH[kind]
-    args = {key: take(key, default) for key, default in defaults.items()}
-    peak, peak_line = args.get("peak", (0.5, None))  # a triangle's
-    if not 0.0 < peak < 1.0:
-        raise ConfigError(f"peak must lie in (0, 1), got {peak}", peak_line)
-    return _at(kind_line, build, margin=margin,
-               **{key: value for key, (value, _) in args.items()})
+    args, lines = {}, {}
+    for key, param in params.items():
+        if key != "margin":
+            default = None if param.default is param.empty else param.default
+            args[key], lines[key] = take(key, default, _FLOATS if key == "levels" else float)
+    try:
+        return _KINDS[kind](margin=margin, **args)
+    except ValueError as exc:
+        line = lines.get(str(exc).partition(" ")[0]) or lines.get("levels") or kind_line
+        raise ConfigError(str(exc), line)
 
 
 def _build_within(take: Callable) -> WithinModelPrior:
-    within, within_line = take("within", "uniform", str)
-    scale, scale_line = take("scale", 1.0)
-    if within == "uniform":
+    within, within_line = take("within", PriorSpec.within.name, str)
+    scale, scale_line = take("scale", LogOddsPrior.scale)
+    if within not in _WITHIN:
+        raise ConfigError(
+            f"within must be {'|'.join(_WITHIN)}, got {within!r}", within_line)
+    if not issubclass(_WITHIN[within], LogOddsPrior):
         if scale_line is not None:
             raise ConfigError("scale requires a log-odds prior", scale_line)
-        return UniformPrior()
-    log_odds = {"normal": NormalPrior, "laplace": LaplacePrior}
-    if within in log_odds:
-        return _at(scale_line, log_odds[within], scale)
-    raise ConfigError(
-        f"within must be uniform|normal|laplace, got {within!r}", within_line)
+        return _WITHIN[within]()
+    return _at(scale_line, _WITHIN[within], scale)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -199,11 +198,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     take = _taker(sections, "prior")
     within = _build_within(take)
-    k_model, k_line = take("k_model", 3.0)
+    k_model, k_line = take("k_model", PriorSpec.k_model)
     if not 0 < k_model < math.inf:
         raise ConfigError(f"k_model must be positive and finite, got {k_model}",
                           k_line)
-    m_max, m_line = take("m_max", 0, _strict_int)
+    m_max, m_line = take("m_max", PriorSpec.m_max, _strict_int)
     if m_max < 0:
         raise ConfigError(f"m_max must be >= 0 (0 means auto), got {m_max}",
                           m_line)

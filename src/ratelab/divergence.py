@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -125,15 +125,17 @@ class SmoothMean:
     """Smooth mean with values in [0, 1] and a certified derivative bound.
 
     Both are checked on a dense grid at construction time; the margin
-    from {0, 1} is the truth's (``TrueModel``).  ``breakpoints``
-    declares the sorted points inside (0, 1) where the mean is
-    continuous but not smooth (a kink); quadrature starts a panel at
-    each of them.
+    from {0, 1} is the truth's (``TrueModel``), checked against
+    ``extremes``, the lowest and highest value on that grid.
+    ``breakpoints`` declares the sorted points inside (0, 1) where the
+    mean is continuous but not smooth (a kink); quadrature starts a
+    panel at each of them.
     """
 
     fn: Callable
     d_bound: float
     breakpoints: tuple = ()
+    extremes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         points = tuple(float(b) for b in self.breakpoints)
@@ -149,6 +151,7 @@ class SmoothMean:
             raise ValueError("mean function must map arrays to arrays elementwise")
         if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN too
             raise ValueError("mean leaves [0, 1] on the check grid")
+        object.__setattr__(self, "extremes", (float(vals.min()), float(vals.max())))
         if not 0.0 <= self.d_bound < math.inf:
             raise ValueError(
                 f"derivative bound must be nonnegative and finite, got {self.d_bound}")

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .divergence import (_GL_W, _GL_X, _VALIDATION_GRID, MEAN_CLAMP, PiecewiseConstantMean,
-                         QuadratureError, SmoothMean, _composite_gl, _union_edges)
+from .divergence import (_GL_W, _GL_X, MEAN_CLAMP, PiecewiseConstantMean, QuadratureError,
+                         SmoothMean, _composite_gl, _union_edges)
 from .rng import stream
 from .special import bisect, expit, log_beta_counts, logit, logsumexp, ndtr
 
@@ -48,7 +48,7 @@ class TrueModel:
     """True response mean, either smooth or piecewise constant ("sparse").
 
     The mean stays strictly inside (margin, 1 - margin), checked on a
-    sparse truth's levels and on a smooth one's check grid.  The slope
+    sparse truth's levels and on a smooth one's check-grid extremes.  The slope
     bound of a smooth truth is its mean's ``d_bound``; ``m0`` is a sparse
     one's m.
     """
@@ -59,8 +59,7 @@ class TrueModel:
     def __post_init__(self):
         if not 0.0 < self.margin < 0.5:
             raise ValueError(f"margin must lie in (0, 0.5), got {self.margin}")
-        values = (self.mean.levels if self.m0 else
-                  self.mean(np.linspace(0.0, 1.0, _VALIDATION_GRID)))
+        values = self.mean.levels if self.m0 else np.array(self.mean.extremes)
         if not np.all((values > self.margin) & (values < 1.0 - self.margin)):  # NaN too
             raise ValueError("the mean must stay strictly inside (margin, 1 - margin)")
 

@@ -529,6 +529,19 @@ def test_missing_output_directory_is_refused_before_the_work(command, tmp_path,
     assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def test_empty_study_output_is_refused_before_the_work(tmp_path, monkeypatch, capsys):
+    # an empty --out means stdout to the table commands; rate-study has no stdout CSV
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_rate_study", no_work)
+    config = tmp_path / "study.cfg"
+    config.write_text(CONFIG, encoding="utf-8")
+    code, _, err = _run(["rate-study", "--config", str(config), "--out", ""], capsys)
+    assert code == 1
+    assert err == "error: --out must name the CSV file, got ''\n"
+
+
 def test_no_arguments_exits_one(capsys):
     code, _, err = _run([], capsys)
     assert code == 1 and "error" in err

@@ -1,10 +1,11 @@
 """Config parsing, defaults, and line-numbered diagnostics."""
 
+import numpy as np
 import pytest
 
 import ratelab.cli as cli
-from ratelab import (ConfigError, NormalPrior, UniformPrior, load_config,
-                     parse_config_text)
+from ratelab import (ConfigError, LaplacePrior, NormalPrior, PriorSpec, TrueModel,
+                     UniformPrior, load_config, parse_config_text)
 
 MINIMAL = """
 [truth]
@@ -91,6 +92,36 @@ def test_with_overrides_replaces_only_named_fields():
     assert out.n_grid == cfg.n_grid and out.u == cfg.u
     assert cfg.seed == 17
     assert cfg.with_overrides() == cfg
+
+
+# each truth kind's required keys, as config lines and as factory arguments
+REQUIRED = {
+    "sine": ("", {}),
+    "triangle": ("", {}),
+    "linear": ("intercept = 0.35\nslope = 0.3", {"intercept": 0.35, "slope": 0.3}),
+    "constant": ("level = 0.4", {"level": 0.4}),
+    "sparse": ("levels = 0.3, 0.7, 0.45", {"levels": (0.3, 0.7, 0.45)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REQUIRED))
+def test_required_truth_keys_alone_build_the_factory_default(kind):
+    lines, args = REQUIRED[kind]
+    cfg = parse_config_text(f"[truth]\nkind = {kind}\n{lines}\n[run]\nn_grid = 10, 20\n")
+    truth = getattr(TrueModel, kind)(**args)
+    grid = np.linspace(0.0, 1.0, 10_001)
+    assert np.array_equal(cfg.truth.mean(grid), truth.mean(grid))
+    assert cfg.truth.margin == truth.margin
+    assert cfg.truth.m0 == truth.m0
+
+
+@pytest.mark.parametrize("within,prior", [
+    ("", UniformPrior()), ("within = uniform", UniformPrior()),
+    ("within = normal", NormalPrior()), ("within = laplace", LaplacePrior())])
+def test_prior_keys_left_out_take_the_library_defaults(within, prior):
+    cfg = parse_config_text(MINIMAL + f"\n[prior]\n{within}\n")
+    for n in (10, 1000):
+        assert cfg.prior_for(n) == PriorSpec(n=n, within=prior)
 
 
 def _error(text):

@@ -250,6 +250,7 @@ class TestRegressionDensities:
 TRIANGLE_HELLINGER_ORACLE = {
     3: 0.0307941118140840774519964,
     7: 0.03107018307794482069564992,
+    19: 0.02936645596622648304794533,
     20: 0.03008327763915610849291714,
 }
 # (KL, the second-order term: the integral of a ln^2(a/b) summed over both

@@ -91,6 +91,17 @@ class TestTruthConstructors:
         with pytest.raises(ValueError, match=re.escape(fragment)):
             build()
 
+    def test_smooth_truth_evaluates_its_mean_once(self):
+        # the margin is checked against the extremes of the grid SmoothMean checks
+        calls = []
+
+        def mean(x):
+            calls.append(np.size(x))
+            return 0.4 + 0.2 * x
+
+        TrueModel.smooth(mean, 0.2, 0.25)
+        assert len(calls) == 1
+
     def test_constant_has_zero_derivative_bound(self):
         truth = TrueModel.constant(0.4)
         assert truth.mean.d_bound == 0.0
